@@ -146,6 +146,7 @@ def _cmd_design_slr(args) -> int:
             "fidelity_map": map_path,
             "profile_csv": args.out + ".profile.csv",
             "min_fidelity": fid.min,
+            **design.inversion,
         },
     )
     print(f"band_error {_fmt(design.band_error)} blocks {design.blocks}")
@@ -192,6 +193,7 @@ def _cmd_design_pattern(args) -> int:
             "fidelity_map": map_path,
             "profile_csv": args.out + ".profile.csv",
             "min_fidelity": fid.min,
+            **design.inversion,
         },
     )
     print(f"z_profile_error {_fmt(z_error)} fit_error {_fmt(design.fit_error)}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "LinearSystemSample",
@@ -193,6 +192,10 @@ def reachability_residual(
         raise ValueError("horizon must be at least one step")
     if len(targets) != len(samples):
         raise ValueError("one target per sample required")
+    # imported here: scipy.linalg costs more import time than the rest of
+    # the command-line entry point
+    from scipy.linalg import expm
+
     blocks = []
     for sys in samples:
         n, m = sys.b.shape

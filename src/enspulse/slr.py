@@ -98,15 +98,33 @@ class SpinorPolynomials:
 
     def evaluate(self, omega: np.ndarray, dt: float):
         """P(z), Q(z) at z = exp(-i omega dt)."""
-        omega = np.asarray(omega, dtype=float)
-        v = np.exp(1j * np.outer(omega * dt, np.arange(self.n)))
+        v = _exp_matrix(np.asarray(omega, dtype=float).ravel() * dt, self.n)
         return v @ self.p, v @ self.q
 
 
+def _exp_matrix(theta: np.ndarray, n: int) -> np.ndarray:
+    """``exp(1j * outer(theta, arange(n)))`` from two tables of ~sqrt(n) columns.
+
+    exp(i theta (b j + k)) = exp(i theta b j) exp(i theta k): one complex
+    product per entry in place of one complex exponential, with phase
+    rounding of the same order as the direct form.
+    """
+    b = int(np.ceil(np.sqrt(n)))
+    lo = np.exp(1j * np.outer(theta, np.arange(b)))
+    hi = np.exp(1j * np.outer(theta, np.arange(0, n, b)))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(theta.size, hi.shape[1] * b)[:, :n]
+
+
 def unimodularity_residual(poly: SpinorPolynomials, nsamples: int = 256) -> float:
-    """Max over unit-circle samples of | |P|^2 + |Q|^2 - 1 |."""
-    phase = np.linspace(0.0, 2.0 * np.pi, nsamples, endpoint=False)
-    pv, qv = poly.evaluate(phase, 1.0)
+    """Max over unit-circle samples of | |P|^2 + |Q|^2 - 1 |.
+
+    The samples ``omega dt = 2 pi k / nsamples`` form a DFT grid, so the
+    values are ``nsamples * ifft`` of the coefficients folded modulo
+    ``nsamples``.
+    """
+    fold = -poly.n % nsamples
+    coeffs = np.pad(np.stack([poly.p, poly.q]), ((0, 0), (0, fold)))
+    pv, qv = nsamples * np.fft.ifft(coeffs.reshape(2, -1, nsamples).sum(axis=1))
     return float(np.abs(np.abs(pv) ** 2 + np.abs(qv) ** 2 - 1.0).max())
 
 
@@ -175,9 +193,9 @@ def forward_recursion_trace(steps: list[HardPulseStep]) -> list[SpinorPolynomial
 def inverse_recursion_full(poly: SpinorPolynomials, unimod_tol: float = 1e-6):
     """Backward recursion; returns (steps, diagnostics dict).
 
-    Diagnostics carry the worst dropped leading/low-order coefficients (the
-    two degree-reduction conditions) and the deviation of the fully reduced
-    pair from (1, 0).
+    Diagnostics carry the input pair's unimodularity residual, the worst
+    dropped leading/low-order coefficients (the two degree-reduction
+    conditions) and the deviation of the fully reduced pair from (1, 0).
     """
     res = unimodularity_residual(poly, max(256, 4 * poly.n))
     if res > unimod_tol:
@@ -192,6 +210,7 @@ def inverse_recursion_full(poly: SpinorPolynomials, unimod_tol: float = 1e-6):
         )
     steps = [HardPulseStep(float(f), float(t)) for f, t in zip(phi, theta)]
     diag = {
+        "unimodularity_residual": res,
         "res_lead": float(res_lead),
         "res_low": float(res_low),
         "final_dev": float(final_dev),
@@ -244,44 +263,6 @@ def pulse_to_steps(pulse: ControlSequence) -> list[HardPulseStep]:
 # ---------------------------------------------------------------------------
 
 
-def _leja_order(roots: np.ndarray) -> np.ndarray:
-    """Order roots so the running factor product stays O(1) in magnitude.
-
-    Naive ordering lets the elementary-symmetric partial sums blow up by
-    many orders of magnitude before cancelling, which silently eats the
-    factorization accuracy.
-    """
-    rem = list(roots)
-    out = [max(rem, key=abs)]
-    rem.remove(out[-1])
-    while rem:
-        chosen = np.array(out)
-        nxt = max(rem, key=lambda z: float(np.sum(np.log(np.abs(z - chosen) + 1e-300))))
-        out.append(nxt)
-        rem.remove(nxt)
-    return np.array(out)
-
-
-def _min_phase_from_roots(roots_inside: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Assemble sqrt(K) * prod(1 - r_i z^-1) matching |P|^2 = 1 - |Q|^2."""
-    p = np.array([1.0 + 0.0j])
-    for r in _leja_order(roots_inside):
-        p = np.convolve(p, np.array([1.0, -r]))
-    # least-squares scale over the circle: |P|^2 = K |prod|^2 target F
-    phase = np.linspace(0.0, 2.0 * np.pi, 8 * (len(q) + 1), endpoint=False)
-    v = np.exp(1j * np.outer(phase, np.arange(len(q))))
-    fvals = 1.0 - np.abs(v @ q) ** 2
-    pv = np.exp(1j * np.outer(phase, np.arange(len(p)))) @ p
-    w2 = np.abs(pv) ** 2
-    k_scale = float(np.sum(fvals * w2) / np.sum(w2 * w2))
-    if k_scale <= 0:
-        raise CompletionError("norm target is not positive on the unit circle")
-    p = np.sqrt(k_scale) * p
-    # rotate the constant coefficient to the real positive axis
-    p = p * np.exp(-1j * np.angle(p[0]))
-    return p
-
-
 def complete_polynomial(
     q: np.ndarray, margin: float = 1e-6, residual_tol: float = 1e-8
 ) -> SpinorPolynomials:
@@ -289,18 +270,22 @@ def complete_polynomial(
 
     If max |Q| exceeds 1 - margin the coefficients are rescaled down to
     that ceiling first (margin 0 with |Q| > 1 is rejected); the margin
-    keeps the factorization roots off the unit circle.
+    keeps the log of ``1 - |Q|^2`` finite.  P is the homomorphic (cepstral)
+    minimum-phase factor: the cepstrum of ``0.5 log(1 - |Q|^2)`` folded
+    onto its causal half and exponentiated, all on one FFT grid.
     """
     q = np.asarray(q, dtype=np.complex128).ravel()
     n = q.size
     if n == 0:
         raise ValueError("q must be nonempty")
     nfft = max(4096, 16 * n)
-    qmax = float(np.abs(np.fft.fft(q, nfft)).max())
+    qf = np.fft.fft(q, nfft)
+    qmax = float(np.abs(qf).max())
     if qmax > 1.0 - margin:
         if margin <= 0.0 and qmax > 1.0:
             raise ValueError(f"|Q| reaches {qmax:.6f} > 1 with no margin to rescale")
         q = q * (1.0 - margin) / qmax
+        qf = qf * (1.0 - margin) / qmax
 
     if np.abs(q[1:]).max(initial=0.0) == 0.0:
         # constant Q completes to a constant P
@@ -308,34 +293,17 @@ def complete_polynomial(
         p[0] = np.sqrt(1.0 - np.abs(q[0]) ** 2)
         return SpinorPolynomials(p, q)
 
-    # Laurent coefficients of 1 - Q(z) Q~(z), ascending in m; equal, by
-    # construction, to the z-descending coefficients of the factor polynomial
-    f = -np.correlate(q, q, "full")
-    f[n - 1] += 1.0
-    # near-zero end taps of q make the factor polynomial's extreme
-    # coefficients vanish, which wrecks the companion-matrix conditioning;
-    # deflate them (their roots are (~0, ~inf) pairs that contribute
-    # nothing to the product on the circle)
-    strip = 0
-    fmax = np.abs(f).max()
-    while strip < n - 1 and (
-        abs(f[strip]) < 1e-12 * fmax and abs(f[len(f) - 1 - strip]) < 1e-12 * fmax
-    ):
-        strip += 1
-    trimmed = f[strip : len(f) - strip]
-    n_inside = (len(trimmed) - 1) // 2
-    if n_inside == 0:
-        # Q is constant to working precision
-        p = np.zeros(n, dtype=np.complex128)
-        p[0] = np.sqrt(max(trimmed[0].real, 0.0))
-        return SpinorPolynomials(p, q)
-    roots = np.roots(trimmed)
-    order = np.argsort(np.abs(roots))
-    inside = roots[order][:n_inside]
-    if np.abs(inside[-1]) >= 1.0:
-        raise CompletionError("factorization roots reached the unit circle")
-    p = _min_phase_from_roots(inside, q)
-    p = np.concatenate([p, np.zeros(n - p.size, dtype=np.complex128)])
+    mag2 = 1.0 - np.abs(qf) ** 2
+    if mag2.min() <= 0.0:
+        raise CompletionError("norm target is not positive on the unit circle")
+    cep = np.fft.ifft(0.5 * np.log(mag2))
+    cep[1 : nfft // 2] *= 2.0
+    cep[nfft // 2 + 1 :] = 0.0
+    # fft index k carries exp(-2 pi i j k / nfft), which is our z^-j
+    p = np.fft.ifft(np.exp(np.fft.fft(cep)))[:n]
+    # a phase rotation alone leaves a roundoff imaginary part on p[0]
+    p = p * np.exp(-1j * np.angle(p[0]))
+    p[0] = abs(p[0])
     out = SpinorPolynomials(p, q)
     res = unimodularity_residual(out, 16 * n)
     if res > residual_tol:
@@ -365,7 +333,11 @@ def spinor_band_error(
     error are all counted.
     """
     pv, qv = poly.evaluate(profile.omega, dt)
-    overlap = np.abs(np.conj(profile.f_alpha) * pv + np.conj(profile.f_beta) * qv)
+    return _aligned_distance(pv, qv, profile.f_alpha, profile.f_beta)
+
+
+def _aligned_distance(pv, qv, f_alpha, f_beta) -> float:
+    overlap = np.abs(np.conj(f_alpha) * pv + np.conj(f_beta) * qv)
     return float(np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0)).max())
 
 
@@ -409,22 +381,37 @@ def target_to_polys(
             f"band aliasing: max |omega|*dt = {wmax * dt:.3f} exceeds pi"
         )
     prof = _resample_profile(profile, 8 * n)
-    a = np.exp(1j * np.outer(prof.omega * dt, np.arange(n)))
-    rw = np.ones(prof.omega.size) if prof.weights is None else np.sqrt(prof.weights)
-    aw = a * rw[:, None]
+    a = _exp_matrix(prof.omega * dt, n)
+    wt = np.ones(prof.omega.size) if prof.weights is None else prof.weights
 
-    # the truncation guards against near-null directions of arc-sampled
-    # fits, whose "help" is microscopic but whose coefficients are not
-    q, *_ = np.linalg.lstsq(aw, rw * prof.f_beta, rcond=1e-8)
-    polys = complete_polynomial(q, margin=margin)
+    # the weighted Gram matrix of integer-frequency exponentials is Hermitian
+    # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m])
+    r = a.T @ wt
+    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+    gram = np.where(lag >= 0, r[np.abs(lag)], np.conj(r[np.abs(lag)]))
+    lam, vec = np.linalg.eigh(gram)
+    # the cut (sigma > 1e-7 sigma_max) guards against near-null directions
+    # of arc-sampled fits, whose "help" is microscopic but whose
+    # coefficients are not; a cut nearer the Gram roundoff floor admits
+    # noise directions that the completion cannot absorb
+    keep = lam > 1e-14 * lam[-1]
+    vec, lam = vec[:, keep], lam[keep]
+
+    def fit_q(f_beta):
+        return vec @ ((vec.conj().T @ (a.conj().T @ (wt * f_beta))) / lam)
+
+    polys = complete_polynomial(fit_q(prof.f_beta), margin=margin)
     if absorb_alpha_phase:
-        pv, _ = polys.evaluate(prof.omega, dt)
-        ph = np.exp(1j * (np.angle(pv) - np.angle(prof.f_alpha)))
-        q, *_ = np.linalg.lstsq(aw, rw * prof.f_beta * ph, rcond=1e-8)
-        polys = complete_polynomial(q, margin=margin)
+        ph = np.exp(1j * (np.angle(a @ polys.p) - np.angle(prof.f_alpha)))
+        polys = complete_polynomial(fit_q(prof.f_beta * ph), margin=margin)
 
-    fit_resid = float(np.abs(polys.evaluate(prof.omega, dt)[1] - prof.f_beta).max())
-    return PolyFit(polys, spinor_band_error(polys, profile, dt), fit_resid)
+    pv, qv = a @ polys.p, a @ polys.q
+    fit_resid = float(np.abs(qv - prof.f_beta).max())
+    if prof is profile:
+        band_error = _aligned_distance(pv, qv, profile.f_alpha, profile.f_beta)
+    else:
+        band_error = spinor_band_error(polys, profile, dt)
+    return PolyFit(polys, band_error, fit_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +464,14 @@ class BroadbandDesign:
     block_angle: float
     profile: TargetProfile
     fit_residual: float
+    inversion: dict  # inverse_recursion_full diagnostics of the block
 
 
 def _design_block(axis, angle, band, n, dt, margin, transition):
     profile = broadband_profile(axis, angle, band, n, dt, transition)
     fit = target_to_polys(profile, n, dt, margin=margin)
-    steps, _ = inverse_recursion_full(fit.polys)
-    return profile, fit, steps
+    steps, inversion = inverse_recursion_full(fit.polys)
+    return profile, fit, steps, inversion
 
 
 def design_broadband(
@@ -511,20 +499,20 @@ def design_broadband(
     def block_for(m: int):
         return _design_block(axis, angle / m, band, n, dt, margin, transition)
 
-    def feasible(block_steps) -> bool:
+    def feasible(block) -> bool:
         if a_max is None:
             return True
-        worst = max(s.phi for s in block_steps) / dt
+        worst = max(s.phi for s in block[2]) / dt
         return worst <= a_max * (1 + 1e-12)
 
-    profile, fit, steps = block_for(1)
+    block = block_for(1)
     m = 1
-    if not feasible(steps):
+    if not feasible(block):
         lo = 1
         hi = 2
         while hi <= MAX_SUBDIVISIONS:
-            profile, fit, steps = block_for(hi)
-            if feasible(steps):
+            block = block_for(hi)
+            if feasible(block):
                 break
             lo = hi
             hi *= 2
@@ -536,20 +524,23 @@ def design_broadband(
         # monotonically with the block angle
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            p_mid, f_mid, s_mid = block_for(mid)
-            if feasible(s_mid):
-                hi, profile, fit, steps = mid, p_mid, f_mid, s_mid
+            candidate = block_for(mid)
+            if feasible(candidate):
+                hi, block = mid, candidate
             else:
                 lo = mid
         m = hi
 
+    profile, fit, steps, inversion = block
     block_pulse = steps_to_pulse(steps, dt, a_max)
     pulse = block_pulse
     for _ in range(m - 1):
         pulse = pulse.concat(block_pulse)
 
     band_error = _design_band_error(pulse, axis, angle, band, dt)
-    return BroadbandDesign(pulse, fit.polys, band_error, m, angle / m, profile, fit.fit_residual)
+    return BroadbandDesign(
+        pulse, fit.polys, band_error, m, angle / m, profile, fit.fit_residual, inversion
+    )
 
 
 def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
@@ -565,9 +556,7 @@ def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
     pv, qv = poly.evaluate(omega, dt)
     beta_unit = -1j if axis == "x" else 1.0
     fb = beta_unit * np.sin(0.5 * angle) * _half_delay_phase(omega, poly.n, dt)
-    fa = np.cos(0.5 * angle)
-    overlap = np.abs(np.conj(fa) * pv + np.conj(fb) * qv)
-    return float(np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0)).max())
+    return _aligned_distance(pv, qv, np.cos(0.5 * angle), fb)
 
 
 @dataclass
@@ -576,6 +565,7 @@ class PatternDesign:
     polys: SpinorPolynomials
     fit_error: float
     profile: TargetProfile
+    inversion: dict  # inverse_recursion_full diagnostics
 
 
 def band_selective_profile(
@@ -632,13 +622,13 @@ def design_pattern(
 ) -> PatternDesign:
     """Design a pulse whose flip-angle profile follows the target pattern.
 
-    A full pi flip asks for |Q| = 1 on the circle, which the factorization
-    cannot root; the completion's margin rescale caps |Q| at 1 - margin, so
+    A full pi flip asks for |Q| = 1 on the circle, where the completion's
+    log(1 - |Q|^2) diverges; the margin rescale caps |Q| at 1 - margin, so
     the achieved inversion depth is bounded by the margin.  Alpha-phase
     absorption is disabled: where the flip reaches pi the alpha component
     vanishes and its phase is numerical noise.
     """
     fit = target_to_polys(profile, n, dt, margin=margin, absorb_alpha_phase=False)
-    steps, _ = inverse_recursion_full(fit.polys)
+    steps, inversion = inverse_recursion_full(fit.polys)
     pulse = steps_to_pulse(steps, dt)
-    return PatternDesign(pulse, fit.polys, fit.band_error, profile)
+    return PatternDesign(pulse, fit.polys, fit.band_error, profile, inversion)

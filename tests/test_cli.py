@@ -1,6 +1,10 @@
 """File formats and command-line behavior: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,39 @@ def test_design_slr_end_to_end(tmp_path):
     assert diag["min_fidelity"] >= 0.99
     fmap = parse_fidelity_csv(diag["fidelity_map"])
     assert fmap.min >= 0.99
+    assert diag["unimodularity_residual"] <= 1e-12
+    for key in ("res_lead", "res_low", "final_dev"):
+        assert 0.0 <= diag[key] <= 1e-6
+
+
+def test_design_pattern_writes_health_figures(tmp_path):
+    out = tmp_path / "pat.json"
+    code = main(
+        [
+            "design-pattern",
+            "--band", "5000",
+            "--select=-2500,2500",
+            "--flip", "1.5707963267948966",
+            "--steps", "64",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    diag = json.load(open(str(out) + ".diag.json"))
+    assert diag["unimodularity_residual"] <= 1e-12
+    for key in ("res_lead", "res_low", "final_dev"):
+        assert 0.0 <= diag[key] <= 1e-6
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported by the commands that need it, not at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, enspulse.cli; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert result.returncode == 0
 
 
 def test_design_composite_writes_diagnostics(tmp_path):

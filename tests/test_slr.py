@@ -2,21 +2,24 @@
 
 Oracles: direct ordered 2x2 products of the hard-pulse factors, dense
 normal-equation least squares, scipy's matrix exponential for splitting
-order, and an FFT-cepstrum minimum-phase reconstruction for completion.
+order, and a root-based minimum-phase factor (the roots of 1 - Q Q~ inside
+the unit disk, multiplied out in Leja order) for the cepstral completion.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from enspulse import kernels
-from enspulse.errors import DegenerateExtractionError
+from enspulse.errors import CompletionError, DegenerateExtractionError
 from enspulse.liealg import so3_generators
 from enspulse.slr import (
     HardPulseStep,
     SpinorPolynomials,
     TargetProfile,
-    _min_phase_from_roots,
+    _half_delay_phase,
     band_selective_profile,
     complete_polynomial,
     design_broadband,
@@ -99,6 +102,19 @@ def test_forward_matches_matrix_product_oracle():
         beta = z ** (n / 2) * qv[0]
         assert abs(acc[0, 0] - alpha) < 1e-10
         assert abs(acc[1, 0] - beta) < 1e-10
+
+
+@pytest.mark.parametrize("nsamples", [16, 40, 256])
+def test_unimodularity_residual_matches_direct_evaluation(nsamples):
+    rng = np.random.default_rng(31)
+    poly = SpinorPolynomials(
+        rng.standard_normal(40) + 1j * rng.standard_normal(40),
+        rng.standard_normal(40) + 1j * rng.standard_normal(40),
+    )
+    phase = 2 * np.pi * np.arange(nsamples) / nsamples
+    v = np.exp(1j * np.outer(phase, np.arange(40)))
+    direct = np.abs(np.abs(v @ poly.p) ** 2 + np.abs(v @ poly.q) ** 2 - 1.0).max()
+    assert unimodularity_residual(poly, nsamples) == pytest.approx(direct, rel=1e-12)
 
 
 def test_unimodularity_along_forward_recursion():
@@ -217,37 +233,99 @@ def test_complete_rejects_overunity_without_margin():
         complete_polynomial(q, margin=0.0)
 
 
+def test_complete_rejects_unit_peak_without_margin():
+    # |Q| = 1 at z = 1: the log of 1 - |Q|^2 diverges there
+    with pytest.raises(CompletionError):
+        complete_polynomial(np.array([0.5, 0.5]), margin=0.0)
+
+
+def _leja_order(roots):
+    """Order roots so the running factor product stays O(1) in magnitude."""
+    rem = list(roots)
+    out = [max(rem, key=abs)]
+    rem.remove(out[-1])
+    while rem:
+        chosen = np.array(out)
+        nxt = max(rem, key=lambda z: float(np.sum(np.log(np.abs(z - chosen) + 1e-300))))
+        out.append(nxt)
+        rem.remove(nxt)
+    return np.array(out)
+
+
+def min_phase_root_oracle(q):
+    """sqrt(K) prod(1 - r_i z^-1) over the roots of 1 - Q Q~ inside the disk.
+
+    K is the least-squares scale matching |P|^2 to 1 - |Q|^2 on the circle;
+    the constant coefficient is rotated onto the positive real axis.
+    """
+    n = q.size
+    f = -np.correlate(q, q, "full")
+    f[n - 1] += 1.0
+    roots = np.roots(f)
+    inside = roots[np.argsort(np.abs(roots))][: n - 1]
+    assert np.abs(inside).max() < 1.0
+    p = np.array([1.0 + 0.0j])
+    for r in _leja_order(inside):
+        p = np.convolve(p, np.array([1.0, -r]))
+    phase = np.linspace(0.0, 2.0 * np.pi, 8 * (n + 1), endpoint=False)
+    v = np.exp(1j * np.outer(phase, np.arange(n)))
+    fvals = 1.0 - np.abs(v @ q) ** 2
+    w2 = np.abs(v @ p) ** 2
+    p = np.sqrt(np.sum(fvals * w2) / np.sum(w2 * w2)) * p
+    return p * np.exp(-1j * np.angle(p[0]))
+
+
 def test_complete_matches_cepstral_oracle():
-    # independent minimum-phase construction via FFT cepstrum folding
+    # independent minimum-phase construction by root-finding
     rng = np.random.default_rng(27)
     q = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     q *= 0.8 / np.abs(np.fft.fft(q, 8192)).max()
     out = complete_polynomial(q)
-    nfft = 1 << 16
-    mag2 = np.maximum(1.0 - np.abs(np.fft.fft(out.q, nfft)) ** 2, 1e-300)
-    cep = np.fft.ifft(0.5 * np.log(mag2))
-    fold = cep.copy()
-    fold[1 : nfft // 2] *= 2.0
-    fold[nfft // 2 + 1 :] = 0.0
-    pv = np.exp(np.fft.fft(fold))
-    p_oracle = np.fft.ifft(pv)[: out.n]
-    # fft convention: spectrum index k carries exp(-2pi i jk/N) = our z^-j
-    assert np.allclose(p_oracle, out.p, atol=1e-7)
+    assert np.allclose(min_phase_root_oracle(out.q), out.p, atol=1e-7)
 
 
-def test_min_phase_invariant_under_root_permutation():
-    rng = np.random.default_rng(28)
-    q = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    q *= 0.85 / np.abs(np.fft.fft(q, 4096)).max()
-    f = -np.correlate(q, q, "full")
-    f[9] += 1.0
-    roots = np.roots(f)
-    inside = roots[np.argsort(np.abs(roots))][:9]
-    p_ref = _min_phase_from_roots(inside, q)
-    for seed in range(3):
-        perm = np.random.default_rng(seed).permutation(9)
-        p_perm = _min_phase_from_roots(inside[perm], q)
-        assert np.abs(p_perm - p_ref).max() <= 1e-9
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+coefficient = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+    lambda xy: complex(*xy)
+)
+
+
+@st.composite
+def scaled_q(draw):
+    """Random Q coefficients scaled to a max |Q| on the circle in [0.1, 0.99]."""
+    q = np.array(draw(st.lists(coefficient, min_size=2, max_size=24)))
+    peak = np.abs(np.fft.fft(q, 4096)).max()
+    assume(peak > 1e-6)
+    return q * draw(st.floats(0.1, 0.99)) / peak
+
+
+@PROPERTY
+@given(scaled_q())
+def test_completion_is_unimodular_and_minimum_phase(q):
+    out = complete_polynomial(q)
+    assert np.array_equal(out.q, q)
+    assert unimodularity_residual(out, 16 * out.n) <= 1e-12
+    assert out.p[0].imag == 0.0 and out.p[0].real > 0.0
+    # P(z) = z^-(n-1) * polynomial in z with coefficients p, highest first
+    assert np.abs(np.roots(out.p)).max(initial=0.0) < 1.0
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.floats(0.01, 1.2), st.floats(-np.pi, np.pi)), min_size=1, max_size=24
+    )
+)
+def test_inverse_undoes_forward_recursion(flips):
+    # flips of the rand_pulse_steps regime: the cosine half-flip product of
+    # the train stays far above roundoff
+    steps = [HardPulseStep(phi, theta) for phi, theta in flips]
+    rec = inverse_recursion(forward_recursion(steps))
+    assert len(rec) == len(steps)
+    for a, b in zip(steps, rec):
+        assert abs(a.phi - b.phi) < 1e-9
+        assert abs(np.angle(np.exp(1j * (a.theta - b.theta)))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +373,29 @@ def test_linear_phase_slice_profile_matches_dense_oracle():
     resid_oracle = np.abs(a @ q_oracle - fb).max()
     assert fit.fit_residual == pytest.approx(resid_oracle, abs=1e-8)
     assert np.abs(fit.polys.q - q_oracle).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "arc, n, absorbed_ceiling",
+    [(0.1, 64, 3.56e-3), (0.3, 64, 4.67e-3), (0.5, 128, None)],
+)
+def test_arc_sampled_quarter_turn_completes(arc, n, absorbed_ceiling):
+    # flat quarter turn sampled only on |omega| dt <= arc * pi: the Gram
+    # matrix has near-null directions that the rank cut must keep out of q;
+    # the ceilings are the band errors a root-based completion reached here
+    w = np.linspace(-arc * np.pi / DT, arc * np.pi / DT, 8 * n)
+    prof = TargetProfile(
+        w,
+        np.full(w.size, np.cos(np.pi / 4)),
+        -1j * np.sin(np.pi / 4) * _half_delay_phase(w, n, DT),
+    )
+    plain = target_to_polys(prof, n, DT, absorb_alpha_phase=False)
+    absorbed = target_to_polys(prof, n, DT)
+    for fit in (plain, absorbed):
+        assert unimodularity_residual(fit.polys, 16 * n) <= 1e-8
+    assert absorbed.band_error < plain.band_error
+    if absorbed_ceiling is not None:
+        assert absorbed.band_error <= absorbed_ceiling
 
 
 # ---------------------------------------------------------------------------
