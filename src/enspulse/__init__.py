@@ -30,7 +30,6 @@ from .errors import (
     InfeasibleError,
     SchemaError,
 )
-from .kernels import HAVE_COMPILED, IMPLEMENTATION
 from .liealg import (
     ClosureReport,
     DispersionMonomial,
@@ -58,3 +57,6 @@ from .slr import (
 )
 
 __version__ = "0.1.0"
+
+# the propagation and recursion kernels are numpy (:mod:`.kernels`)
+IMPLEMENTATION = "numpy"

@@ -8,9 +8,12 @@ Convention table (all simulation code derives from this block):
   ``diag(exp(-i w dt/2), exp(+i w dt/2))``.
 * SO(3) plant:  ``dX/dt = (w Oz + e u Oy + e v Ox) X`` acting on Bloch
   column vectors, with the right-handed generators of :mod:`.liealg`.
-* The two plants pair the controls with different axes; their numerical
-  correspondence (adjoint of the SU(2) step equals the SO(3) step with u
-  and v exchanged) is asserted in the test suite rather than assumed.
+* The two plants pair the controls with different axes: the SO(3) step is
+  the adjoint image of the SU(2) step with u and v exchanged (and theta
+  negated).  Every Bloch vector and rotation here is computed that way,
+  from one SU(2) pass (:func:`.kernels.rotation_propagate`), so the spinor
+  step loop is the only propagator; the test suite checks the Bloch results
+  against independently exponentiated SO(3) steps.
 * rf phase dispersion ``theta`` advances the polar angle of the control
   field in the SO(3) plant's (Ox, Oy) plane:
   ``u' = u cos(theta) + v sin(theta)``, ``v' = -u sin(theta) + v cos(theta)``.
@@ -200,15 +203,13 @@ class SU2Element:
 
 
 def su2_to_so3(m: np.ndarray) -> np.ndarray:
-    """Adjoint image R_ij = tr(s_i U s_j U^H)/2 of a 2x2 unitary."""
-    from .liealg import pauli
+    """Adjoint image R_ij = tr(s_i U s_j U^H)/2 of SU(2) matrices (..., 2, 2).
 
-    sig = [pauli("x"), pauli("y"), pauli("z")]
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = np.real(np.trace(sig[i] @ m @ sig[j] @ m.conj().T)) / 2.0
-    return r
+    The closed form reads the first column (alpha, beta) of each matrix, so
+    the input must have determinant 1.
+    """
+    m = np.asarray(m)
+    return kernels.adjoint(m[..., 0, 0], m[..., 1, 0])
 
 
 @dataclass
@@ -328,34 +329,22 @@ class DistanceReport:
 def step_propagator(omega: float, epsilon: float, u: float, v: float, dt: float):
     """One exact step: returns the SU(2) element and the SO(3) rotation.
 
-    The SU(2) part exponentiates the spinor plant; the SO(3) part
-    exponentiates the Bloch plant.  See the module docstring for why the
-    two pair the controls differently.
+    The SU(2) part exponentiates the spinor plant; the SO(3) part is the
+    Bloch plant's step, the adjoint image of an SU(2) step.  See the module
+    docstring for why the two pair the controls differently.
     """
     for val in (omega, epsilon, u, v, dt):
         if not np.isfinite(val):
             raise ValueError("step parameters must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    al, be = kernels.spinor_propagate(
-        np.array([u]), np.array([v]), dt,
-        np.array([omega]), np.array([epsilon]), None,
-        np.array([1.0 + 0j]), np.array([0.0 + 0j]),
-    )
-    su2 = SU2Element(complex(al[0]), complex(be[0]))
-    return su2, step_rotation(omega, epsilon, u, v, dt)
+    step = ControlSequence(dt, np.array([[u, v]], dtype=float))
+    return net_su2(step, omega, epsilon), net_rotation(step, omega, epsilon)
 
 
 def step_rotation(omega, epsilon, u, v, dt) -> np.ndarray:
     """Closed-form exponential of the SO(3) step generator."""
-    basis = np.eye(3)
-    out = kernels.bloch_propagate(
-        np.array([u]), np.array([v]), dt,
-        np.full(3, float(omega)), np.full(3, float(epsilon)), None,
-        basis.copy(),
-    )
-    # rows are images of the basis vectors, so the rotation is the transpose
-    return out.T.copy()
+    return net_rotation(ControlSequence(dt, np.array([[u, v]], dtype=float)), omega, epsilon)
 
 
 def _pulse_arrays(pulse: ControlSequence):
@@ -395,14 +384,16 @@ def propagate(
     if initial.kind == "unitary":
         if initial.values.shape[1] != 2:
             raise ValueError("only 2x2 unitaries can be propagated by a ControlSequence")
-        cols = []
-        for j in range(2):
-            al, be = kernels.spinor_propagate(
-                u, v, dt, omega, eps, theta,
-                initial.values[:, 0, j], initial.values[:, 1, j], hard,
-            )
-            cols.append(np.stack([al, be], axis=1))
-        return EnsembleState(grid, "unitary", np.stack(cols, axis=2))
+        al, be = kernels.spinor_propagate(
+            u, v, dt, omega, eps, theta,
+            np.ones(grid.size, dtype=np.complex128), np.zeros(grid.size, dtype=np.complex128),
+            hard,
+        )
+        pulse_u = np.stack(
+            [np.stack([al, -np.conj(be)], axis=-1), np.stack([be, np.conj(al)], axis=-1)],
+            axis=-2,
+        )
+        return EnsembleState(grid, "unitary", pulse_u @ initial.values)
     raise ValueError(f"unknown state kind {initial.kind!r}")
 
 
@@ -432,12 +423,11 @@ def net_rotation(
 ) -> np.ndarray:
     """Net SO(3) rotation of the whole pulse at one parameter point."""
     u, v, dt = _pulse_arrays(pulse)
-    th = None if theta is None else np.full(3, float(theta))
-    out = kernels.bloch_propagate(
-        u, v, dt, np.full(3, float(omega)), np.full(3, float(epsilon)), th,
-        np.eye(3), model == "hard_pulse",
-    )
-    return out.T.copy()
+    th = None if theta is None else np.array([float(theta)])
+    return kernels.rotation_propagate(
+        u, v, dt, np.array([float(omega)]), np.array([float(epsilon)]), th,
+        model == "hard_pulse",
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ PULSE_SCHEMA_VERSION = 1
 AMPLITUDE_UNIT = "rad_per_s"
 
 
+# rows per block when formatting CSV tables
+_CSV_BLOCK = 1024
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -195,15 +199,28 @@ def save_report(path: str, report: dict):
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(path: str, header: list, columns: list):
+    """One header line, then one row per index of ``columns``, 17 digits each.
+
+    ``"%.17g"`` renders a float exactly as :func:`_fmt` does.  Rows are
+    formatted a block at a time, so no Python float exists for more than one
+    block of the table.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1])
+    parts = [",".join(header)]
+    for start in range(0, len(table), _CSV_BLOCK):
+        block = table[start : start + _CSV_BLOCK].tolist()
+        parts.append("\n".join([row % tuple(values) for values in block]))
+    parts.append("")  # the trailing newline
+    atomic_write_text(path, "\n".join(parts))
+
+
 def emit_fidelity_csv(fmap: FidelityMap, path: str):
     """Rows in lexicographic axis order, newline-terminated."""
     names = list(fmap.grid.names)
     pts = fmap.grid.points()
-    lines = [",".join(names + ["fidelity"])]
-    for i in range(fmap.grid.size):
-        row = [_fmt(pts[n][i]) for n in names] + [_fmt(fmap.values[i])]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, names + ["fidelity"], [pts[n] for n in names] + [fmap.values])
 
 
 def parse_fidelity_csv(path: str) -> FidelityMap:
@@ -228,25 +245,16 @@ def emit_state_csv(state: EnsembleState, path: str):
         raise ValueError("state CSV export is defined for Bloch states")
     names = list(state.grid.names)
     pts = state.grid.points()
-    lines = [",".join(names + ["x", "y", "z"])]
-    for i in range(state.grid.size):
-        row = [_fmt(pts[n][i]) for n in names] + [_fmt(v) for v in state.values[i]]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, names + ["x", "y", "z"], [pts[n] for n in names] + list(state.values.T))
 
 
 def emit_profile_csv(path: str, omega, achieved_alpha, achieved_beta, target_alpha, target_beta):
-    lines = [
-        "omega,alpha_re,alpha_im,beta_re,beta_im,target_alpha_re,target_alpha_im,"
-        "target_beta_re,target_beta_im"
+    header = [
+        "omega", "alpha_re", "alpha_im", "beta_re", "beta_im",
+        "target_alpha_re", "target_alpha_im", "target_beta_re", "target_beta_im",
     ]
-    for i in range(len(omega)):
-        vals = [
-            omega[i],
-            achieved_alpha[i].real, achieved_alpha[i].imag,
-            achieved_beta[i].real, achieved_beta[i].imag,
-            target_alpha[i].real, target_alpha[i].imag,
-            target_beta[i].real, target_beta[i].imag,
-        ]
-        lines.append(",".join(_fmt(v) for v in vals))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [omega]
+    for z in (achieved_alpha, achieved_beta, target_alpha, target_beta):
+        z = np.asarray(z)
+        columns += [z.real, z.imag]
+    _write_csv(path, header, columns)

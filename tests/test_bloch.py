@@ -7,6 +7,8 @@ distances.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enspulse.bloch import (
     ControlSequence,
@@ -26,6 +28,8 @@ from enspulse.bloch import (
 from enspulse.liealg import pauli, so3_generators
 
 SO3 = so3_generators()
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
 
 def series_expm(m, terms=40):
@@ -140,10 +144,91 @@ def test_unitary_states_propagate_like_columns():
     rng = np.random.default_rng(6)
     pulse = rand_pulse(rng, 8)
     grid = DispersionGrid(axes={"omega": np.array([-900.0, 400.0])})
-    out = propagate(pulse, grid, EnsembleState.uniform_unitary(grid, np.eye(2)))
-    for i, omega in enumerate(grid.axes["omega"]):
-        su2 = net_su2(pulse, omega=omega)
-        assert np.allclose(out.values[i], su2.matrix, atol=1e-11)
+    # a U(2) start with a global phase, so not in SU(2)
+    u0, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    for start in (np.eye(2), u0):
+        out = propagate(pulse, grid, EnsembleState.uniform_unitary(grid, start))
+        for i, omega in enumerate(grid.axes["omega"]):
+            su2 = net_su2(pulse, omega=omega)
+            assert np.allclose(out.values[i], su2.matrix @ start, atol=1e-11)
+
+
+def so3_pulse_oracle(pulse, omega, eps, theta, model):
+    """Ordered product of series-exponential SO(3) steps in the theta frame."""
+    ct, st_ = np.cos(theta), np.sin(theta)
+    acc = np.eye(3)
+    for u, v in pulse.samples:
+        ue, ve = u * ct + v * st_, -u * st_ + v * ct
+        if model == "hard_pulse":
+            step = so3_step_matrix(0.0, eps, ue, ve, pulse.dt) @ so3_step_matrix(
+                omega, 0.0, 0.0, 0.0, pulse.dt
+            )
+        else:
+            step = so3_step_matrix(omega, eps, ue, ve, pulse.dt)
+        acc = step @ acc
+    return acc
+
+
+def increasing(lo, hi, max_size):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=max_size, unique=True).map(
+        lambda vals: np.array(sorted(vals))
+    )
+
+
+@pytest.mark.parametrize("model", ["exact", "hard_pulse"])
+@PROPERTY
+@given(
+    samples=st.lists(
+        st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0)),
+        min_size=1,
+        max_size=8,
+    ),
+    dt=st.floats(1e-5, 3e-4),
+    omega=increasing(-3000.0, 3000.0, 2),
+    eps=increasing(0.5, 1.5, 2),
+    theta=increasing(-np.pi, np.pi, 2),
+    start=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+)
+def test_bloch_propagation_matches_so3_step_product(model, samples, dt, omega, eps, theta, start):
+    start = np.array(start)
+    assume(np.linalg.norm(start) > 1e-3)
+    start /= np.linalg.norm(start)
+    pulse = ControlSequence(dt, np.array(samples))
+    grid = DispersionGrid(axes={"omega": omega, "epsilon": eps, "theta": theta})
+    out = propagate(pulse, grid, EnsembleState.uniform_bloch(grid, start), model=model)
+    pts = grid.points()
+    for i in range(grid.size):
+        rot = so3_pulse_oracle(pulse, pts["omega"][i], pts["epsilon"][i], pts["theta"][i], model)
+        assert np.abs(out.values[i] - rot @ start).max() < 1e-10
+        if i == 0:
+            net = net_rotation(pulse, pts["omega"][0], pts["epsilon"][0], pts["theta"][0], model)
+            assert np.abs(net - rot).max() < 1e-10
+
+
+def su2_from(coords):
+    q = np.asarray(coords, dtype=float)
+    q = q / np.linalg.norm(q)
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+quaternion = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 1e-3)
+
+
+@PROPERTY
+@given(quaternion, quaternion)
+def test_su2_to_so3_is_a_rotation_homomorphism(q1, q2):
+    u1, u2 = su2_from(q1), su2_from(q2)
+    r1, r2 = su2_to_so3(u1), su2_to_so3(u2)
+    assert np.abs(r1.T @ r1 - np.eye(3)).max() < 1e-12
+    assert abs(np.linalg.det(r1) - 1.0) < 1e-12
+    assert np.abs(su2_to_so3(u1 @ u2) - r1 @ r2).max() < 1e-12
+    sig = [pauli("x"), pauli("y"), pauli("z")]
+    traces = np.array(
+        [[np.trace(sig[i] @ u1 @ sig[j] @ u1.conj().T).real / 2 for j in range(3)] for i in range(3)]
+    )
+    assert np.abs(r1 - traces).max() < 1e-12
+    assert np.array_equal(su2_to_so3(np.stack([u1, u2])), np.stack([r1, r2]))
 
 
 def test_norm_preservation_long_pulse():

@@ -13,6 +13,7 @@ from enspulse.bloch import ControlSequence, DispersionGrid, FidelityMap
 from enspulse.cli import main
 from enspulse.errors import SchemaError
 from enspulse.fileio import (
+    _write_csv,
     emit_fidelity_csv,
     load_grid,
     load_pulse,
@@ -140,6 +141,18 @@ def test_single_point_grid_single_row(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI behavior
 # ---------------------------------------------------------------------------
+
+
+def test_csv_rows_render_like_format_17g(tmp_path):
+    near_one = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1 - 1e-16, 0.9999999999999998]
+    col_a = [-0.0, 5e-324, 0.1, float(2**53 + 1), 1e300] + near_one
+    col_b = [-1.5e-310, 1 / 3, -2.0**-1074, 123456789.0, -7.0] + [-x for x in near_one]
+    path = tmp_path / "tricky.csv"
+    _write_csv(str(path), ["a", "b"], [np.array(col_a), col_b])
+    expected = ["a,b"] + [
+        ",".join(format(x, ".17g") for x in row) for row in zip(col_a, col_b)
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_simulate_writes_state_csv(tmp_path, pulse_file, grid_file):
