@@ -19,6 +19,7 @@ from .bloch import (
     ControlSequence,
     DispersionGrid,
     EnsembleState,
+    FidelityMap,
     TargetSpec,
     fidelity_map,
     fidelity_of_states,
@@ -26,12 +27,15 @@ from .bloch import (
     propagate,
 )
 from .errors import EnspulseError, InfeasibleError, SchemaError
+from .fileio import _fmt
 from .liealg import (
     DispersionPolyElement,
     PolyVectorField,
     SampledElement,
     lie_closure,
+    pauli,
     so3_generators,
+    two_qubit_coupling_generators,
 )
 from .linear import (
     LinearSystemSample,
@@ -41,10 +45,6 @@ from .linear import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_floats(text: str, n: int | None = None) -> list[float]:
@@ -215,8 +215,6 @@ def _cmd_design_composite(args) -> int:
     out = composite.compile_robust_rotation(spec)
     fileio.save_pulse(args.out, out.sequence)
     fids = composite.generator_level_rotation_fidelity(out, spec.angles, args.axis, grid)
-    from .bloch import FidelityMap
-
     fmap = FidelityMap(DispersionGrid(axes={"epsilon": grid}), fids)
     map_path = args.out + ".fidelity.csv"
     fileio.emit_fidelity_csv(fmap, map_path)
@@ -240,9 +238,6 @@ def _cmd_design_zz(args) -> int:
     )
     fileio.save_segments(args.out, out.sequence, extra={"target_zz_angle": args.theta})
     from scipy.linalg import expm
-
-    from .bloch import FidelityMap
-    from .liealg import pauli
 
     jgrid = np.linspace(args.j0 * (1 - args.delta), args.j0 * (1 + args.delta), 21)
     target = expm(-1j * args.theta * np.kron(pauli("z"), pauli("z")))
@@ -321,8 +316,6 @@ def _lie_preset(name: str):
         g2 = PolyVectorField.make(3, [{}, {(0, 0, 0): 1.0}, {(1, 0, 0): 1.0}])
         return [g1, g2]
     if name == "coupling":
-        from .liealg import two_qubit_coupling_generators
-
         gens = two_qubit_coupling_generators()
         return [
             DispersionPolyElement.single({"J": 1}, gens["b1"]),

@@ -3,14 +3,21 @@
 Nested group commutators synthesize effective generators that carry higher
 powers of the dispersion parameters; least-squares coefficients on those
 powers then flatten (or shape) the parameter dependence of the net
-rotation.  Three realization backends share the word machinery:
+rotation.  One realizer (:func:`_realize`) and one compile loop
+(:func:`_compile_words`) serve every backend.  A backend is a pair of
+functions: ``leaf(label, amount)`` returns the pieces whose net propagator
+is ``exp(amount * G_label)``, and ``inverse(pieces)`` returns the exact
+inverse of a piece list.
 
-* rf leaves — one piecewise-constant control sample per segment (rf-scale
-  compensation on a single spin);
+* rf leaves — one piecewise-constant control sample per segment (one or two
+  rf-scale parameters, or phase-shifted copies of a small-flip block);
+  inverse :func:`_inv_rf`;
 * strong-rf segment leaves — free drift periods plus instantaneous
-  rotations (offset compensation with unbounded rf);
+  rotations (offset compensation with unbounded rf); inverse
+  :func:`_inv_segments`;
 * coupling segment leaves — two-qubit ZZ evolution periods plus
-  instantaneous local rotations (coupling-strength compensation).
+  instantaneous local rotations (coupling-strength compensation); inverse
+  :func:`_inv_segments`.
 
 Every compiled object records the predicted generator as a
 :class:`~enspulse.liealg.DispersionPolyElement`, so fit error and
@@ -129,6 +136,45 @@ def _monomial_scale(elem: DispersionPolyElement, exponents: Mapping[str, int], d
     return scale
 
 
+def _realize(word: BracketWord, amount: float, leaf, inverse) -> list:
+    """Time-ordered pieces whose net propagator is exp(amount * G_word).
+
+    ``[left, right]`` at amount a is the group commutator of both children
+    at sqrt(|a|); a < 0 inverts the whole block.  The undo halves of each
+    commutator are exact sequence inverses (not approximate reversed
+    words), so a nested block's own error cancels and subdivision converges.
+    """
+    if word.kind == "leaf":
+        return leaf(word.label, amount)
+    s = float(np.sqrt(abs(amount)))
+    right = _realize(word.right, s, leaf, inverse)
+    left = _realize(word.left, s, leaf, inverse)
+    seq = right + left + inverse(right) + inverse(left)
+    return inverse(seq) if amount < 0.0 else seq
+
+
+def _compile_words(coefficients, words, elements, direction, subdivisions, leaf, inverse):
+    """Realize sum_i c_i * monomial_i * direction, one bracket word per term.
+
+    ``words`` pairs each word with the exponents of the monomial it must
+    carry.  Each word's single-monomial element is measured, never assumed,
+    so sign bookkeeping cannot drift; its block at
+    ``tau = c / scale / subdivisions`` is realized once and repeated
+    ``subdivisions`` times.  Returns the pieces, the predicted
+    ``(exponents, coefficient)`` terms and the commutator budget.
+    """
+    pieces: list = []
+    terms = []
+    budget = 0.0
+    for c, (word, exponents) in zip(coefficients, words):
+        scale = _monomial_scale(word.element(elements), exponents, direction)
+        tau = c / scale / subdivisions
+        pieces.extend(_realize(word, tau, leaf, inverse) * subdivisions)
+        budget += subdivisions * abs(tau) ** 1.5
+        terms.append((exponents, c * direction))
+    return pieces, terms, budget
+
+
 # ---------------------------------------------------------------------------
 # rf realization (single spin, controls scaled by the dispersion parameter)
 # ---------------------------------------------------------------------------
@@ -147,22 +193,15 @@ def _inv_rf(samples: list[np.ndarray]) -> list[np.ndarray]:
     return [-s for s in reversed(samples)]
 
 
-def _realize_rf(word: BracketWord, amount: float, dt: float) -> list[np.ndarray]:
-    """Time-ordered (u, v) samples whose net rotation is exp(amount * G_word).
+def _rf_leaf(channels: Mapping[str, int], dt: float):
+    """rf leaf: one (u, v) sample of length dt on the label's channel."""
 
-    The undo halves of each commutator are exact sequence inverses (not
-    approximate reversed words), so a nested block's own error cancels and
-    subdivision converges.
-    """
-    if word.kind == "leaf":
+    def leaf(label: str, amount: float) -> list[np.ndarray]:
         sample = np.zeros(2)
-        sample[RF_CHANNELS[word.label]] = amount / dt
+        sample[channels[label]] = amount / dt
         return [sample]
-    s = float(np.sqrt(abs(amount)))
-    right = _realize_rf(word.right, s, dt)
-    left = _realize_rf(word.left, s, dt)
-    seq = right + left + _inv_rf(right) + _inv_rf(left)
-    return _inv_rf(seq) if amount < 0.0 else seq
+
+    return leaf
 
 
 def commutator_block(a: str, b: str, t: float, dt: float = DEFAULT_DT) -> ControlSequence:
@@ -171,7 +210,8 @@ def commutator_block(a: str, b: str, t: float, dt: float = DEFAULT_DT) -> Contro
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return ControlSequence(dt, np.zeros((0, 2)))
-    samples = _realize_rf(BracketWord.ad(BracketWord.leaf(a), BracketWord.leaf(b)), t, dt)
+    word = BracketWord.ad(BracketWord.leaf(a), BracketWord.leaf(b))
+    samples = _realize(word, t, _rf_leaf(RF_CHANNELS, dt), _inv_rf)
     return ControlSequence(dt, np.array(samples))
 
 
@@ -192,14 +232,23 @@ def fit_coefficients(
     return approximable(np.asarray(target, dtype=float), family, tol)
 
 
+def _require_fit(fit: FitResult, what: str) -> FitResult:
+    if not fit.achievable:
+        raise InfeasibleError(f"{what}: max residual {fit.max_residual:.3e}")
+    return fit
+
+
 # ---------------------------------------------------------------------------
 # compiled-sequence container
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
-    """One labeled evolution segment of a strong-rf or two-qubit sequence."""
+    """One labeled evolution segment of a strong-rf or two-qubit sequence.
+
+    Immutable: a subdivided sequence repeats the same segment objects.
+    """
 
     kind: str  # "drift" | "rot" | "coupling" | "local" | "tensor"
     duration: float = 0.0
@@ -226,6 +275,17 @@ class CompiledSequence:
     sequence: ControlSequence | list[Segment]
     predicted: DispersionPolyElement
     diagnostics: dict = field(default_factory=dict)
+
+
+def _compiled(sequence, terms, fit: FitResult, **diagnostics) -> CompiledSequence:
+    """CompiledSequence with the fit figures leading its diagnostics."""
+    diag = {
+        "fit_l2": fit.l2_residual,
+        "fit_max": fit.max_residual,
+        "coefficients": np.asarray(fit.coefficients).tolist(),
+        **diagnostics,
+    }
+    return CompiledSequence(sequence, DispersionPolyElement.make(terms), diag)
 
 
 @dataclass
@@ -274,35 +334,19 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
         raise ValueError("axis must be 'x' or 'y'")
     partner = "y" if spec.axis == "x" else "x"
     _check_rf_realizable(spec.axis, spec.basis)
-    fit = fit_coefficients(spec.angles, spec.basis, spec.grid, tol=spec.tol)
-    if not fit.achievable:
-        raise InfeasibleError(
-            f"target not approximable on basis {spec.basis}: max residual {fit.max_residual:.3e}"
-        )
-
-    samples: list[np.ndarray] = []
-    predicted_terms = []
-    budget = 0.0
-    for c, e in zip(fit.coefficients, spec.basis):
-        word = word_for_power(spec.axis, partner, e)
-        scale = _monomial_scale(word.element(RF_ELEMENTS), {"eps": e}, SO3[spec.axis].entries)
-        tau = c / scale / spec.subdivisions
-        for _ in range(spec.subdivisions):
-            samples.extend(_realize_rf(word, tau, dt))
-        budget += spec.subdivisions * abs(tau) ** 1.5
-        predicted_terms.append(({"eps": e}, c * SO3[spec.axis].entries))
-
+    fit = _require_fit(
+        fit_coefficients(spec.angles, spec.basis, spec.grid, tol=spec.tol),
+        f"target not approximable on basis {spec.basis}",
+    )
+    words = [(word_for_power(spec.axis, partner, e), {"eps": e}) for e in spec.basis]
+    samples, terms, budget = _compile_words(
+        fit.coefficients, words, RF_ELEMENTS, SO3[spec.axis].entries, spec.subdivisions,
+        _rf_leaf(RF_CHANNELS, dt), _inv_rf,
+    )
     seq = ControlSequence(dt, np.array(samples) if samples else np.zeros((0, 2)))
-    predicted = DispersionPolyElement.make(predicted_terms)
-    diag = {
-        "fit_l2": fit.l2_residual,
-        "fit_max": fit.max_residual,
-        "coefficients": np.asarray(fit.coefficients).tolist(),
-        "basis": list(spec.basis),
-        "commutator_budget": budget,
-        "segments": len(samples),
-    }
-    return CompiledSequence(seq, predicted, diag)
+    return _compiled(
+        seq, terms, fit, basis=list(spec.basis), commutator_budget=budget, segments=len(samples)
+    )
 
 
 def compile_euler_angles(
@@ -375,9 +419,10 @@ def compensate_epsilon_small_flip(
 
     fit = fit_coefficients(np.full(gridarr.shape, target_angle), basis, gridarr)
 
-    def realize_leaf(phase: float, amount: float) -> list[np.ndarray]:
+    def leaf(label: str, amount: float) -> list[np.ndarray]:
+        phase = 0.0 if label == "x" else np.pi / 2
         if amount < 0:
-            return realize_leaf(phase + np.pi, -amount)
+            phase, amount = phase + np.pi, -amount
         reps = int(np.floor(amount / block_flip))
         frac = amount - reps * block_flip
         out = []
@@ -388,22 +433,10 @@ def compensate_epsilon_small_flip(
             out.extend(shifted.scaled(frac / block_flip).samples)
         return out
 
-    def realize_word(word: BracketWord, amount: float) -> list[np.ndarray]:
-        if word.kind == "leaf":
-            return realize_leaf(0.0 if word.label == "x" else np.pi / 2, amount)
-        s = float(np.sqrt(abs(amount)))
-        right = realize_word(word.right, s)
-        left = realize_word(word.left, s)
-        seq = right + left + _inv_rf(right) + _inv_rf(left)
-        return _inv_rf(seq) if amount < 0 else seq
-
-    samples: list[np.ndarray] = []
-    for c, e in zip(fit.coefficients, basis):
-        word = word_for_power("x", "y", e)
-        scale = _monomial_scale(word.element(RF_ELEMENTS), {"eps": e}, SO3["x"].entries)
-        tau = c / scale / subdivisions
-        for _ in range(subdivisions):
-            samples.extend(realize_word(word, tau))
+    words = [(word_for_power("x", "y", e), {"eps": e}) for e in basis]
+    samples, _, _ = _compile_words(
+        fit.coefficients, words, RF_ELEMENTS, SO3["x"].entries, subdivisions, leaf, _inv_rf
+    )
     return ControlSequence(block.dt, np.array(samples))
 
 
@@ -418,38 +451,36 @@ TWO_PARAM_ELEMENTS = {
 TWO_PARAM_CHANNELS = {"x1": 0, "y2": 1}  # u drives eps1*Ox, v drives eps2*Oy
 
 
-def _realize_two_param(word: BracketWord, amount: float, dt: float) -> list[np.ndarray]:
-    if word.kind == "leaf":
-        sample = np.zeros(2)
-        sample[TWO_PARAM_CHANNELS[word.label]] = amount / dt
-        return [sample]
-    s = float(np.sqrt(abs(amount)))
-    right = _realize_two_param(word.right, s, dt)
-    left = _realize_two_param(word.left, s, dt)
-    seq = right + left + _inv_rf(right) + _inv_rf(left)
-    return _inv_rf(seq) if amount < 0.0 else seq
-
-
 def two_param_word(k: int, l: int, axis: str = "z") -> BracketWord:
     """Word carrying eps1^(2k+1) eps2^(2l+1) on Oz (axis 'z') or
-    eps1^(2k) eps2^(2l+1) on Oy (axis 'y')."""
+    eps1^(2k) eps2^(2l+1) on Oy (axis 'y').
+
+    The y2 pairs act on the Oz word [x1, y2]; on Oy, where they would
+    vanish, a last x1 bracket then turns the word back to Oy.
+    eps1^0 eps2^(2l+1) on Oy with l >= 1 is not bracket-reachable.
+    """
+    if axis not in ("z", "y"):
+        raise ValueError("axis must be 'z' or 'y'")
+    if k < 0 or l < 0:
+        raise ValueError("orders must be nonnegative")
     x1 = BracketWord.leaf("x1")
     y2 = BracketWord.leaf("y2")
-    if axis == "z":
-        word = y2
-        for _ in range(2 * k + 1):
-            word = BracketWord.ad(x1, word)
-        for _ in range(l):
-            word = BracketWord.ad(y2, BracketWord.ad(y2, word))
-        return word
+    if axis == "y" and k == 0:
+        if l > 0:
+            raise InfeasibleError(
+                f"power eps1^0 eps2^{2 * l + 1} on axis y is not bracket-reachable"
+            )
+        return y2
+    word = BracketWord.ad(x1, y2)
+    for _ in range(2 * k if axis == "z" else 0):
+        word = BracketWord.ad(x1, word)
+    for _ in range(l):
+        word = BracketWord.ad(y2, BracketWord.ad(y2, word))
     if axis == "y":
-        word = y2
-        for _ in range(k):
+        word = BracketWord.ad(x1, word)
+        for _ in range(k - 1):
             word = BracketWord.ad(x1, BracketWord.ad(x1, word))
-        for _ in range(l):
-            word = BracketWord.ad(y2, BracketWord.ad(y2, word))
-        return word
-    raise ValueError("axis must be 'z' or 'y'")
+    return word
 
 
 def compile_two_param(
@@ -479,38 +510,23 @@ def compile_two_param(
     rows = []
     for k, l in orders:
         word = two_param_word(k, l, axis)
-        elem = word.element(TWO_PARAM_ELEMENTS)
         if axis == "z":
             exps = {"eps1": 2 * k + 1, "eps2": 2 * l + 1}
         else:
             exps = {"eps1": 2 * k, "eps2": 2 * l + 1}
-        scale = _monomial_scale(elem, exps, SO3[axis].entries)
-        words.append((word, exps, scale))
+        words.append((word, exps))
         rows.append(g1f ** exps.get("eps1", 0) * g2f ** exps.get("eps2", 0))
 
-    fit = approximable(np.full(g1f.shape, target_angle), np.array(rows), tol)
-    if not fit.achievable:
-        raise InfeasibleError(
-            f"two-parameter target not approximable: max residual {fit.max_residual:.3e}"
-        )
-
-    samples: list[np.ndarray] = []
-    predicted_terms = []
-    for c, (word, exps, scale) in zip(fit.coefficients, words):
-        tau = c / scale / subdivisions
-        for _ in range(subdivisions):
-            samples.extend(_realize_two_param(word, tau, dt))
-        predicted_terms.append((exps, c * SO3[axis].entries))
-
+    fit = _require_fit(
+        approximable(np.full(g1f.shape, target_angle), np.array(rows), tol),
+        "two-parameter target not approximable",
+    )
+    samples, terms, _ = _compile_words(
+        fit.coefficients, words, TWO_PARAM_ELEMENTS, SO3[axis].entries, subdivisions,
+        _rf_leaf(TWO_PARAM_CHANNELS, dt), _inv_rf,
+    )
     seq = ControlSequence(dt, np.array(samples) if samples else np.zeros((0, 2)))
-    diag = {
-        "fit_l2": fit.l2_residual,
-        "fit_max": fit.max_residual,
-        "coefficients": np.asarray(fit.coefficients).tolist(),
-        "orders": [list(o) for o in orders],
-        "segments": len(samples),
-    }
-    return CompiledSequence(seq, DispersionPolyElement.make(predicted_terms), diag)
+    return _compiled(seq, terms, fit, orders=[list(o) for o in orders], segments=len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -553,19 +569,13 @@ def _inv_segments(segments: list[Segment]) -> list[Segment]:
     return out
 
 
-def _realize_omega(word: BracketWord, amount: float) -> list[Segment]:
-    if word.kind == "leaf":
-        if word.label == "drift":
-            if amount >= 0.0:
-                return [Segment("drift", duration=amount)]
-            return _inv_segment(Segment("drift", duration=-amount))
-        axis = "x" if word.label == "rx" else "y"
-        return [Segment("rot", axis=axis, angle=amount)]
-    s = float(np.sqrt(abs(amount)))
-    right = _realize_omega(word.right, s)
-    left = _realize_omega(word.left, s)
-    seq = right + left + _inv_segments(right) + _inv_segments(left)
-    return _inv_segments(seq) if amount < 0.0 else seq
+def _omega_leaf(label: str, amount: float) -> list[Segment]:
+    """Strong-rf leaf: a drift period (reversed if amount < 0) or a rotation."""
+    if label == "drift":
+        if amount >= 0.0:
+            return [Segment("drift", duration=amount)]
+        return _inv_segment(Segment("drift", duration=-amount))
+    return [Segment("rot", axis="x" if label == "rx" else "y", angle=amount)]
 
 
 def omega_word(axis: str, power: int) -> BracketWord:
@@ -614,34 +624,18 @@ def compile_omega_robust(
     grid = np.asarray(omega_grid, dtype=float)
     tvals = np.broadcast_to(np.asarray(target, dtype=float), grid.shape)
     family = np.array([grid**p for p in powers])
-    fit = approximable(tvals, family, tol)
-    if not fit.achievable:
-        raise InfeasibleError(
-            f"offset target not approximable on powers {powers}: "
-            f"max residual {fit.max_residual:.3e}"
-        )
-
-    segments: list[Segment] = []
-    predicted_terms = []
-    for c, p in zip(fit.coefficients, powers):
-        word = omega_word(axis, p)
-        scale = _monomial_scale(
-            word.element(OMEGA_ELEMENTS), {"omega": p}, SO3[axis].entries
-        )
-        tau = c / scale / subdivisions
-        for _ in range(subdivisions):
-            segments.extend(_realize_omega(word, tau))
-        predicted_terms.append(({"omega": p}, c * SO3[axis].entries))
-
-    diag = {
-        "fit_l2": fit.l2_residual,
-        "fit_max": fit.max_residual,
-        "coefficients": np.asarray(fit.coefficients).tolist(),
-        "powers": list(powers),
-        "segments": len(segments),
-        "single_quadrature": single_quadrature,
-    }
-    return CompiledSequence(segments, DispersionPolyElement.make(predicted_terms), diag)
+    fit = _require_fit(
+        approximable(tvals, family, tol), f"offset target not approximable on powers {powers}"
+    )
+    words = [(omega_word(axis, p), {"omega": p}) for p in powers]
+    segments, terms, _ = _compile_words(
+        fit.coefficients, words, OMEGA_ELEMENTS, SO3[axis].entries, subdivisions,
+        _omega_leaf, _inv_segments,
+    )
+    return _compiled(
+        segments, terms, fit,
+        powers=list(powers), segments=len(segments), single_quadrature=single_quadrature,
+    )
 
 
 def simulate_strong_rf(segments: list[Segment], omega: float) -> np.ndarray:
@@ -677,25 +671,19 @@ COUPLING_ELEMENTS = {
 _B1_CONJ_ANGLE = -np.pi / 2
 
 
-def _realize_coupling(word: BracketWord, amount: float) -> list[Segment]:
-    """Segments with net unitary exp(amount * J * B_word); couplings >= 0."""
-    if word.kind == "leaf":
-        segs = [Segment("coupling", duration=2.0 * abs(amount))]
-        if amount < 0.0:
-            segs = _inv_segment(segs[0])
-        if word.label == "b1":
-            # conjugation carrying sz(x)sz onto sy(x)sz, verified in tests
-            segs = (
-                [Segment("local", qubit=1, axis="x", angle=-_B1_CONJ_ANGLE)]
-                + segs
-                + [Segment("local", qubit=1, axis="x", angle=_B1_CONJ_ANGLE)]
-            )
-        return segs
-    s = float(np.sqrt(abs(amount)))
-    right = _realize_coupling(word.right, s)
-    left = _realize_coupling(word.left, s)
-    seq = right + left + _inv_segments(right) + _inv_segments(left)
-    return _inv_segments(seq) if amount < 0.0 else seq
+def _coupling_leaf(label: str, amount: float) -> list[Segment]:
+    """Segments with net unitary exp(amount * J * B_label); couplings >= 0."""
+    segs = [Segment("coupling", duration=2.0 * abs(amount))]
+    if amount < 0.0:
+        segs = _inv_segment(segs[0])
+    if label == "b1":
+        # conjugation carrying sz(x)sz onto sy(x)sz, verified in tests
+        segs = (
+            [Segment("local", qubit=1, axis="x", angle=-_B1_CONJ_ANGLE)]
+            + segs
+            + [Segment("local", qubit=1, axis="x", angle=_B1_CONJ_ANGLE)]
+        )
+    return segs
 
 
 def compile_j_robust_zz(
@@ -716,34 +704,21 @@ def compile_j_robust_zz(
         if delta == 0.0
         else np.linspace(j0 * (1 - delta), j0 * (1 + delta), nsamples)
     )
-    fit = fit_coefficients(np.full(grid.shape, theta), basis, grid, tol=tol, param="J")
-    if not fit.achievable:
-        raise InfeasibleError(
-            f"coupling target not approximable on basis {basis}: "
-            f"max residual {fit.max_residual:.3e}"
-        )
-
-    segments: list[Segment] = []
-    predicted_terms = []
-    b2 = _B["b2"].entries
-    for c, e in zip(fit.coefficients, basis):
-        word = word_for_power("b2", "b1", e)
-        scale = _monomial_scale(word.element(COUPLING_ELEMENTS), {"J": e}, b2)
-        # exp(-i f(J) sz sz) = exp((f(J)/2) B2)
-        tau = 0.5 * c / scale / subdivisions
-        for _ in range(subdivisions):
-            segments.extend(_realize_coupling(word, tau))
-        predicted_terms.append(({"J": e}, 0.5 * c * b2))
-
-    diag = {
-        "fit_l2": fit.l2_residual,
-        "fit_max": fit.max_residual,
-        "coefficients": np.asarray(fit.coefficients).tolist(),
-        "basis": list(basis),
-        "segments": len(segments),
-        "coupling_time": sum(s.duration for s in segments if s.kind == "coupling"),
-    }
-    return CompiledSequence(segments, DispersionPolyElement.make(predicted_terms), diag)
+    fit = _require_fit(
+        fit_coefficients(np.full(grid.shape, theta), basis, grid, tol=tol, param="J"),
+        f"coupling target not approximable on basis {basis}",
+    )
+    words = [(word_for_power("b2", "b1", e), {"J": e}) for e in basis]
+    # exp(-i f(J) sz sz) = exp((f(J)/2) B2): the words carry the halved
+    # coefficients (halving the direction instead flips signed zeros)
+    segments, terms, _ = _compile_words(
+        0.5 * fit.coefficients, words, COUPLING_ELEMENTS, _B["b2"].entries, subdivisions,
+        _coupling_leaf, _inv_segments,
+    )
+    coupling_time = sum(s.duration for s in segments if s.kind == "coupling")
+    return _compiled(
+        segments, terms, fit, basis=list(basis), segments=len(segments), coupling_time=coupling_time
+    )
 
 
 def reduce_coupling_tensor(

@@ -70,12 +70,10 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
         if hard_pulse:
             alpha = alpha * zhalf
             beta = beta * np.conj(zhalf)
-            amp = np.hypot(uk, vk) * np.ones_like(eps)
-            phi = eps * amp * dt
+            phi = eps * np.hypot(uk, vk) * dt
             c = np.cos(0.5 * phi)
             s = np.sin(0.5 * phi)
-            phase = np.exp(1j * np.arctan2(vk, uk)) * np.ones_like(alpha)
-            big_s = -1j * phase * s
+            big_s = -1j * np.exp(1j * np.arctan2(vk, uk)) * s
             alpha, beta = c * alpha - np.conj(big_s) * beta, big_s * alpha + c * beta
         else:
             rx = eps * uk * dt

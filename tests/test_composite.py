@@ -6,6 +6,8 @@ products for the two-qubit identities, and dense normal equations for fits.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from enspulse.bloch import net_rotation
@@ -28,7 +30,14 @@ from enspulse.composite import (
     simulate_two_qubit,
     two_param_word,
     COUPLING_ELEMENTS,
+    RF_CHANNELS,
     TWO_PARAM_ELEMENTS,
+    _coupling_leaf,
+    _inv_rf,
+    _inv_segments,
+    _omega_leaf,
+    _realize,
+    _rf_leaf,
 )
 from enspulse.bloch import ControlSequence
 from enspulse.errors import InfeasibleError
@@ -228,6 +237,19 @@ def test_two_param_word_table_matches_ad_power():
         assert np.allclose(elem.monomials[0].coeff, oracle.monomials[0].coeff, atol=1e-12)
         expected = (-1.0) ** k * SO3["z"].entries
         assert np.allclose(oracle.monomials[0].coeff, expected, atol=1e-12)
+    # y axis: ad_x1^(2k-1) ad_y2^(2l) ad_x1 y2 carries eps1^(2k) eps2^(2l+1) on Oy
+    for k in range(1, 4):
+        for l in range(3):
+            elem = two_param_word(k, l, axis="y").element(TWO_PARAM_ELEMENTS)
+            oracle = ad_power(x1, ad_power(y2, ad_power(x1, y2, 1), 2 * l), 2 * k - 1)
+            assert len(elem.monomials) == 1
+            assert elem.monomials[0].exponent_dict() == {"eps1": 2 * k, "eps2": 2 * l + 1}
+            assert elem.monomials[0].exponents == oracle.monomials[0].exponents
+            assert np.allclose(elem.monomials[0].coeff, oracle.monomials[0].coeff, atol=1e-12)
+            expected = (-1.0) ** (k + l) * SO3["y"].entries
+            assert np.allclose(oracle.monomials[0].coeff, expected, atol=1e-12)
+    y_lowest = two_param_word(0, 0, axis="y").element(TWO_PARAM_ELEMENTS)
+    assert y_lowest.monomials[0].exponent_dict() == {"eps2": 1}
 
 
 def test_two_param_generator_level():
@@ -246,6 +268,29 @@ def test_two_param_single_point_plain():
     assert out.sequence.nsteps == 4  # one first-order bracket word
     achieved = expm(out.predicted.evaluate({"eps1": 1.0, "eps2": 1.0}).real)
     assert rotation_fidelity(achieved, expm(0.9 * SO3["z"].entries).real) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_param_y_axis_generator_level():
+    # exp of the predicted element is the rotation by the fitted angle about Oy
+    grid1 = np.linspace(0.9, 1.1, 9)
+    orders = ((0, 0), (1, 0), (1, 1))
+    out = compile_two_param(0.7, grid1, grid1, orders=orders, axis="y")
+    coeffs = np.array(out.diagnostics["coefficients"])
+    fids = []
+    for e1 in grid1:
+        for e2 in grid1:
+            achieved = expm(out.predicted.evaluate({"eps1": e1, "eps2": e2}).real)
+            angle_fit = coeffs @ np.array([e1 ** (2 * k) * e2 ** (2 * l + 1) for k, l in orders])
+            assert np.linalg.norm(achieved - expm(angle_fit * SO3["y"].entries).real) <= 1e-10
+            fids.append(rotation_fidelity(achieved, expm(0.7 * SO3["y"].entries).real))
+    assert min(fids) >= 0.999
+
+
+def test_two_param_y_axis_default_orders_infeasible():
+    # the default orders include (0, 1): eps2^3 on Oy without eps1
+    grid1 = np.linspace(0.9, 1.1, 9)
+    with pytest.raises(InfeasibleError, match="eps1\\^0 eps2\\^3"):
+        compile_two_param(0.7, grid1, grid1, axis="y")
 
 
 def test_two_param_rejects_zero_range():
@@ -318,6 +363,54 @@ def test_single_quadrature_drops_even_powers_on_y():
 
 
 # ---------------------------------------------------------------------------
+# the shared group-commutator realizer
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+AMOUNTS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def bracket_words(labels, depth=3):
+    leaf = st.sampled_from(labels).map(BracketWord.leaf)
+    if depth == 1:
+        return leaf
+    sub = bracket_words(labels, depth - 1)
+    return st.one_of(leaf, st.builds(BracketWord.ad, sub, sub))
+
+
+@PROPERTY
+@given(bracket_words(("x", "y")), AMOUNTS)
+def test_realized_rf_word_and_its_negative_cancel(word, a):
+    leaf = _rf_leaf(RF_CHANNELS, 1e-3)
+    samples = _realize(word, a, leaf, _inv_rf) + _realize(word, -a, leaf, _inv_rf)
+    seq = ControlSequence(1e-3, np.array(samples))
+    for eps in (0.6, 1.0, 1.7):
+        assert np.linalg.norm(net_rotation(seq, omega=0.0, epsilon=eps) - np.eye(3)) <= 1e-12
+
+
+@PROPERTY
+@given(bracket_words(("drift", "rx", "ry")), AMOUNTS)
+def test_realized_strong_rf_word_and_its_negative_cancel(word, a):
+    segs = _realize(word, a, _omega_leaf, _inv_segments) + _realize(
+        word, -a, _omega_leaf, _inv_segments
+    )
+    for w in (-0.7, 0.0, 1.3):
+        assert np.linalg.norm(simulate_strong_rf(segs, w) - np.eye(3)) <= 1e-12
+
+
+@PROPERTY
+@given(bracket_words(("b1", "b2")), AMOUNTS)
+def test_realized_coupling_word_and_its_negative_cancel(word, a):
+    segs = _realize(word, a, _coupling_leaf, _inv_segments) + _realize(
+        word, -a, _coupling_leaf, _inv_segments
+    )
+    for j in (0.5, 1.0, 2.0):
+        u = simulate_two_qubit(segs, j)
+        phase = np.trace(u) / 4
+        assert np.linalg.norm(u / phase - np.eye(4)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # coupling-strength compensation
 # ---------------------------------------------------------------------------
 
@@ -336,14 +429,12 @@ def test_coupling_bracket_constant():
 
 def test_b1_conjugation_segments():
     # the b1 leaf realizes exp(s J B1) through local conjugation of coupling
-    from enspulse.composite import _realize_coupling
-
     s, j = 0.2, 1.3
-    segs = _realize_coupling(BracketWord.leaf("b1"), s)
+    segs = _realize(BracketWord.leaf("b1"), s, _coupling_leaf, _inv_segments)
     achieved = simulate_two_qubit(segs, j)
     b1 = -2j * np.kron(pauli("y"), pauli("z"))
     assert np.linalg.norm(achieved - expm(s * j * b1)) <= 1e-12
-    segs_neg = _realize_coupling(BracketWord.leaf("b1"), -s)
+    segs_neg = _realize(BracketWord.leaf("b1"), -s, _coupling_leaf, _inv_segments)
     assert np.linalg.norm(simulate_two_qubit(segs_neg, j) - expm(-s * j * b1)) <= 1e-12
     assert all(seg.duration >= 0 for seg in segs + segs_neg)
 
