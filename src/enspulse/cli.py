@@ -16,7 +16,6 @@ import numpy as np
 
 from . import composite, fileio, slr
 from .bloch import (
-    ControlSequence,
     DispersionGrid,
     EnsembleState,
     FidelityMap,
@@ -126,13 +125,11 @@ def _cmd_design_slr(args) -> int:
     fileio.emit_profile_csv(args.out + ".profile.csv", omega, al, be, ga, gb)
 
     grid = DispersionGrid(axes={"omega": omega})
-    # the profile describes one block; the composed-train quality is
-    # already reported as band_error
-    block = ControlSequence(design.pulse.dt, design.pulse.samples[: args.steps])
-    norm = np.sqrt(np.abs(ga) ** 2 + np.abs(gb) ** 2)
+    # the whole written pulse against the full-angle target of band_error
+    target = slr.rotation_target(args.axis, args.angle, omega, design.pulse.nsteps, dt)
     fid = fidelity_of_states(
-        propagate(block, grid, EnsembleState.uniform_spinor(grid, 1, 0), model="hard_pulse"),
-        TargetSpec.per_point("spinor", np.column_stack([ga / norm, gb / norm])),
+        propagate(design.pulse, grid, EnsembleState.uniform_spinor(grid, 1, 0), model="hard_pulse"),
+        TargetSpec.per_point("spinor", np.column_stack(target)),
     )
     map_path = args.out + ".fidelity.csv"
     fileio.emit_fidelity_csv(fid, map_path)
@@ -239,7 +236,7 @@ def _cmd_design_zz(args) -> int:
     fileio.save_segments(args.out, out.sequence, extra={"target_zz_angle": args.theta})
     from scipy.linalg import expm
 
-    jgrid = np.linspace(args.j0 * (1 - args.delta), args.j0 * (1 + args.delta), 21)
+    jgrid = composite.coupling_grid(args.j0, args.delta)
     target = expm(-1j * args.theta * np.kron(pauli("z"), pauli("z")))
     fids = np.array(
         [

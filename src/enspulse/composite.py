@@ -58,6 +58,7 @@ __all__ = [
     "compile_two_param",
     "compile_omega_robust",
     "compile_j_robust_zz",
+    "coupling_grid",
     "reduce_coupling_tensor",
     "compensate_epsilon_small_flip",
     "simulate_strong_rf",
@@ -686,6 +687,16 @@ def _coupling_leaf(label: str, amount: float) -> list[Segment]:
     return segs
 
 
+def coupling_grid(j0: float, delta: float, nsamples: int = 21) -> np.ndarray:
+    """Coupling strengths J in j0*[1-delta, 1+delta]: ``nsamples`` points,
+    or the single point j0 when delta is 0."""
+    if not (0.0 <= delta < 1.0):
+        raise ValueError("delta must lie in [0, 1)")
+    if delta == 0.0:
+        return np.array([j0])
+    return np.linspace(j0 * (1 - delta), j0 * (1 + delta), nsamples)
+
+
 def compile_j_robust_zz(
     theta: float,
     j0: float,
@@ -697,13 +708,7 @@ def compile_j_robust_zz(
 ) -> CompiledSequence:
     """Coupling-strength-robust ZZ evolution exp(-i theta sz sz) over
     J in j0*[1-delta, 1+delta]."""
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    grid = (
-        np.array([j0])
-        if delta == 0.0
-        else np.linspace(j0 * (1 - delta), j0 * (1 + delta), nsamples)
-    )
+    grid = coupling_grid(j0, delta, nsamples)
     fit = _require_fit(
         fit_coefficients(np.full(grid.shape, theta), basis, grid, tol=tol, param="J"),
         f"coupling target not approximable on basis {basis}",

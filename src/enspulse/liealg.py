@@ -11,8 +11,14 @@ make it executable.
 
 Matrix directions use the real trace inner product ``Re tr(A^H B)`` so that
 real so(3) and complex su(2)/su(4) are handled uniformly.  Trigonometric
-parameter dependence is handled in sampled mode (functions tabulated on a
-grid) rather than by symbolic rewriting.
+parameter dependence is handled in sampled mode rather than by symbolic
+rewriting: a :class:`SampledElement` is its table of matrices on a
+parameter grid, and a bracket is the pointwise commutator of two tables.
+A sampled bracket whose table norm is at most ``1e-12 |a| |b|`` is the
+roundoff of an identical cancellation and counts as zero, as a symbolic
+bracket whose monomials cancel does.  Both matrix modes feed the closure
+the same thing, a stack of matrices (monomial coefficients or grid-point
+values); only the functions recorded per direction differ.
 """
 
 from __future__ import annotations
@@ -254,49 +260,53 @@ def ad_power(x: DispersionPolyElement, y: DispersionPolyElement, k: int) -> Disp
 
 @dataclass(frozen=True)
 class SampledElement:
-    """Sum of matrix directions weighted by sampled parameter functions.
+    """A matrix-valued function of the parameters, tabulated on a fixed grid.
 
     Used when the parameter dependence is non-polynomial (trigonometric
-    phase dispersion, say): each term carries the function's values on a
-    fixed grid instead of an exponent map.
+    phase dispersion, say).  ``values[k]`` is the element's matrix at grid
+    point k, so brackets are pointwise commutators of the tables.
     """
 
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]  # (samples, matrix)
-    npoints: int
+    values: np.ndarray  # (npoints, dim, dim)
 
     @classmethod
     def make(cls, pairs: Iterable[tuple[np.ndarray, object]]) -> "SampledElement":
-        terms = []
-        npoints = None
-        for samples, coeff in pairs:
-            s = np.asarray(samples, dtype=float)
-            if npoints is None:
-                npoints = s.size
-            elif s.size != npoints:
-                raise ValueError("sample arrays must share the grid size")
-            terms.append((s, _as_matrix(coeff)))
-        if npoints is None:
+        """Sum (samples, matrix) terms into one table."""
+        terms = [(np.asarray(s, dtype=float).ravel(), _as_matrix(m)) for s, m in pairs]
+        if not terms:
             raise ValueError("at least one term required")
-        return cls(tuple(terms), npoints)
+        if len({s.size for s, _ in terms}) != 1:
+            raise ValueError("sample arrays must share the grid size")
+        if len({m.shape for _, m in terms}) != 1:
+            raise ValueError("term matrices must share one shape")
+        return cls(sum(s[:, None, None] * m for s, m in terms))
+
+    @property
+    def npoints(self) -> int:
+        return self.values.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.terms[0][1].shape[0]
+        return self.values.shape[1]
 
     def is_zero(self) -> bool:
-        return all(
-            np.linalg.norm(f) * np.linalg.norm(m) == 0.0 for f, m in self.terms
-        )
+        return not self.values.any()
 
 
 def _bracket_sampled(a: SampledElement, b: SampledElement) -> SampledElement:
+    """Pointwise commutator; a table within roundoff of cancelling is zero.
+
+    A bracket that cancels identically, such as [b, b], leaves only
+    roundoff of size eps*|a|*|b| in the table.  Anything at most
+    ``1e-12 |a| |b|`` is therefore exactly zero, as symbolic mode's merged
+    monomials already are.
+    """
     if a.npoints != b.npoints:
         raise ValueError("sampled elements live on different grids")
-    terms = []
-    for fa, ma in a.terms:
-        for fb, mb in b.terms:
-            terms.append((fa * fb, ma @ mb - mb @ ma))
-    return SampledElement(tuple(terms), a.npoints)
+    c = a.values @ b.values - b.values @ a.values
+    if np.linalg.norm(c) <= 1e-12 * np.linalg.norm(a.values) * np.linalg.norm(b.values):
+        c = np.zeros_like(c)
+    return SampledElement(c)
 
 
 # ---------------------------------------------------------------------------
@@ -398,42 +408,52 @@ def vf_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
 
 
 class _MatrixSpan:
-    """Orthonormal span under Re tr(A^H B); complex = stacked real/imag."""
+    """Orthonormal span under Re tr(A^H B).
 
-    def __init__(self):
-        self.basis: list[np.ndarray] = []
+    A complex d x d matrix is the real vector of its 2d^2 interleaved real
+    and imaginary parts.  ``_q`` holds the basis as rows of such vectors,
+    ``basis`` the same directions as matrices.
+    """
+
+    def __init__(self, basis=()):
+        self.basis = [np.asarray(b, dtype=np.complex128) for b in basis]
+        self._q = self._vec(self.basis) if self.basis else None
 
     @staticmethod
-    def _vec(m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=np.complex128)
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+    def _vec(stack) -> np.ndarray:
+        stack = np.ascontiguousarray(stack, dtype=np.complex128)
+        return stack.reshape(len(stack), -1).view(np.float64)
 
-    def coords_and_residual(self, m) -> tuple[np.ndarray, float]:
-        v = self._vec(m)
-        coords = np.array([self._vec(b) @ v for b in self.basis])
-        resid = v.copy()
-        for c, b in zip(coords, self.basis):
-            resid -= c * self._vec(b)
-        return coords, float(np.linalg.norm(resid))
+    def _residual(self, v: np.ndarray) -> np.ndarray:
+        return v - (v @ self._q.T) @ self._q
 
-    def add(self, m, tol: float = SPAN_TOL):
-        m = np.asarray(m, dtype=np.complex128)
-        norm = np.linalg.norm(self._vec(m))
-        if norm == 0.0:
-            return None
-        coords, res = self.coords_and_residual(m)
-        if res <= tol * norm:
-            return None
-        resid = m.copy()
-        for c, b in zip(coords, self.basis):
-            resid = resid - c * b
-        # second orthogonalization pass for numerical hygiene
-        coords2, _ = self.coords_and_residual(resid)
-        for c, b in zip(coords2, self.basis):
-            resid = resid - c * b
-        resid = resid / np.linalg.norm(self._vec(resid))
-        self.basis.append(resid)
-        return len(self.basis) - 1
+    def coords(self, stack) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of each matrix of ``stack`` and the norm of what lies outside."""
+        v = self._vec(stack)
+        c = v @ self._q.T
+        return c, np.linalg.norm(v - c @ self._q, axis=1)
+
+    def add(self, stack, tol: float = SPAN_TOL) -> int:
+        """Append, in order, each matrix of ``stack`` that leaves the span.
+
+        Returns how many directions were added.  A matrix counts as inside
+        when its residual is at most ``tol`` times its norm.
+        """
+        v = self._vec(stack)
+        if self._q is None:
+            self._q = v[:0]
+        norms = np.linalg.norm(v, axis=1)
+        added = 0
+        while True:
+            # classical Gram-Schmidt, projected twice to stay orthogonal
+            v = self._residual(self._residual(v))
+            outside = np.flatnonzero(np.linalg.norm(v, axis=1) > tol * norms)
+            if outside.size == 0:
+                return added
+            q = v[outside[0]] / np.linalg.norm(v[outside[0]])
+            self._q = np.vstack([self._q, q])
+            self.basis.append(q.view(np.complex128).reshape(np.shape(stack)[1:]))
+            added += 1
 
     @property
     def elements(self):
@@ -441,45 +461,55 @@ class _MatrixSpan:
 
 
 class _VfSpan:
-    """Linearly independent set of vector fields over a monomial registry."""
+    """Linearly independent vector fields over a monomial registry."""
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self.keys: list[tuple[int, tuple]] = []
+        self.keys: dict[tuple[int, tuple], int] = {}  # (component, monomial) -> coordinate
         self.fields: list[PolyVectorField] = []
 
-    def _register(self, f: PolyVectorField):
-        for i, comp in enumerate(f.components):
-            for key in comp:
-                if (i, key) not in self.keys:
-                    self.keys.append((i, key))
-
     def _vec(self, f: PolyVectorField) -> np.ndarray:
-        return np.array([f.components[i].get(key, 0.0) for i, key in self.keys])
+        entries = [
+            (self.keys.setdefault((i, key), len(self.keys)), val)
+            for i, comp in enumerate(f.components)
+            for key, val in comp.items()
+        ]
+        v = np.zeros(len(self.keys))
+        for j, val in entries:
+            v[j] = val
+        return v
 
-    def coords_and_residual(self, f: PolyVectorField):
-        self._register(f)
-        v = self._vec(f)
-        if not self.fields:
-            return np.zeros(0), float(np.linalg.norm(v))
-        mat = np.array([self._vec(g) for g in self.fields])
-        coords, *_ = np.linalg.lstsq(mat.T, v, rcond=None)
-        return coords, float(np.linalg.norm(v - mat.T @ coords))
-
-    def add(self, f: PolyVectorField, tol: float = SPAN_TOL):
-        if f.is_zero():
-            return None
-        self._register(f)
-        norm = np.linalg.norm(self._vec(f))
-        _, res = self.coords_and_residual(f)
-        if res <= tol * norm:
-            return None
-        self.fields.append(f)
-        return len(self.fields) - 1
+    def add(self, fields: Iterable[PolyVectorField], tol: float = SPAN_TOL) -> int:
+        """Append each field outside the span, in order; return how many."""
+        added = 0
+        for f in fields:
+            if f.is_zero():
+                continue
+            v = self._vec(f)
+            resid = v
+            if self.fields:
+                mat = np.array([self._vec(g) for g in self.fields]).T
+                coords, *_ = np.linalg.lstsq(mat, v, rcond=None)
+                resid = v - mat @ coords
+            if np.linalg.norm(resid) > tol * np.linalg.norm(v):
+                self.fields.append(f)
+                added += 1
+        return added
 
     @property
     def elements(self):
         return self.fields
+
+
+def _commutators(algebra, current) -> np.ndarray:
+    """All [a, c] for a in ``algebra`` and c in ``current``, a-major, as one stack."""
+    a = np.asarray(algebra)[:, None]
+    c = np.asarray(current)[None]
+    return (a @ c - c @ a).reshape((-1,) + a.shape[-2:])
+
+
+def _vf_brackets(algebra, current) -> list[PolyVectorField]:
+    return [vf_bracket(a, c) for a in algebra for c in current]
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +545,13 @@ class ClosureReport:
     nilpotency: Nilpotency
 
 
-def _lower_central_series(algebra, bracket_fn, make_span, max_depth: int) -> Nilpotency:
+def _lower_central_series(algebra, brackets, make_span, max_depth: int) -> Nilpotency:
     """Walk the lower central series of the algebra spanned by ``algebra``."""
-    current = list(algebra)
+    current = algebra
     for step in range(1, max_depth + 1):
         sub = make_span()
-        for g in algebra:
-            for c in current:
-                sub.add(bracket_fn(g, c))
-        nxt = list(sub.elements)
+        sub.add(brackets(algebra, current))
+        nxt = sub.elements
         if not nxt:
             return Nilpotency("nilpotent", step)
         if len(nxt) >= len(current):
@@ -549,9 +577,9 @@ def lie_closure(gens: Sequence, max_depth: int = 8) -> ClosureReport:
         raise ValueError("max_depth must be >= 1")
 
     if isinstance(gens[0], PolyVectorField):
-        return _vf_closure(list(gens), max_depth)
+        return _closure(list(gens), max_depth, "vector_field", vf_bracket, _VfSpan(gens[0].nvars))
     if isinstance(gens[0], SampledElement):
-        return _matrix_closure(list(gens), max_depth, sampled=True)
+        return _closure(list(gens), max_depth, "sampled", _bracket_sampled, _MatrixSpan())
     converted = []
     for g in gens:
         if isinstance(g, GeneratorMatrix):
@@ -560,124 +588,70 @@ def lie_closure(gens: Sequence, max_depth: int = 8) -> ClosureReport:
             converted.append(g)
         else:
             raise TypeError(f"unsupported generator type {type(g)!r}")
-    return _matrix_closure(converted, max_depth, sampled=False)
+    return _closure(converted, max_depth, "symbolic", bracket_poly, _MatrixSpan())
 
 
-def _matrix_closure(gens, max_depth: int, sampled: bool) -> ClosureReport:
-    span = _MatrixSpan()
-    functions: list = []  # aligned with span.basis
+def _closure(gens, max_depth: int, mode: str, brk, span) -> ClosureReport:
+    sampled = mode == "sampled"
+    # aligned with span.basis in the matrix modes: the exponent keys
+    # (symbolic) or coordinate tables (sampled) seen along each direction
+    functions: list = []
 
-    def record(elem):
-        terms = elem.terms if sampled else elem.monomials
+    def record(elem) -> bool:
+        """Add ``elem`` to the span and to the function bookkeeping; True if either grew."""
+        if mode == "vector_field":
+            return span.add([elem]) > 0
+        # a matrix element is a stack of matrices: one per monomial in
+        # symbolic mode, one per grid point in sampled mode
+        stack = elem.values if sampled else np.array([m.coeff for m in elem.monomials])
+        new = span.add(stack)
+        functions.extend(([] if sampled else set()) for _ in range(new))
+        coords, _ = span.coords(stack)
+        before = sum(map(len, functions))
         if sampled:
-            mats = [m for _, m in terms]
+            # the coordinate function of the whole element along each direction
+            live = np.linalg.norm(coords, axis=0) > 1e-12 * np.linalg.norm(stack)
+            for i in np.flatnonzero(live):
+                functions[i].append(coords[:, i])
         else:
-            mats = [m.coeff for m in terms]
-        for m in mats:
-            if span.add(m) is not None:
-                functions.append(set() if not sampled else [])
-        if sampled:
-            # coordinate function of the whole element along each direction
-            elem_scale = sum(
-                np.linalg.norm(f) * np.linalg.norm(m) for f, m in elem.terms
-            )
-            for i, b in enumerate(span.basis):
-                h = np.zeros(elem.npoints)
-                for f, m in elem.terms:
-                    coord = span._vec(b) @ span._vec(m)
-                    h = h + coord * f
-                if np.linalg.norm(h) > 1e-12 * max(elem_scale, 1e-30):
-                    functions[i].append(h)
-        else:
-            for mon in elem.monomials:
-                coords, _ = span.coords_and_residual(mon.coeff)
-                scale = np.linalg.norm(span._vec(mon.coeff))
-                for i, c in enumerate(coords):
-                    if abs(c) > 1e-12 * max(scale, 1.0):
-                        functions[i].add(mon.exponents)
+            scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+            for j, i in zip(*np.nonzero(np.abs(coords) > 1e-12 * scale[:, None])):
+                functions[i].add(elem.monomials[j].exponents)
+        return new > 0 or sum(map(len, functions)) > before
 
-    brk = _bracket_sampled if sampled else bracket_poly
     level = [g for g in gens if not g.is_zero()]
-    if not level:
+    if not level and mode != "vector_field":
         raise ValueError("all generators are zero")
     for g in level:
         record(g)
     depth_reached = 1
     for depth in range(2, max_depth + 1):
-        new_level = []
-        dims_before = len(span.basis)
-        funcs_before = [len(f) for f in functions]
-        for g in gens:
-            for e in level:
-                cand = brk(g, e)
-                if not cand.is_zero():
-                    record(cand)
-                    new_level.append(cand)
+        level = [c for c in (brk(g, e) for g in gens for e in level) if not c.is_zero()]
+        grew = [record(c) for c in level]
         depth_reached = depth
-        level = new_level
-        if not level:
+        # a sampled element always adds a coordinate table, so only the
+        # other modes can stop before the level dies out
+        if not any(grew):
             break
-        grew = (
-            len(span.basis) > dims_before
-            or [len(f) for f in functions[: len(funcs_before)]] != funcs_before
+
+    if mode == "vector_field":
+        nilp = _lower_central_series(
+            span.elements, _vf_brackets, lambda: _VfSpan(span.nvars), max_depth
         )
-        if not grew and not sampled:
-            # symbolic monomial sets stopped growing: closure found early
-            break
-
-    nilp = _lower_central_series(
-        span.elements,
-        lambda a, b: a @ b - b @ a,
-        _MatrixSpan,
-        max_depth,
-    )
-
-    if sampled:
+        per_dir = [None] * len(span.elements)
+    elif sampled:
+        nilp = _lower_central_series(span.elements, _commutators, _MatrixSpan, max_depth)
         per_dir = [np.array(f) if f else np.zeros((0, gens[0].npoints)) for f in functions]
     else:
+        nilp = _lower_central_series(span.elements, _commutators, _MatrixSpan, max_depth)
         per_dir = [
             sorted((dict(e) for e in f), key=lambda d: sorted(d.items())) if f else []
             for f in functions
         ]
     return ClosureReport(
-        mode="sampled" if sampled else "symbolic",
+        mode=mode,
         basis=list(span.elements),
         per_direction_functions=per_dir,
-        depth_reached=depth_reached,
-        nilpotency=nilp,
-    )
-
-
-def _vf_closure(gens: list[PolyVectorField], max_depth: int) -> ClosureReport:
-    nvars = gens[0].nvars
-    span = _VfSpan(nvars)
-    for g in gens:
-        span.add(g)
-    level = list(gens)
-    depth_reached = 1
-    for depth in range(2, max_depth + 1):
-        new_level = []
-        added = False
-        for g in gens:
-            for e in level:
-                cand = vf_bracket(g, e)
-                if cand.is_zero():
-                    continue
-                new_level.append(cand)
-                if span.add(cand) is not None:
-                    added = True
-        depth_reached = depth
-        level = new_level
-        if not new_level or not added:
-            break
-
-    nilp = _lower_central_series(
-        span.elements, vf_bracket, lambda: _VfSpan(nvars), max_depth
-    )
-    return ClosureReport(
-        mode="vector_field",
-        basis=list(span.elements),
-        per_direction_functions=[None] * len(span.elements),
         depth_reached=depth_reached,
         nilpotency=nilp,
     )
@@ -690,14 +664,12 @@ def reachable_functions(report: ClosureReport, direction) -> list | np.ndarray:
     """
     if report.mode == "vector_field":
         raise ValueError("function bookkeeping is not available in vector-field mode")
-    span = _MatrixSpan()
-    span.basis = list(report.basis)
-    m = _as_matrix(direction)
-    coords, res = span.coords_and_residual(m)
-    norm = np.linalg.norm(span._vec(m))
-    if norm == 0.0 or res > 1e-8 * norm:
+    m = _as_matrix(direction)[None]
+    coords, res = _MatrixSpan(report.basis).coords(m)
+    norm = np.linalg.norm(m)
+    if norm == 0.0 or res[0] > 1e-8 * norm:
         raise ValueError("direction lies outside the closure span")
-    hit = [i for i, c in enumerate(coords) if abs(c) > 1e-10 * norm]
+    hit = np.flatnonzero(np.abs(coords[0]) > 1e-10 * norm)
     if report.mode == "symbolic":
         merged: list[dict] = []
         seen = set()

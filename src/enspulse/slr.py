@@ -47,6 +47,7 @@ __all__ = [
     "predicted_spinor",
     "unimodularity_residual",
     "spinor_band_error",
+    "rotation_target",
 ]
 
 MAX_SUBDIVISIONS = 2**16
@@ -554,9 +555,19 @@ def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
     poly = forward_recursion(pulse_to_steps(pulse))
     omega = np.linspace(-band, band, npoints)
     pv, qv = poly.evaluate(omega, dt)
+    return _aligned_distance(pv, qv, *rotation_target(axis, angle, omega, poly.n, dt))
+
+
+def rotation_target(axis, angle, omega, n, dt):
+    """Target spinor (alpha, beta) of an n-step train rotating by ``angle``
+    about x or y, from (1, 0), at each offset in ``omega``.
+
+    Alpha is cos(angle/2); beta carries the half-train delay phase of a
+    causal tap train.
+    """
     beta_unit = -1j if axis == "x" else 1.0
-    fb = beta_unit * np.sin(0.5 * angle) * _half_delay_phase(omega, poly.n, dt)
-    return _aligned_distance(pv, qv, np.cos(0.5 * angle), fb)
+    fb = beta_unit * np.sin(0.5 * angle) * _half_delay_phase(omega, n, dt)
+    return np.full(fb.shape, np.cos(0.5 * angle)), fb
 
 
 @dataclass

@@ -29,7 +29,7 @@ from enspulse.liealg import pauli, so3_generators
 
 SO3 = so3_generators()
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+PROPERTY = settings(max_examples=40)
 
 
 def series_expm(m, terms=40):

@@ -218,6 +218,43 @@ def test_design_slr_end_to_end(tmp_path):
         assert 0.0 <= diag[key] <= 1e-6
 
 
+def hard_pulse_spinors(pulse, omega):
+    """Final spinors from (1, 0): per step, free precession exp(-(i/2) w dt sz)
+    and then the rf rotation cos(t/2) I - i sin(t/2) n.sigma, in closed form."""
+    a = np.ones(omega.size, dtype=complex)
+    b = np.zeros(omega.size, dtype=complex)
+    half = np.exp(-0.5j * pulse.dt * omega)
+    for u, v in pulse.samples:
+        flip = pulse.dt * np.hypot(u, v)
+        n = (u - 1j * v) / np.hypot(u, v) if flip > 0 else 1.0  # nx - i ny
+        c, s = np.cos(0.5 * flip), np.sin(0.5 * flip)
+        a, b = a * half, b / half
+        a, b = c * a - 1j * s * n * b, -1j * s * np.conj(n) * a + c * b
+    return a, b
+
+
+@pytest.mark.parametrize("a_max", [None, 800.0])
+def test_design_slr_min_fidelity_simulates_the_written_pulse(tmp_path, a_max):
+    out = tmp_path / "bb.json"
+    argv = ["design-slr", "--axis", "x", "--angle", "1.5707963267948966", "--band", "2000",
+            "--steps", "64", "--dt", "1e-4", "--out", str(out)]
+    if a_max is not None:
+        argv += ["--a-max", str(a_max)]
+    assert main(argv) == 0
+    pulse = load_pulse(str(out))
+    diag = json.load(open(str(out) + ".diag.json"))
+    assert diag["blocks"] == (1 if a_max is None else 4)
+    # the x quarter turn: alpha cos(pi/4), beta -i sin(pi/4) behind the
+    # half-train delay of the whole written pulse
+    omega = np.linspace(-2000.0, 2000.0, 65)
+    a, b = hard_pulse_spinors(pulse, omega)
+    fb = -1j * np.sin(np.pi / 4) * np.exp(0.5j * omega * pulse.dt * (pulse.nsteps - 1))
+    simulated = np.abs(np.cos(np.pi / 4) * a + np.conj(fb) * b) ** 2
+    assert diag["min_fidelity"] == pytest.approx(simulated.min(), abs=1e-12)
+    assert parse_fidelity_csv(diag["fidelity_map"]).min == diag["min_fidelity"]
+    assert diag["min_fidelity"] >= (1 - diag["band_error"] ** 2 / 2) ** 2 - 1e-12
+
+
 def test_design_pattern_writes_health_figures(tmp_path):
     out = tmp_path / "pat.json"
     code = main(
@@ -297,6 +334,24 @@ def test_design_zz_end_to_end(tmp_path):
     assert all(seg["duration"] >= 0 for seg in doc["segments"] if seg["kind"] == "coupling")
     diag = json.load(open(str(out) + ".diag.json"))
     assert diag["min_fidelity"] >= 0.999
+
+
+def test_design_zz_without_spread_writes_one_point_map(tmp_path):
+    out = tmp_path / "zz0.json"
+    code = main(
+        [
+            "design-zz",
+            "--theta", "0.7853981633974483",
+            "--j0", "1.0",
+            "--delta", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    diag = json.load(open(str(out) + ".diag.json"))
+    fmap = parse_fidelity_csv(diag["fidelity_map"])
+    assert fmap.grid.size == 1 and fmap.grid.axes["J"].tolist() == [1.0]
+    assert fmap.min == diag["min_fidelity"]
 
 
 def test_demo_phase(tmp_path, pulse_file, capsys):

@@ -6,7 +6,7 @@ products for the two-qubit identities, and dense normal equations for fits.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -366,7 +366,6 @@ def test_single_quadrature_drops_even_powers_on_y():
 # the shared group-commutator realizer
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None)
 AMOUNTS = st.floats(-2.0, 2.0, allow_nan=False)
 
 
@@ -378,7 +377,6 @@ def bracket_words(labels, depth=3):
     return st.one_of(leaf, st.builds(BracketWord.ad, sub, sub))
 
 
-@PROPERTY
 @given(bracket_words(("x", "y")), AMOUNTS)
 def test_realized_rf_word_and_its_negative_cancel(word, a):
     leaf = _rf_leaf(RF_CHANNELS, 1e-3)
@@ -388,7 +386,6 @@ def test_realized_rf_word_and_its_negative_cancel(word, a):
         assert np.linalg.norm(net_rotation(seq, omega=0.0, epsilon=eps) - np.eye(3)) <= 1e-12
 
 
-@PROPERTY
 @given(bracket_words(("drift", "rx", "ry")), AMOUNTS)
 def test_realized_strong_rf_word_and_its_negative_cancel(word, a):
     segs = _realize(word, a, _omega_leaf, _inv_segments) + _realize(
@@ -398,7 +395,6 @@ def test_realized_strong_rf_word_and_its_negative_cancel(word, a):
         assert np.linalg.norm(simulate_strong_rf(segs, w) - np.eye(3)) <= 1e-12
 
 
-@PROPERTY
 @given(bracket_words(("b1", "b2")), AMOUNTS)
 def test_realized_coupling_word_and_its_negative_cancel(word, a):
     segs = _realize(word, a, _coupling_leaf, _inv_segments) + _realize(

@@ -7,6 +7,8 @@ normal-equation least squares.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enspulse.liealg import (
     DispersionPolyElement,
@@ -259,6 +261,78 @@ def test_closure_sampled_phase_pair_span():
         for h in funcs:
             proj = q @ (q.T @ h)
             assert np.linalg.norm(h - proj) <= 1e-9 * max(np.linalg.norm(h), 1.0)
+
+
+def test_closure_sampled_phase_pair_counts_surviving_brackets():
+    # pointwise [b1, b2] = Oz, [bi, Oz] = -+b(other) and [bi, bi] = 0: the
+    # levels hold 2, 2, 4, 4, ... elements, alternately in the x-y plane and
+    # on the z axis, and each adds one table per direction it touches;
+    # cancelling brackets, kept as roundoff, would add tables of their own
+    theta = np.linspace(0.0, 2 * np.pi, 33)
+    b1 = SampledElement.make([(np.cos(theta), SO3["x"]), (np.sin(theta), SO3["y"])])
+    b2 = SampledElement.make([(-np.sin(theta), SO3["x"]), (np.cos(theta), SO3["y"])])
+    for depth, counts in ((5, [14, 14, 6]), (8, [30, 30, 30])):
+        report = lie_closure([b1, b2], max_depth=depth)
+        assert [len(f) for f in report.per_direction_functions] == counts
+
+
+def phase_generator(theta):
+    return SampledElement.make([(np.cos(theta), SO3["x"]), (np.sin(theta), SO3["y"])])
+
+
+def test_sampled_element_is_the_summed_table():
+    theta = np.linspace(0.0, 1.0, 5)
+    b = phase_generator(theta)
+    assert (b.npoints, b.dim) == (5, 3)
+    for k, t in enumerate(theta):
+        assert np.array_equal(b.values[k], np.cos(t) * SO3["x"].entries + np.sin(t) * SO3["y"].entries)
+    with pytest.raises(ValueError):
+        SampledElement.make([])
+    with pytest.raises(ValueError):
+        SampledElement.make([(theta, SO3["x"]), (theta[:3], SO3["y"])])
+
+
+def test_closure_single_sampled_generator_cancels_itself():
+    # [b, b] = 0 identically: only roundoff is left in its table, so the
+    # closure stops at the plane of Ox and Oy, as its symbolic twin does
+    theta = np.linspace(0.0, 2 * np.pi, 33)
+    report = lie_closure([phase_generator(theta)], max_depth=6)
+    twin = lie_closure(
+        [DispersionPolyElement.make([({"c": 1}, SO3["x"]), ({"s": 1}, SO3["y"])])], max_depth=6
+    )
+    assert (len(report.basis), report.depth_reached) == (2, 2)
+    assert (len(twin.basis), twin.depth_reached) == (2, 2)
+
+
+SO3_DIRECTION = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+SMALL_FAMILY = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), SO3_DIRECTION), min_size=1, max_size=2),
+    min_size=1,
+    max_size=3,
+)
+EPS_GRID = np.linspace(0.5, 1.5, 17)
+
+
+@settings(max_examples=60)
+@given(SMALL_FAMILY)
+def test_sampled_twin_closes_like_symbolic_family(family):
+    # integer so(3) coefficients keep symbolic cancellation exact; 17 grid
+    # points separate every eps power a depth-4 bracket can carry
+    def matrix(c):
+        return sum(k * SO3[a].entries for k, a in zip(c, "xyz"))
+
+    symbolic = [DispersionPolyElement.make([({"eps": e}, matrix(c)) for e, c in g]) for g in family]
+    assume(not all(g.is_zero() for g in symbolic))
+    sampled = [
+        SampledElement.make(
+            zip(evaluate_monomials([{"eps": e} for e, _ in g], {"eps": EPS_GRID}), [matrix(c) for _, c in g])
+        )
+        for g in family
+    ]
+    sym = lie_closure(symbolic, max_depth=4)
+    smp = lie_closure(sampled, max_depth=4)
+    assert len(smp.basis) == len(sym.basis)
+    assert (smp.nilpotency.verdict, smp.nilpotency.step) == (sym.nilpotency.verdict, sym.nilpotency.step)
 
 
 def test_closure_rejects_empty_and_bad_depth():

@@ -284,7 +284,7 @@ def test_complete_matches_cepstral_oracle():
     assert np.allclose(min_phase_root_oracle(out.q), out.p, atol=1e-7)
 
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+PROPERTY = settings(max_examples=60)
 
 coefficient = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
     lambda xy: complex(*xy)
