@@ -69,34 +69,38 @@ def _require_positive(**kwargs):
             raise SchemaError(f"--{name.replace('_', '-')} must be positive, got {value}")
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """Fold key=value lines from --config into the namespace; unknown keys rejected."""
-    if not getattr(args, "config", None):
-        return
-    valid = set(vars(args)) - {"config", "func", "command"}
+def _read_config(path: str, valid: set) -> dict[str, str]:
+    """The key=value lines of ``path`` by destination; unknown keys rejected."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise SchemaError(f"{args.config}: {exc.strerror}") from exc
+        raise SchemaError(f"{path}: {exc.strerror}") from exc
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SchemaError(f"{args.config}:{lineno}: expected key=value")
+            raise SchemaError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
         if dest not in valid:
-            raise SchemaError(f"{args.config}:{lineno}: unknown key {key!r}")
-        current = getattr(args, dest, None)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, dest, value)
+            raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
+        values[dest] = value
+    return values
+
+
+class _ConfigDefaults(argparse.Action):
+    """``--config PATH`` keeps the path with the subcommand parser that met it.
+
+    :func:`main` sets that parser's defaults from the file and parses again,
+    so flags given on the command line win, and argparse converts each value
+    with its flag's type, as it does any string default.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        setattr(namespace, self.dest, (path, parser))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +367,15 @@ def _cmd_analyze_linear(args) -> int:
         "characteristic_coefficients": [list(c) for c in report.coefficients],
     }
     if args.reachability_targets:
-        targets_doc = fileio._load_json(args.reachability_targets)
-        targets = [np.asarray(t, dtype=float) for t in targets_doc["targets"]]
+        path = args.reachability_targets
+        entries = fileio._load_json(path)
+        entries = entries.get("targets") if isinstance(entries, dict) else None
+        try:
+            targets = [np.asarray(t, dtype=float) for t in entries]
+        except (TypeError, ValueError):
+            entries = None
+        if not isinstance(entries, list) or not all(np.isfinite(t).all() for t in targets):
+            raise SchemaError(f"{path}: needs a 'targets' list of finite numbers")
         doc_out["reachability_residual"] = reachability_residual(
             samples, targets, args.horizon, args.step
         )
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="key=value file supplying defaults")
+        p.add_argument("--config", action=_ConfigDefaults, help="key=value file supplying defaults")
 
     p = sub.add_parser("design-slr", help="broadband rotation via spinor polynomials")
     p.add_argument("--axis", choices=("x", "y"), default="x")
@@ -528,7 +539,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(parser, args)
+        if args.config:
+            path, subparser = args.config
+            valid = set(vars(args)) - {"config", "func", "command"}
+            subparser.set_defaults(**_read_config(path, valid))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse errors and --help
         return int(exc.code or 0)

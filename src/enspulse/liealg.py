@@ -16,14 +16,16 @@ rewriting: a :class:`SampledElement` is its table of matrices on a
 parameter grid, and a bracket is the pointwise commutator of two tables.
 A sampled bracket whose table norm is at most ``1e-12 |a| |b|`` is the
 roundoff of an identical cancellation and counts as zero, as a symbolic
-bracket whose monomials cancel does.  Both matrix modes feed the closure
-the same thing, a stack of matrices (monomial coefficients or grid-point
-values); only the functions recorded per direction differ.
+bracket whose monomials cancel does.  One span of real row vectors holds
+the directions of every mode and, in sampled mode, each direction's
+coordinate tables; the closure stops at the first depth that adds no
+direction, no exponent key and no function rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -407,98 +409,83 @@ def vf_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
 # ---------------------------------------------------------------------------
 
 
-class _MatrixSpan:
-    """Orthonormal span under Re tr(A^H B).
+class _Span:
+    """Orthonormal span of real row vectors, grown by two-pass Gram-Schmidt.
 
-    A complex d x d matrix is the real vector of its 2d^2 interleaved real
-    and imaginary parts.  ``_q`` holds the basis as rows of such vectors,
-    ``basis`` the same directions as matrices.
+    ``q`` holds the basis as rows.  A row longer than ``q`` comes from a
+    coordinate registry that has grown since (the vector-field monomials):
+    the basis rows are zero on the new coordinates, so ``q`` is padded.
     """
 
-    def __init__(self, basis=()):
-        self.basis = [np.asarray(b, dtype=np.complex128) for b in basis]
-        self._q = self._vec(self.basis) if self.basis else None
+    def __init__(self, q=None):
+        self.q = np.zeros((0, 0)) if q is None else q
 
-    @staticmethod
-    def _vec(stack) -> np.ndarray:
-        stack = np.ascontiguousarray(stack, dtype=np.complex128)
-        return stack.reshape(len(stack), -1).view(np.float64)
+    def _widen(self, v) -> np.ndarray:
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        if v.shape[1] > self.q.shape[1]:
+            self.q = np.pad(self.q, ((0, 0), (0, v.shape[1] - self.q.shape[1])))
+        return v
 
     def _residual(self, v: np.ndarray) -> np.ndarray:
-        return v - (v @ self._q.T) @ self._q
+        return v - (v @ self.q.T) @ self.q
 
-    def coords(self, stack) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of each matrix of ``stack`` and the norm of what lies outside."""
-        v = self._vec(stack)
-        c = v @ self._q.T
-        return c, np.linalg.norm(v - c @ self._q, axis=1)
+    def __len__(self) -> int:
+        return len(self.q)
 
-    def add(self, stack, tol: float = SPAN_TOL) -> int:
-        """Append, in order, each matrix of ``stack`` that leaves the span.
+    def coords(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of each row of ``v`` and the norm of what lies outside."""
+        v = self._widen(v)
+        c = v @ self.q.T
+        return c, np.linalg.norm(v - c @ self.q, axis=1)
 
-        Returns how many directions were added.  A matrix counts as inside
-        when its residual is at most ``tol`` times its norm.
+    def add(self, v, tol: float = SPAN_TOL) -> list[int]:
+        """Append, in order, each row of ``v`` that leaves the span.
+
+        Returns the indices of the rows that were added.  A row counts as
+        inside when its residual is at most ``tol`` times its norm.
         """
-        v = self._vec(stack)
-        if self._q is None:
-            self._q = v[:0]
+        v = self._widen(v)
         norms = np.linalg.norm(v, axis=1)
-        added = 0
+        added = []
         while True:
             # classical Gram-Schmidt, projected twice to stay orthogonal
             v = self._residual(self._residual(v))
             outside = np.flatnonzero(np.linalg.norm(v, axis=1) > tol * norms)
             if outside.size == 0:
                 return added
-            q = v[outside[0]] / np.linalg.norm(v[outside[0]])
-            self._q = np.vstack([self._q, q])
-            self.basis.append(q.view(np.complex128).reshape(np.shape(stack)[1:]))
-            added += 1
-
-    @property
-    def elements(self):
-        return self.basis
+            i = int(outside[0])
+            self.q = np.vstack([self.q, v[i] / np.linalg.norm(v[i])])
+            added.append(i)
 
 
-class _VfSpan:
-    """Linearly independent vector fields over a monomial registry."""
+def _matrix_rows(stack) -> np.ndarray:
+    """Complex d x d matrices as real rows of their 2d^2 interleaved real and imaginary parts.
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.keys: dict[tuple[int, tuple], int] = {}  # (component, monomial) -> coordinate
-        self.fields: list[PolyVectorField] = []
+    The dot product of two rows is Re tr(A^H B).
+    """
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    return stack.reshape(len(stack), -1).view(np.float64)
 
-    def _vec(self, f: PolyVectorField) -> np.ndarray:
-        entries = [
-            (self.keys.setdefault((i, key), len(self.keys)), val)
+
+def _field_rows(registry: dict, fields: Sequence[PolyVectorField]) -> np.ndarray:
+    """Vector fields as real rows of coefficients over a growing monomial registry.
+
+    ``registry`` maps (component, monomial) to a coordinate and gains the
+    monomials it has not seen yet.
+    """
+    entries = [
+        [
+            (registry.setdefault((i, key), len(registry)), val)
             for i, comp in enumerate(f.components)
             for key, val in comp.items()
         ]
-        v = np.zeros(len(self.keys))
-        for j, val in entries:
-            v[j] = val
-        return v
-
-    def add(self, fields: Iterable[PolyVectorField], tol: float = SPAN_TOL) -> int:
-        """Append each field outside the span, in order; return how many."""
-        added = 0
-        for f in fields:
-            if f.is_zero():
-                continue
-            v = self._vec(f)
-            resid = v
-            if self.fields:
-                mat = np.array([self._vec(g) for g in self.fields]).T
-                coords, *_ = np.linalg.lstsq(mat, v, rcond=None)
-                resid = v - mat @ coords
-            if np.linalg.norm(resid) > tol * np.linalg.norm(v):
-                self.fields.append(f)
-                added += 1
-        return added
-
-    @property
-    def elements(self):
-        return self.fields
+        for f in fields
+    ]
+    rows = np.zeros((len(fields), len(registry)))
+    for row, ent in zip(rows, entries):
+        for j, val in ent:
+            row[j] = val
+    return rows
 
 
 def _commutators(algebra, current) -> np.ndarray:
@@ -535,7 +522,8 @@ class ClosureReport:
     ``basis`` holds the orthonormal matrix directions (or independent
     vector fields in vf mode).  ``per_direction_functions`` is aligned
     with it: symbolic mode gives a sorted list of exponent dicts per
-    direction, sampled mode an array of stacked coordinate functions.
+    direction, sampled mode an orthonormal basis of the direction's
+    coordinate tables, one per row, whose length is its function rank.
     """
 
     mode: str  # "symbolic" | "sampled" | "vector_field"
@@ -545,13 +533,16 @@ class ClosureReport:
     nilpotency: Nilpotency
 
 
-def _lower_central_series(algebra, brackets, make_span, max_depth: int) -> Nilpotency:
-    """Walk the lower central series of the algebra spanned by ``algebra``."""
+def _lower_central_series(algebra, brackets, rows, max_depth: int) -> Nilpotency:
+    """Walk the lower central series of the algebra spanned by ``algebra``.
+
+    ``brackets(algebra, current)`` lists the brackets that span the next
+    series term, and ``rows`` turns them into real row vectors.
+    """
     current = algebra
     for step in range(1, max_depth + 1):
-        sub = make_span()
-        sub.add(brackets(algebra, current))
-        nxt = sub.elements
+        candidates = brackets(algebra, current)
+        nxt = [candidates[i] for i in _Span().add(rows(candidates))]
         if not nxt:
             return Nilpotency("nilpotent", step)
         if len(nxt) >= len(current):
@@ -577,9 +568,9 @@ def lie_closure(gens: Sequence, max_depth: int = 8) -> ClosureReport:
         raise ValueError("max_depth must be >= 1")
 
     if isinstance(gens[0], PolyVectorField):
-        return _closure(list(gens), max_depth, "vector_field", vf_bracket, _VfSpan(gens[0].nvars))
+        return _closure(list(gens), max_depth, "vector_field", vf_bracket)
     if isinstance(gens[0], SampledElement):
-        return _closure(list(gens), max_depth, "sampled", _bracket_sampled, _MatrixSpan())
+        return _closure(list(gens), max_depth, "sampled", _bracket_sampled)
     converted = []
     for g in gens:
         if isinstance(g, GeneratorMatrix):
@@ -588,31 +579,40 @@ def lie_closure(gens: Sequence, max_depth: int = 8) -> ClosureReport:
             converted.append(g)
         else:
             raise TypeError(f"unsupported generator type {type(g)!r}")
-    return _closure(converted, max_depth, "symbolic", bracket_poly, _MatrixSpan())
+    return _closure(converted, max_depth, "symbolic", bracket_poly)
 
 
-def _closure(gens, max_depth: int, mode: str, brk, span) -> ClosureReport:
+def _closure(gens, max_depth: int, mode: str, brk) -> ClosureReport:
+    span = _Span()
+    field_rows = partial(_field_rows, {})  # one monomial registry per closure
+    fields: list = []  # vector-field mode: the elements that grew the span
     sampled = mode == "sampled"
-    # aligned with span.basis in the matrix modes: the exponent keys
-    # (symbolic) or coordinate tables (sampled) seen along each direction
+    # aligned with the span's directions in the matrix modes: the exponent
+    # keys (symbolic) or the span of coordinate tables (sampled) seen along
+    # each direction
     functions: list = []
 
     def record(elem) -> bool:
         """Add ``elem`` to the span and to the function bookkeeping; True if either grew."""
         if mode == "vector_field":
-            return span.add([elem]) > 0
+            if span.add(field_rows([elem])):
+                fields.append(elem)
+                return True
+            return False
         # a matrix element is a stack of matrices: one per monomial in
         # symbolic mode, one per grid point in sampled mode
         stack = elem.values if sampled else np.array([m.coeff for m in elem.monomials])
-        new = span.add(stack)
-        functions.extend(([] if sampled else set()) for _ in range(new))
-        coords, _ = span.coords(stack)
-        before = sum(map(len, functions))
+        rows = _matrix_rows(stack)
+        new = len(span.add(rows))
+        for _ in range(new):
+            functions.append(_Span(np.zeros((0, len(stack)))) if sampled else set())
+        coords, _ = span.coords(rows)
+        before = sum(map(len, functions))  # exponent keys, or function ranks
         if sampled:
             # the coordinate function of the whole element along each direction
             live = np.linalg.norm(coords, axis=0) > 1e-12 * np.linalg.norm(stack)
             for i in np.flatnonzero(live):
-                functions[i].append(coords[:, i])
+                functions[i].add(coords[:, i])
         else:
             scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
             for j, i in zip(*np.nonzero(np.abs(coords) > 1e-12 * scale[:, None])):
@@ -629,61 +629,44 @@ def _closure(gens, max_depth: int, mode: str, brk, span) -> ClosureReport:
         level = [c for c in (brk(g, e) for g in gens for e in level) if not c.is_zero()]
         grew = [record(c) for c in level]
         depth_reached = depth
-        # a sampled element always adds a coordinate table, so only the
-        # other modes can stop before the level dies out
         if not any(grew):
             break
 
     if mode == "vector_field":
-        nilp = _lower_central_series(
-            span.elements, _vf_brackets, lambda: _VfSpan(span.nvars), max_depth
-        )
-        per_dir = [None] * len(span.elements)
-    elif sampled:
-        nilp = _lower_central_series(span.elements, _commutators, _MatrixSpan, max_depth)
-        per_dir = [np.array(f) if f else np.zeros((0, gens[0].npoints)) for f in functions]
+        nilp = _lower_central_series(fields, _vf_brackets, field_rows, max_depth)
+        return ClosureReport(mode, fields, [None] * len(fields), depth_reached, nilp)
+    d = gens[0].dim
+    basis = list(span.q.view(np.complex128).reshape(-1, d, d))
+    nilp = _lower_central_series(basis, _commutators, _matrix_rows, max_depth)
+    if sampled:
+        per_dir = [f.q for f in functions]
     else:
-        nilp = _lower_central_series(span.elements, _commutators, _MatrixSpan, max_depth)
-        per_dir = [
-            sorted((dict(e) for e in f), key=lambda d: sorted(d.items())) if f else []
-            for f in functions
-        ]
-    return ClosureReport(
-        mode=mode,
-        basis=list(span.elements),
-        per_direction_functions=per_dir,
-        depth_reached=depth_reached,
-        nilpotency=nilp,
-    )
+        per_dir = [[dict(e) for e in sorted(f)] for f in functions]
+    return ClosureReport(mode, basis, per_dir, depth_reached, nilp)
 
 
 def reachable_functions(report: ClosureReport, direction) -> list | np.ndarray:
     """Project a matrix direction onto the closure and collect its functions.
 
-    Raises ``ValueError`` when the direction is not inside the closure span.
+    Symbolic mode returns the merged exponent dicts of the directions the
+    projection hits; sampled mode an orthonormal basis, one grid table per
+    row, of the union of their functions.  Raises ``ValueError`` when the
+    direction is not inside the closure span.
     """
     if report.mode == "vector_field":
         raise ValueError("function bookkeeping is not available in vector-field mode")
     m = _as_matrix(direction)[None]
-    coords, res = _MatrixSpan(report.basis).coords(m)
+    coords, res = _Span(_matrix_rows(report.basis)).coords(_matrix_rows(m))
     norm = np.linalg.norm(m)
     if norm == 0.0 or res[0] > 1e-8 * norm:
         raise ValueError("direction lies outside the closure span")
     hit = np.flatnonzero(np.abs(coords[0]) > 1e-10 * norm)
     if report.mode == "symbolic":
-        merged: list[dict] = []
-        seen = set()
-        for i in hit:
-            for expd in report.per_direction_functions[i]:
-                key = tuple(sorted(expd.items()))
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(dict(expd))
-        return sorted(merged, key=lambda d: sorted(d.items()))
-    rows = [report.per_direction_functions[i] for i in hit if len(report.per_direction_functions[i])]
-    if not rows:
-        return np.zeros((0, 0))
-    return np.vstack(rows)
+        keys = {tuple(sorted(e.items())) for i in hit for e in report.per_direction_functions[i]}
+        return [dict(k) for k in sorted(keys)]
+    union = _Span()
+    union.add(np.vstack([report.per_direction_functions[i] for i in hit]))
+    return union.q
 
 
 # ---------------------------------------------------------------------------

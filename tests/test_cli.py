@@ -395,6 +395,27 @@ def test_analyze_linear(tmp_path):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "targets_doc",
+    [{"nottargets": []}, {"targets": 3.0}, {"targets": [["a"], ["b"]]}, {"targets": [None, None]}, [[1.0]]],
+)
+def test_analyze_linear_rejects_malformed_targets(tmp_path, targets_doc):
+    samples = {
+        "samples": [
+            {"s": 1.0, "A": [[1.0]], "b": [1.0]},
+            {"s": 1.5, "A": [[1.5]], "b": [1.0]},
+        ]
+    }
+    spath = tmp_path / "samples.json"
+    spath.write_text(json.dumps(samples))
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps(targets_doc))
+    argv = ["analyze-linear", "--samples", str(spath), "--out", str(tmp_path / "r.json")]
+    assert main([*argv, "--reachability-targets", str(tpath)]) == 2
+    tpath.write_text(json.dumps({"targets": [[1.0], [1.0]]}))
+    assert main([*argv, "--reachability-targets", str(tpath)]) == 0
+
+
 def test_config_file_supplies_defaults(tmp_path, pulse_file, grid_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = hard-pulse\ninitial = 0,0,1\n")
@@ -409,6 +430,32 @@ def test_config_file_supplies_defaults(tmp_path, pulse_file, grid_file):
         ]
     )
     assert code == 0
+
+
+SLR_QUARTER_TURN = ["design-slr", "--angle", "1.5707963267948966", "--band", "2000", "--dt", "1e-4"]
+
+
+def test_config_value_is_converted_by_its_flag_type(tmp_path):
+    # --a-max has no default: the old fold-in left "800" a string
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a-max = 800\n")
+    out = tmp_path / "pulse.json"
+    assert main([*SLR_QUARTER_TURN, "--steps", "64", "--out", str(out), "--config", str(cfg)]) == 0
+    pulse = load_pulse(str(out))
+    assert pulse.a_max == 800.0
+    assert np.hypot(pulse.samples[:, 0], pulse.samples[:, 1]).max() <= 800 * (1 + 1e-12)
+    cfg.write_text("a-max = eight hundred\n")
+    assert main([*SLR_QUARTER_TURN, "--out", str(out), "--config", str(cfg)]) == 2
+
+
+def test_command_line_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 128\n")
+    out = tmp_path / "pulse.json"
+    assert main([*SLR_QUARTER_TURN, "--steps", "32", "--out", str(out), "--config", str(cfg)]) == 0
+    assert load_pulse(str(out)).nsteps == 32
+    assert main([*SLR_QUARTER_TURN, "--out", str(out), "--config", str(cfg)]) == 0
+    assert load_pulse(str(out)).nsteps == 128
 
 
 def test_render_json_deterministic_and_typed(tmp_path):

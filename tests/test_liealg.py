@@ -14,6 +14,7 @@ from enspulse.liealg import (
     DispersionPolyElement,
     PolyVectorField,
     SampledElement,
+    _bracket_sampled,
     ad_power,
     approximable,
     bracket,
@@ -264,16 +265,29 @@ def test_closure_sampled_phase_pair_span():
 
 
 def test_closure_sampled_phase_pair_counts_surviving_brackets():
-    # pointwise [b1, b2] = Oz, [bi, Oz] = -+b(other) and [bi, bi] = 0: the
-    # levels hold 2, 2, 4, 4, ... elements, alternately in the x-y plane and
-    # on the z axis, and each adds one table per direction it touches;
-    # cancelling brackets, kept as roundoff, would add tables of their own
+    # pointwise [b1, b2] = Oz and [bi, Oz] = -+b(other): the x-y directions
+    # only ever carry cos and sin, and z only the constant, so the function
+    # ranks are 2, 2, 1 and depth 3 adds nothing new, whatever the bound
     theta = np.linspace(0.0, 2 * np.pi, 33)
     b1 = SampledElement.make([(np.cos(theta), SO3["x"]), (np.sin(theta), SO3["y"])])
     b2 = SampledElement.make([(-np.sin(theta), SO3["x"]), (np.cos(theta), SO3["y"])])
-    for depth, counts in ((5, [14, 14, 6]), (8, [30, 30, 30])):
+    for depth in (5, 8, 30):
         report = lie_closure([b1, b2], max_depth=depth)
-        assert [len(f) for f in report.per_direction_functions] == counts
+        assert [len(f) for f in report.per_direction_functions] == [2, 2, 1]
+        assert report.depth_reached == 3
+
+
+def test_sampled_bracket_that_cancels_is_exactly_zero():
+    # [b1, [b1, b2]] = -b2 pointwise, so [b2, [b1, [b1, b2]]] cancels
+    # identically; its raw table is roundoff of norm ~4e-17
+    theta = np.linspace(0.0, 2 * np.pi, 33)
+    b1 = SampledElement.make([(np.cos(theta), SO3["x"]), (np.sin(theta), SO3["y"])])
+    b2 = SampledElement.make([(-np.sin(theta), SO3["x"]), (np.cos(theta), SO3["y"])])
+    inner = _bracket_sampled(b1, _bracket_sampled(b1, b2))
+    raw = b2.values @ inner.values - inner.values @ b2.values
+    assert np.linalg.norm(raw) < 1e-15
+    c = _bracket_sampled(b2, inner)
+    assert c.is_zero() and not np.any(c.values)
 
 
 def phase_generator(theta):
@@ -333,6 +347,15 @@ def test_sampled_twin_closes_like_symbolic_family(family):
     smp = lie_closure(sampled, max_depth=4)
     assert len(smp.basis) == len(sym.basis)
     assert (smp.nilpotency.verdict, smp.nilpotency.step) == (sym.nilpotency.verdict, sym.nilpotency.step)
+    if smp.depth_reached < 4:
+        # stopped by rank, not by the bound: a deeper bound finds nothing more
+        deeper = lie_closure(sampled, max_depth=10)
+
+        def summary(r):
+            ranks = [len(f) for f in r.per_direction_functions]
+            return len(r.basis), ranks, r.depth_reached, (r.nilpotency.verdict, r.nilpotency.step)
+
+        assert summary(deeper) == summary(smp)
 
 
 def test_closure_rejects_empty_and_bad_depth():

@@ -1,0 +1,30 @@
+"""The benchmark's tracer wraps package functions by name; those names must exist."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the file executes
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+SPAN_MODULE = load_spans()
+
+
+@pytest.mark.parametrize(
+    "target, attr", [(t, a) for t, a, _, _ in SPAN_MODULE.TARGETS], ids=lambda v: str(v)
+)
+def test_traced_target_resolves(target, attr):
+    owner = SPAN_MODULE._resolve(target)
+    # classes are patched through their own __dict__, modules by attribute
+    assert attr in (vars(owner) if isinstance(owner, type) else dir(owner))
