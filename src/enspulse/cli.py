@@ -368,14 +368,16 @@ def _cmd_analyze_linear(args) -> int:
     }
     if args.reachability_targets:
         path = args.reachability_targets
-        entries = fileio._load_json(path)
-        entries = entries.get("targets") if isinstance(entries, dict) else None
+        tdoc = fileio._load_json(path)
+        bad = SchemaError(f"{path}: needs a 'targets' list of finite numbers")
+        if not (isinstance(tdoc, dict) and isinstance(tdoc.get("targets"), list)):
+            raise bad
         try:
-            targets = [np.asarray(t, dtype=float) for t in entries]
-        except (TypeError, ValueError):
-            entries = None
-        if not isinstance(entries, list) or not all(np.isfinite(t).all() for t in targets):
-            raise SchemaError(f"{path}: needs a 'targets' list of finite numbers")
+            targets = [np.asarray(t, dtype=float) for t in tdoc["targets"]]
+        except (TypeError, ValueError) as exc:
+            raise bad from exc
+        if not all(np.isfinite(t).all() for t in targets):
+            raise bad
         doc_out["reachability_residual"] = reachability_residual(
             samples, targets, args.horizon, args.step
         )

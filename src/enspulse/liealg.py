@@ -17,9 +17,10 @@ parameter grid, and a bracket is the pointwise commutator of two tables.
 A sampled bracket whose table norm is at most ``1e-12 |a| |b|`` is the
 roundoff of an identical cancellation and counts as zero, as a symbolic
 bracket whose monomials cancel does.  One span of real row vectors holds
-the directions of every mode and, in sampled mode, each direction's
-coordinate tables; the closure stops at the first depth that adds no
-direction, no exponent key and no function rank.
+the recorded elements, the directions of every mode and, in sampled mode,
+each direction's coordinate tables.  The closure stops at the first depth
+whose brackets all lie in the span of the elements recorded before: by
+bilinearity no later depth can add anything then.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "approximable",
     "evaluate_monomials",
     "so3_generators",
-    "su2_generators",
     "pauli",
     "two_qubit_coupling_generators",
 ]
@@ -80,10 +80,6 @@ class GeneratorMatrix:
                 raise ValueError(f"generator {self.label!r} is not skew-Hermitian")
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def so3_generators() -> dict[str, GeneratorMatrix]:
     """Rotation generators with Oz @ ex = ey (right-handed)."""
@@ -107,14 +103,6 @@ def pauli(name: str) -> np.ndarray:
     if name == "i":
         return np.eye(2, dtype=np.complex128)
     raise ValueError(f"unknown Pauli label {name!r}")
-
-
-def su2_generators() -> dict[str, GeneratorMatrix]:
-    """Half-angle rotation generators -(i/2) sigma_a."""
-    return {
-        a: GeneratorMatrix(f"-(i/2)s{a}", -0.5j * pauli(a), rotation=True)
-        for a in ("x", "y", "z")
-    }
 
 
 def two_qubit_coupling_generators() -> dict[str, GeneratorMatrix]:
@@ -205,13 +193,6 @@ class DispersionPolyElement:
                 scale *= params[name] ** exp
             total = total + scale * mon.coeff
         return total
-
-    def scaled(self, factor: float) -> "DispersionPolyElement":
-        return DispersionPolyElement(
-            _merge_monomials(
-                [DispersionMonomial(m.exponents, factor * m.coeff) for m in self.monomials]
-            )
-        )
 
 
 def _merge_monomials(mons: Sequence[DispersionMonomial]) -> tuple[DispersionMonomial, ...]:
@@ -524,6 +505,8 @@ class ClosureReport:
     with it: symbolic mode gives a sorted list of exponent dicts per
     direction, sampled mode an orthonormal basis of the direction's
     coordinate tables, one per row, whose length is its function rank.
+    ``depth_reached`` is the first depth whose brackets all lie in the span
+    of the elements recorded before, or ``max_depth``.
     """
 
     mode: str  # "symbolic" | "sampled" | "vector_field"
@@ -583,59 +566,73 @@ def lie_closure(gens: Sequence, max_depth: int = 8) -> ClosureReport:
 
 
 def _closure(gens, max_depth: int, mode: str, brk) -> ClosureReport:
-    span = _Span()
+    # every element recorded so far, one row each.  Each level brackets the
+    # generators with the elements of the level before that grew this span:
+    # by bilinearity the others' brackets lie in the span of brackets taken
+    # already, and once a level adds nothing no later level can.
+    elements = _Span()
     field_rows = partial(_field_rows, {})  # one monomial registry per closure
     fields: list = []  # vector-field mode: the elements that grew the span
+    keys: dict = {}  # symbolic mode: exponent key -> its block of an element row
     sampled = mode == "sampled"
-    # aligned with the span's directions in the matrix modes: the exponent
-    # keys (symbolic) or the span of coordinate tables (sampled) seen along
-    # each direction
+    span = _Span()  # the matrix directions
+    # aligned with the directions: the exponent keys (symbolic) or the span
+    # of coordinate tables (sampled) seen along each direction
     functions: list = []
 
-    def record(elem) -> bool:
-        """Add ``elem`` to the span and to the function bookkeeping; True if either grew."""
+    def record(level) -> list:
+        """Add a level to the spans and to the function bookkeeping; return its new elements."""
         if mode == "vector_field":
-            if span.add(field_rows([elem])):
-                fields.append(elem)
-                return True
-            return False
-        # a matrix element is a stack of matrices: one per monomial in
-        # symbolic mode, one per grid point in sampled mode
-        stack = elem.values if sampled else np.array([m.coeff for m in elem.monomials])
-        rows = _matrix_rows(stack)
-        new = len(span.add(rows))
-        for _ in range(new):
-            functions.append(_Span(np.zeros((0, len(stack)))) if sampled else set())
-        coords, _ = span.coords(rows)
-        before = sum(map(len, functions))  # exponent keys, or function ranks
+            new = [level[i] for i in elements.add(field_rows(level))]
+            fields.extend(new)
+            return new
+        # the level as one stack of matrices, one per grid point of each
+        # element (sampled) or per monomial (symbolic), and one row per element
         if sampled:
-            # the coordinate function of the whole element along each direction
-            live = np.linalg.norm(coords, axis=0) > 1e-12 * np.linalg.norm(stack)
-            for i in np.flatnonzero(live):
-                functions[i].add(coords[:, i])
+            rows = _matrix_rows(np.concatenate([e.values for e in level]))
+            elem_rows = rows.reshape(len(level), -1)  # the element's whole table
         else:
-            scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+            mons = [m for e in level for m in e.monomials]
+            rows = _matrix_rows([m.coeff for m in mons])
+            # the element's monomial rows, one block per exponent key
+            cols = [keys.setdefault(m.exponents, len(keys)) for m in mons]
+            owner = np.repeat(np.arange(len(level)), [len(e.monomials) for e in level])
+            elem_rows = np.zeros((len(level), len(keys), rows.shape[1]))
+            elem_rows[owner, cols] = rows
+            elem_rows = elem_rows.reshape(len(level), -1)
+        added = elements.add(elem_rows)
+        for _ in span.add(rows):
+            functions.append(_Span(np.zeros((0, level[0].npoints))) if sampled else set())
+        coords, _ = span.coords(rows)
+        if sampled:
+            # the coordinate function of each whole element along each direction
+            coords = coords.reshape(len(level), -1, len(span))
+            norms = np.linalg.norm(elem_rows, axis=1)
+            live = np.linalg.norm(coords, axis=1) > 1e-12 * norms[:, None]
+            for k, i in np.argwhere(live):
+                functions[i].add(coords[k, :, i])
+        else:
+            scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
             for j, i in zip(*np.nonzero(np.abs(coords) > 1e-12 * scale[:, None])):
-                functions[i].add(elem.monomials[j].exponents)
-        return new > 0 or sum(map(len, functions)) > before
+                functions[i].add(mons[j].exponents)
+        return [level[i] for i in added]
 
     level = [g for g in gens if not g.is_zero()]
     if not level and mode != "vector_field":
         raise ValueError("all generators are zero")
-    for g in level:
-        record(g)
+    level = record(level)
     depth_reached = 1
     for depth in range(2, max_depth + 1):
         level = [c for c in (brk(g, e) for g in gens for e in level) if not c.is_zero()]
-        grew = [record(c) for c in level]
         depth_reached = depth
-        if not any(grew):
+        level = record(level) if level else []
+        if not level:
             break
 
     if mode == "vector_field":
         nilp = _lower_central_series(fields, _vf_brackets, field_rows, max_depth)
         return ClosureReport(mode, fields, [None] * len(fields), depth_reached, nilp)
-    d = gens[0].dim
+    d = next(g for g in gens if not g.is_zero()).dim
     basis = list(span.q.view(np.complex128).reshape(-1, d, d))
     nilp = _lower_central_series(basis, _commutators, _matrix_rows, max_depth)
     if sampled:

@@ -397,7 +397,14 @@ def test_analyze_linear(tmp_path):
 
 @pytest.mark.parametrize(
     "targets_doc",
-    [{"nottargets": []}, {"targets": 3.0}, {"targets": [["a"], ["b"]]}, {"targets": [None, None]}, [[1.0]]],
+    [
+        {"nottargets": []},
+        {"targets": 3.0},
+        {"targets": [["a"], ["b"]]},
+        {"targets": [None, None]},
+        {"targets": [[float("nan")], [1.0]]},
+        [[1.0]],
+    ],
 )
 def test_analyze_linear_rejects_malformed_targets(tmp_path, targets_doc):
     samples = {

@@ -7,7 +7,7 @@ normal-equation least squares.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enspulse.liealg import (
@@ -290,6 +290,39 @@ def test_sampled_bracket_that_cancels_is_exactly_zero():
     assert c.is_zero() and not np.any(c.values)
 
 
+SL2 = {
+    "h": np.diag([1.0, -1.0]),
+    "e": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "f": np.array([[0.0, 0.0], [1.0, 0.0]]),
+}
+
+
+def test_closure_sampled_runs_on_while_a_level_adds_an_element():
+    # a = h, b = cos e + sin f.  Level 2 is +-(2 cos e - 2 sin f): no new
+    # direction, and e and f keep carrying only cos and sin.  Yet
+    # [b, [a, b]] = -4 cos sin h puts a second function on h at depth 3.
+    theta = np.linspace(0.0, 2 * np.pi, 33)
+    a = SampledElement.make([(np.ones_like(theta), SL2["h"])])
+    b = SampledElement.make([(np.cos(theta), SL2["e"]), (np.sin(theta), SL2["f"])])
+    for depth in (3, 5, 8):
+        report = lie_closure([a, b], max_depth=depth)
+        assert report.depth_reached >= 3
+        assert len(reachable_functions(report, SL2["h"])) >= 2
+        cs = np.cos(theta) * np.sin(theta)
+        funcs = reachable_functions(report, SL2["h"])
+        assert np.linalg.norm(cs - funcs.T @ (funcs @ cs)) <= 1e-9 * np.linalg.norm(cs)
+
+
+def test_closure_symbolic_runs_on_while_a_level_adds_an_element():
+    # the symbolic twin: a = h, b = t e + t^2 f; [b, [a, b]] = -4 t^3 h
+    a = DispersionPolyElement.single({}, SL2["h"])
+    b = DispersionPolyElement.make([({"t": 1}, SL2["e"]), ({"t": 2}, SL2["f"])])
+    for depth in (3, 5):
+        report = lie_closure([a, b], max_depth=depth)
+        assert report.depth_reached >= 3
+        assert {"t": 3} in reachable_functions(report, SL2["h"])
+
+
 def phase_generator(theta):
     return SampledElement.make([(np.cos(theta), SO3["x"]), (np.sin(theta), SO3["y"])])
 
@@ -329,6 +362,7 @@ EPS_GRID = np.linspace(0.5, 1.5, 17)
 
 @settings(max_examples=60)
 @given(SMALL_FAMILY)
+@example([[(0, (2, 0, 1)), (0, (-2, 0, -1))], [(0, (0, 0, 1))]])  # first generator cancels to zero
 def test_sampled_twin_closes_like_symbolic_family(family):
     # integer so(3) coefficients keep symbolic cancellation exact; 17 grid
     # points separate every eps power a depth-4 bracket can carry
@@ -347,15 +381,16 @@ def test_sampled_twin_closes_like_symbolic_family(family):
     smp = lie_closure(sampled, max_depth=4)
     assert len(smp.basis) == len(sym.basis)
     assert (smp.nilpotency.verdict, smp.nilpotency.step) == (sym.nilpotency.verdict, sym.nilpotency.step)
-    if smp.depth_reached < 4:
-        # stopped by rank, not by the bound: a deeper bound finds nothing more
-        deeper = lie_closure(sampled, max_depth=10)
 
-        def summary(r):
-            ranks = [len(f) for f in r.per_direction_functions]
-            return len(r.basis), ranks, r.depth_reached, (r.nilpotency.verdict, r.nilpotency.step)
+    def summary(r):
+        ranks = [len(f) for f in r.per_direction_functions]
+        return len(r.basis), ranks, r.depth_reached, (r.nilpotency.verdict, r.nilpotency.step)
 
-        assert summary(deeper) == summary(smp)
+    for report, gens in ((sym, symbolic), (smp, sampled)):
+        if report.depth_reached < 4:
+            # a level added no element, so the closure is done: a deeper
+            # bound finds nothing more
+            assert summary(lie_closure(gens, max_depth=10)) == summary(report)
 
 
 def test_closure_rejects_empty_and_bad_depth():
