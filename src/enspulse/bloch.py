@@ -116,10 +116,8 @@ class ControlSequence:
         return ControlSequence(self.dt, self.samples * factor, self.a_max)
 
     def phase_shifted(self, theta: float) -> "ControlSequence":
-        u, v = self.u, self.v
-        ue = u * np.cos(theta) + v * np.sin(theta)
-        ve = -u * np.sin(theta) + v * np.cos(theta)
-        return ControlSequence(self.dt, np.column_stack([ue, ve]), self.a_max)
+        shifted = kernels.phase_frame(self.u, self.v, theta)
+        return ControlSequence(self.dt, np.column_stack(shifted), self.a_max)
 
 
 @dataclass(frozen=True)
@@ -389,11 +387,8 @@ def propagate(
             np.ones(grid.size, dtype=np.complex128), np.zeros(grid.size, dtype=np.complex128),
             hard,
         )
-        pulse_u = np.stack(
-            [np.stack([al, -np.conj(be)], axis=-1), np.stack([be, np.conj(al)], axis=-1)],
-            axis=-2,
-        )
-        return EnsembleState(grid, "unitary", pulse_u @ initial.values)
+        rows = kernels.su2_apply(al[:, None], be[:, None], initial.values[:, 0], initial.values[:, 1])
+        return EnsembleState(grid, "unitary", np.stack(rows, axis=1))
     raise ValueError(f"unknown state kind {initial.kind!r}")
 
 

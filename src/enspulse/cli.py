@@ -108,6 +108,15 @@ class _ConfigDefaults(argparse.Action):
 # ---------------------------------------------------------------------------
 
 
+def _write_verification(out: str, fmap: FidelityMap, report: dict):
+    """Write ``<out>.fidelity.csv`` and ``<out>.diag.json``: the report, the map's path and minimum."""
+    map_path = out + ".fidelity.csv"
+    fileio.emit_fidelity_csv(fmap, map_path)
+    fileio.save_report(
+        out + ".diag.json", {**report, "fidelity_map": map_path, "min_fidelity": fmap.min}
+    )
+
+
 def _cmd_design_slr(args) -> int:
     _require_positive(band=args.band, steps=args.steps, dt=args.dt, a_max=args.a_max)
     dt = args.dt if args.dt is not None else 0.5 / args.band
@@ -135,18 +144,15 @@ def _cmd_design_slr(args) -> int:
         propagate(design.pulse, grid, EnsembleState.uniform_spinor(grid, 1, 0), model="hard_pulse"),
         TargetSpec.per_point("spinor", np.column_stack(target)),
     )
-    map_path = args.out + ".fidelity.csv"
-    fileio.emit_fidelity_csv(fid, map_path)
-    fileio.save_report(
-        args.out + ".diag.json",
+    _write_verification(
+        args.out,
+        fid,
         {
             "band_error": design.band_error,
             "fit_residual": design.fit_residual,
             "blocks": design.blocks,
             "block_angle": design.block_angle,
-            "fidelity_map": map_path,
             "profile_csv": args.out + ".profile.csv",
-            "min_fidelity": fid.min,
             **design.inversion,
         },
     )
@@ -184,16 +190,13 @@ def _cmd_design_pattern(args) -> int:
     if profile.weights is not None:
         keep = profile.weights >= 1.0
     z_error = float(np.abs(z_achieved - z_target)[keep].max())
-    map_path = args.out + ".fidelity.csv"
-    fileio.emit_fidelity_csv(fid, map_path)
-    fileio.save_report(
-        args.out + ".diag.json",
+    _write_verification(
+        args.out,
+        fid,
         {
             "fit_error": design.fit_error,
             "z_profile_error": z_error,
-            "fidelity_map": map_path,
             "profile_csv": args.out + ".profile.csv",
-            "min_fidelity": fid.min,
             **design.inversion,
         },
     )
@@ -217,12 +220,7 @@ def _cmd_design_composite(args) -> int:
     fileio.save_pulse(args.out, out.sequence)
     fids = composite.generator_level_rotation_fidelity(out, spec.angles, args.axis, grid)
     fmap = FidelityMap(DispersionGrid(axes={"epsilon": grid}), fids)
-    map_path = args.out + ".fidelity.csv"
-    fileio.emit_fidelity_csv(fmap, map_path)
-    fileio.save_report(
-        args.out + ".diag.json",
-        {**out.diagnostics, "fidelity_map": map_path, "min_fidelity": fmap.min},
-    )
+    _write_verification(args.out, fmap, out.diagnostics)
     print(f"fit_max {_fmt(out.diagnostics['fit_max'])} min_fidelity {_fmt(fmap.min)}")
     return 0
 
@@ -249,12 +247,7 @@ def _cmd_design_zz(args) -> int:
         ]
     )
     fmap = FidelityMap(DispersionGrid(axes={"J": jgrid}), fids)
-    map_path = args.out + ".fidelity.csv"
-    fileio.emit_fidelity_csv(fmap, map_path)
-    fileio.save_report(
-        args.out + ".diag.json",
-        {**out.diagnostics, "fidelity_map": map_path, "min_fidelity": fmap.min},
-    )
+    _write_verification(args.out, fmap, out.diagnostics)
     print(f"fit_max {_fmt(out.diagnostics['fit_max'])} min_fidelity {_fmt(fmap.min)}")
     return 0
 

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import kernels
 from .bloch import ControlSequence
 from .errors import InfeasibleError
 from .liealg import (
@@ -393,26 +394,25 @@ def compensate_epsilon_small_flip(
     realizes fractional amounts.  The block must respond linearly in eps
     (small-flip regime).
     """
-    from .slr import forward_recursion, pulse_to_steps
-
-    # small-flip linearity check on the polynomial pair
-    base = forward_recursion(pulse_to_steps(block))
-    q_center = base.evaluate(np.array([0.0]), block.dt)[1][0]
-    block_flip = float(2 * np.arcsin(min(1.0, abs(q_center))))
+    # small-flip linearity check on the block's hard-pulse response over the
+    # band at eps 1 and at the grid's ends, from one kernel pass
     gridarr = np.asarray(grid, dtype=float)
+    if band is None:
+        band = 0.25 / block.dt
+    omega = np.linspace(-band, band, 33)  # omega[16] is exactly 0
+    scales = np.array([1.0, gridarr.min(), gridarr.max()])
+    npoints = scales.size * omega.size
+    _, beta = kernels.spinor_propagate(
+        block.u, block.v, block.dt, np.tile(omega, scales.size), np.repeat(scales, omega.size),
+        None, np.ones(npoints), np.zeros(npoints), True,
+    )
+    q1, qs = beta[: omega.size], beta[omega.size :].reshape(2, -1)
+    block_flip = float(2 * np.arcsin(min(1.0, abs(q1[16]))))
     if block_flip * np.abs(gridarr).max() > np.pi:
         raise InfeasibleError(
             f"block flip {block_flip:.2f} rad leaves the hard-pulse range over the grid"
         )
-    if band is None:
-        band = 0.25 / block.dt
-    omega = np.linspace(-band, band, 33)
-    dev = 0.0
-    for eps in (grid.min(), grid.max()):
-        scaled = forward_recursion(pulse_to_steps(block.scaled(eps)))
-        qs = scaled.evaluate(omega, block.dt)[1]
-        q1 = base.evaluate(omega, block.dt)[1]
-        dev = max(dev, float(np.abs(qs - eps * q1).max()))
+    dev = float(np.abs(qs - scales[1:, None] * q1).max())
     if dev > linearity_tol * max(0.5 * block_flip, 1e-12):
         raise InfeasibleError(
             f"block response deviates from linear in eps by {dev:.3e}; not a small-flip block"

@@ -59,11 +59,11 @@ def render_json(obj, indent: int = 0) -> str:
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             return "[]"
-        inner = ", ".join(render_json(v, indent + 1) for v in seq)
-        if len(inner) <= 100 and "\n" not in inner:
-            return "[" + inner + "]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        parts = [render_json(v, indent + 1) for v in seq]
+        # inline when ", ".join(parts) fits in 100 characters on one line
+        if sum(len(p) + 2 for p in parts) - 2 <= 100 and not any("\n" in p for p in parts):
+            return "[" + ", ".join(parts) + "]"
+        return "[\n" + pad + "  " + (",\n" + pad + "  ").join(parts) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

@@ -1,9 +1,13 @@
-"""Numerical core: the spin step loop and the spinor-polynomial recursions.
+"""Numerical core: one SU(2) action under the step loop and the recursions.
 
 All propagators are exact per step (closed-form axis/angle exponentials), so
-the only error anywhere is floating-point roundoff.  There is one step loop,
-:func:`spinor_propagate`, the ordered product of SU(2) steps; Bloch vectors
-and SO(3) rotations are its adjoint image (:func:`adjoint`).
+the only error anywhere is floating-point roundoff.  Every product of steps
+applies :func:`su2_apply`, the element ``[[a, -conj(b)], [b, conj(a)]]``
+acting on a pair: over grid points in :func:`spinor_propagate`, the one step
+loop, and over polynomial coefficients in :func:`slr_forward` and
+:func:`slr_peel`; every hard-pulse rf rotation is :func:`hard_step`.  Bloch
+vectors and SO(3) rotations are the adjoint image (:func:`adjoint`) of a
+spinor pass.
 
 Conventions
 -----------
@@ -13,7 +17,8 @@ Single-spin plant, piecewise-constant controls ``(u_k, v_k)`` held for ``dt``:
 * SO(3) generator per step: ``omega*Oz + eps*u*Oy + eps*v*Ox`` where
   ``Ox, Oy, Oz`` are the rotation generators with ``Oz @ ex = ey``.
 * rf phase dispersion ``theta`` advances the polar angle of the control
-  field vector, i.e. ``u' = u*cos(t) + v*sin(t)``, ``v' = -u*sin(t) + v*cos(t)``.
+  field vector, i.e. ``u' = u*cos(t) + v*sin(t)``, ``v' = -u*sin(t) + v*cos(t)``
+  (:func:`phase_frame`).
 * ``hard_pulse=True`` splits each step into the free z-precession over ``dt``
   followed by the rf rotation with flip ``eps*sqrt(u^2+v^2)*dt``.
 
@@ -27,20 +32,59 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "su2_apply",
+    "hard_step",
+    "phase_frame",
     "spinor_propagate",
     "rotation_propagate",
     "bloch_propagate",
     "adjoint",
     "slr_forward",
+    "slr_peel",
     "slr_inverse",
 ]
 
 
-def _effective_controls(u_k, v_k, theta):
+def su2_apply(a, b, x, y):
+    """Apply the SU(2) element ``[[a, -conj(b)], [b, conj(a)]]`` to the pair (x, y).
+
+    Every product of steps in this package, over grid points or over
+    polynomial coefficients, is made of this one update.
+    """
+    return a * x - np.conj(b) * y, b * x + np.conj(a) * y
+
+
+def hard_step(half_flip, phase):
+    """Cayley-Klein pair ``(cos(phi/2), -i e^(i phase) sin(phi/2))`` of an rf
+    rotation by ``phi = 2 * half_flip`` about the axis at ``phase``."""
+    return np.cos(half_flip), -1j * np.exp(1j * phase) * np.sin(half_flip)
+
+
+def phase_frame(u, v, theta):
+    """Controls seen at rf phase offset ``theta`` (unchanged for None)."""
     if theta is None:
-        return u_k, v_k
+        return u, v
     ct, st = np.cos(theta), np.sin(theta)
-    return u_k * ct + v_k * st, -u_k * st + v_k * ct
+    return u * ct + v * st, -u * st + v * ct
+
+
+def _exact_pair(uk, vk, dt, omega, eps):
+    rx = eps * uk * dt
+    ry = eps * vk * dt
+    rz = omega * dt
+    ang = np.sqrt(rx * rx + ry * ry + rz * rz)
+    c = np.cos(0.5 * ang)
+    # sin(ang/2)/ang, with the ang -> 0 limit 1/2
+    sc = np.where(ang > 0.0, np.sin(0.5 * ang) / np.where(ang > 0.0, ang, 1.0), 0.5)
+    return c - 1j * (sc * rz), -1j * (sc * rx) + sc * ry
+
+
+def _hard_pair(uk, vk, dt, zhalf, eps):
+    # the free precession over the step, diag(zhalf, conj(zhalf)), is folded
+    # into the rf rotation's pair
+    phi = eps * np.hypot(uk, vk) * dt
+    c, s = hard_step(0.5 * phi, np.arctan2(vk, uk))
+    return c * zhalf, s * zhalf
 
 
 def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=False):
@@ -64,29 +108,14 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     omega = np.asarray(omega, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if hard_pulse:
-        zhalf = np.exp(-0.5j * omega * dt)
+        step, drift = _hard_pair, np.exp(-0.5j * omega * dt)
+    else:
+        step, drift = _exact_pair, omega
     for k in range(len(u)):
-        uk, vk = _effective_controls(u[k], v[k], theta)
-        if hard_pulse:
-            alpha = alpha * zhalf
-            beta = beta * np.conj(zhalf)
-            phi = eps * np.hypot(uk, vk) * dt
-            c = np.cos(0.5 * phi)
-            s = np.sin(0.5 * phi)
-            big_s = -1j * np.exp(1j * np.arctan2(vk, uk)) * s
-            alpha, beta = c * alpha - np.conj(big_s) * beta, big_s * alpha + c * beta
-        else:
-            rx = eps * uk * dt
-            ry = eps * vk * dt
-            rz = omega * dt
-            ang = np.sqrt(rx * rx + ry * ry + rz * rz)
-            c = np.cos(0.5 * ang)
-            # sin(ang/2)/ang, with the ang -> 0 limit 1/2
-            sc = np.where(ang > 0.0, np.sin(0.5 * ang) / np.where(ang > 0.0, ang, 1.0), 0.5)
-            sx, sy, sz = sc * rx, sc * ry, sc * rz
-            a_new = (c - 1j * sz) * alpha + (-1j * sx - sy) * beta
-            b_new = (-1j * sx + sy) * alpha + (c + 1j * sz) * beta
-            alpha, beta = a_new, b_new
+        uk, vk = phase_frame(u[k], v[k], theta)
+        # a, b live until the next pair exists: freed sooner, wide passes page-fault 3x
+        a, b = step(uk, vk, dt, drift, eps)
+        alpha, beta = su2_apply(a, b, alpha, beta)
     return alpha, beta
 
 
@@ -154,17 +183,12 @@ def slr_forward(chalf, shalf):
     q = np.zeros(n, dtype=np.complex128)
     p[0] = 1.0
     for k in range(n):
-        c = chalf[k]
-        s = shalf[k]
-        q_shift = np.empty_like(q)
-        q_shift[0] = 0.0
-        q_shift[1:] = q[:-1]
-        p, q = c * p - np.conj(s) * q_shift, s * p + c * q_shift
+        p, q = su2_apply(chalf[k], shalf[k], p, np.concatenate(([0.0], q[:-1])))
     return p, q
 
 
-def slr_inverse(p, q):
-    """Invert the spinor-polynomial recursion, one degree at a time.
+def slr_peel(pw, qw, length):
+    """Remove the last step of a length-``length`` pair (pw, qw), in place.
 
     The step rotation is read off the constant coefficients (their ratio is
     S/C) or, equivalently, off the leading coefficients (ratio -conj(S)/C);
@@ -172,6 +196,34 @@ def slr_inverse(p, q):
     pair is numerically healthier.  Long trains of large flips shrink the
     constant coefficients exponentially, and the one-sided rule loses them
     to cancellation noise.
+
+    Returns ``(phi, theta, lead, low)``: the step's flip in [0, pi) and rf
+    phase, P's dropped leading coefficient (at ``length`` 1, the reduced
+    constant P, nominally 1) and the modulus of Q's dropped constant (nominally
+    0).  Degenerate extraction returns ``phi = nan`` and leaves the pair as is.
+    """
+    # w = i S / C, whose modulus is tan(phi/2) and whose angle is theta
+    p0, q0 = pw[0], qw[0]
+    if length >= 2 and abs(qw[length - 1]) > abs(p0):
+        w = -1j * np.conj(pw[length - 1] / qw[length - 1])
+    elif abs(p0) >= 1e-14:
+        w = 1j * (q0 / p0)
+    elif abs(q0) > 1e-14:
+        return np.nan, 0.0, 0.0, 0.0
+    else:
+        w = 0j
+    half = np.arctan(abs(w))
+    th = np.angle(w) if abs(w) > 0 else 0.0
+    c, s = hard_step(half, th)
+    p_new, q_new = su2_apply(c, -s, pw[:length], qw[:length])
+    # the reduced pair has length - 1 coefficients; what lies beyond is unused
+    pw[: length - 1] = p_new[: length - 1]
+    qw[: length - 1] = q_new[1:length]
+    return 2.0 * half, th, p_new[length - 1], abs(q_new[0])
+
+
+def slr_inverse(p, q):
+    """Invert the spinor-polynomial recursion, one :func:`slr_peel` per degree.
 
     Returns
     -------
@@ -192,38 +244,11 @@ def slr_inverse(p, q):
     res_lead = 0.0
     res_low = 0.0
     for length in range(n, 0, -1):
-        p0 = pw[0]
-        q0 = qw[0]
-        pl = pw[length - 1]
-        ql = qw[length - 1]
-        if length >= 2 and abs(ql) > abs(p0):
-            r = pl / ql
-            half = np.arctan(abs(r))
-            th = np.angle(-1j * np.conj(r)) if abs(r) > 0 else 0.0
-        else:
-            if abs(p0) < 1e-14:
-                if abs(q0) > 1e-14:
-                    phi[length - 1] = np.nan
-                    return phi, theta, res_lead, res_low, np.inf
-                r = 0.0 + 0.0j
-            else:
-                r = q0 / p0
-            half = np.arctan(abs(r))
-            th = np.angle(1j * r) if abs(r) > 0 else 0.0
-        phi[length - 1] = 2.0 * half
-        theta[length - 1] = th
-        c = np.cos(half)
-        s = -1j * np.exp(1j * th) * np.sin(half)
-        p_new = c * pw[:length] + np.conj(s) * qw[:length]
-        q_new = -s * pw[:length] + c * qw[:length]
-        res_low = max(res_low, abs(q_new[0]))
+        phi[length - 1], theta[length - 1], lead, low = slr_peel(pw, qw, length)
+        if np.isnan(phi[length - 1]):
+            return phi, theta, res_lead, res_low, np.inf
+        res_low = max(res_low, low)
         if length > 1:
-            res_lead = max(res_lead, abs(p_new[length - 1]))
-            pw[: length - 1] = p_new[: length - 1]
-            qw[: length - 1] = q_new[1:length]
-            pw[length - 1 :] = 0.0
-            qw[length - 1 :] = 0.0
-        else:
-            # the last reduction leaves the constant pair, nominally (1, 0)
-            final_dev = abs(p_new[0] - 1.0)
-    return phi, theta, res_lead, res_low, final_dev
+            res_lead = max(res_lead, abs(lead))
+    # the last reduction leaves the constant pair, nominally (1, 0)
+    return phi, theta, res_lead, res_low, abs(lead - 1.0)

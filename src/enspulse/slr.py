@@ -3,11 +3,12 @@
 An n-step hard-pulse train — each step a free z-precession over ``dt``
 followed by an rf rotation with flip ``phi_k`` and phase ``theta_k`` —
 has a net spinor equal to ``z^(n/2) (P(z), Q(z))`` with ``z = exp(-i w dt)``
-and P, Q polynomials of order n-1 in ``z^-1``.  The forward recursion maps
-steps to (P, Q); the backward recursion inverts it one degree at a time;
-spectral factorization completes a fitted Q into a unimodular pair.  The
-designers at the bottom assemble these into broadband-rotation and
-pattern (frequency-selective) pulses.
+and P, Q polynomials of order n-1 in ``z^-1``.  The recursions serve the
+design algebra only: spectral factorization completes a fitted Q into a
+unimodular pair, the backward recursion (one :func:`.kernels.slr_peel` per
+degree) turns it into steps, and the forward recursion maps steps to (P, Q).
+A written pulse is simulated only by the kernel's hard-pulse step loop, so
+``band_error`` and a design's fidelity map come from one engine.
 
 Completion convention: P is the minimum-phase spectral factor of
 ``1 - |Q|^2`` on the unit circle (all zeros of P inside the open disk,
@@ -43,7 +44,6 @@ __all__ = [
     "band_selective_profile",
     "broadband_profile",
     "steps_to_pulse",
-    "pulse_to_steps",
     "predicted_spinor",
     "unimodularity_residual",
     "spinor_band_error",
@@ -71,11 +71,11 @@ class HardPulseStep:
 
     @property
     def chalf(self) -> float:
-        return float(np.cos(0.5 * self.phi))
+        return float(kernels.hard_step(0.5 * self.phi, self.theta)[0])
 
     @property
     def shalf(self) -> complex:
-        return complex(-1j * np.exp(1j * self.theta) * np.sin(0.5 * self.phi))
+        return complex(kernels.hard_step(0.5 * self.phi, self.theta)[1])
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,7 @@ def forward_recursion(steps: list[HardPulseStep]) -> SpinorPolynomials:
         raise ValueError("need at least one step")
     c = np.array([s.chalf for s in steps])
     s = np.array([s.shalf for s in steps])
-    p, q = kernels.slr_forward(c, s)
-    return SpinorPolynomials(p, q)
+    return SpinorPolynomials(*kernels.slr_forward(c, s))
 
 
 def forward_recursion_trace(steps: list[HardPulseStep]) -> list[SpinorPolynomials]:
@@ -231,13 +230,9 @@ def inverse_recursion_trace(poly: SpinorPolynomials):
     qw = poly.q.copy()
     trace = []
     for length in range(poly.n, 1, -1):
-        phi, theta, *_ = kernels.slr_inverse(pw[:length], qw[:length])
-        step = HardPulseStep(float(phi[length - 1]), float(theta[length - 1]))
-        c, s = step.chalf, step.shalf
-        p_new = c * pw[:length] + np.conj(s) * qw[:length]
-        q_new = -s * pw[:length] + c * qw[:length]
-        pw[: length - 1] = p_new[: length - 1]
-        qw[: length - 1] = q_new[1:length]
+        phi, *_ = kernels.slr_peel(pw, qw, length)
+        if np.isnan(phi):
+            raise DegenerateExtractionError(f"step {length} cannot be extracted")
         trace.append(SpinorPolynomials(pw[: length - 1].copy(), qw[: length - 1].copy()))
     return trace
 
@@ -248,15 +243,6 @@ def steps_to_pulse(steps: list[HardPulseStep], dt: float, a_max: float | None = 
     thetas = np.array([s.theta for s in steps])
     samples = np.column_stack([amps * np.cos(thetas), amps * np.sin(thetas)])
     return ControlSequence(dt, samples, a_max)
-
-
-def pulse_to_steps(pulse: ControlSequence) -> list[HardPulseStep]:
-    """Hard-pulse view of a control sequence (flips must stay within pi)."""
-    out = []
-    for u, v in pulse.samples:
-        amp = float(np.hypot(u, v))
-        out.append(HardPulseStep(amp * pulse.dt, float(np.arctan2(v, u)) if amp > 0 else 0.0))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +385,8 @@ def target_to_polys(
     vec, lam = vec[:, keep], lam[keep]
 
     def fit_q(f_beta):
-        return vec @ ((vec.conj().T @ (a.conj().T @ (wt * f_beta))) / lam)
+        # a^H x as conj(a^T conj(x)): no conjugated copy of the large matrix
+        return vec @ ((vec.conj().T @ np.conj(a.T @ np.conj(wt * f_beta))) / lam)
 
     polys = complete_polynomial(fit_q(prof.f_beta), margin=margin)
     if absorb_alpha_phase:
@@ -545,17 +532,16 @@ def design_broadband(
 
 
 def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
-    """Phase-aligned distance of the achieved pair to the rotation target.
+    """Phase-aligned distance of the achieved spinor to the rotation target.
 
-    The whole pulse (possibly several concatenated blocks) is pushed through
-    the forward recursion; the beta target carries the half-train delay and
-    the alpha target the achieved phase convention, as in
-    :func:`spinor_band_error`.
+    The whole written pulse (possibly several concatenated blocks) is
+    simulated from (1, 0) by the hard-pulse kernel; the beta target carries
+    the half-train delay, as in :func:`spinor_band_error`.
     """
-    poly = forward_recursion(pulse_to_steps(pulse))
     omega = np.linspace(-band, band, npoints)
-    pv, qv = poly.evaluate(omega, dt)
-    return _aligned_distance(pv, qv, *rotation_target(axis, angle, omega, poly.n, dt))
+    ones = np.ones(npoints)
+    alpha, beta = kernels.spinor_propagate(pulse.u, pulse.v, dt, omega, ones, None, ones, 0 * ones, True)
+    return _aligned_distance(alpha, beta, *rotation_target(axis, angle, omega, pulse.nsteps, dt))
 
 
 def rotation_target(axis, angle, omega, n, dt):

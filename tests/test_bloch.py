@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from enspulse import kernels
 from enspulse.bloch import (
     ControlSequence,
     DispersionGrid,
@@ -203,6 +204,71 @@ def test_bloch_propagation_matches_so3_step_product(model, samples, dt, omega, e
         if i == 0:
             net = net_rotation(pulse, pts["omega"][0], pts["epsilon"][0], pts["theta"][0], model)
             assert np.abs(net - rot).max() < 1e-10
+
+
+def reference_spinor_steps(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse):
+    """The spinor step loop with each model's Cayley-Klein update written out
+    in full, as the kernel computed it before both models shared one SU(2)
+    action; the exact model's arithmetic is unchanged since then."""
+    alpha = np.array(alpha0, dtype=np.complex128, copy=True)
+    beta = np.array(beta0, dtype=np.complex128, copy=True)
+    if hard_pulse:
+        zhalf = np.exp(-0.5j * omega * dt)
+    for k in range(len(u)):
+        uk, vk = u[k], v[k]
+        if theta is not None:
+            ct, st_ = np.cos(theta), np.sin(theta)
+            uk, vk = uk * ct + vk * st_, -uk * st_ + vk * ct
+        if hard_pulse:
+            alpha = alpha * zhalf
+            beta = beta * np.conj(zhalf)
+            phi = eps * np.hypot(uk, vk) * dt
+            c = np.cos(0.5 * phi)
+            s = np.sin(0.5 * phi)
+            big_s = -1j * np.exp(1j * np.arctan2(vk, uk)) * s
+            alpha, beta = c * alpha - np.conj(big_s) * beta, big_s * alpha + c * beta
+        else:
+            rx = eps * uk * dt
+            ry = eps * vk * dt
+            rz = omega * dt
+            ang = np.sqrt(rx * rx + ry * ry + rz * rz)
+            c = np.cos(0.5 * ang)
+            sc = np.where(ang > 0.0, np.sin(0.5 * ang) / np.where(ang > 0.0, ang, 1.0), 0.5)
+            sx, sy, sz = sc * rx, sc * ry, sc * rz
+            a_new = (c - 1j * sz) * alpha + (-1j * sx - sy) * beta
+            b_new = (-1j * sx + sy) * alpha + (c + 1j * sz) * beta
+            alpha, beta = a_new, b_new
+    return alpha, beta
+
+
+@pytest.mark.parametrize("with_theta", [False, True])
+@pytest.mark.parametrize("model", ["exact", "hard_pulse"])
+@PROPERTY
+@given(
+    samples=st.lists(
+        st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0)), min_size=1, max_size=40
+    ),
+    dt=st.floats(1e-5, 3e-4),
+    points=st.lists(
+        st.tuples(st.floats(-3000.0, 3000.0), st.floats(0.5, 1.5), st.floats(-np.pi, np.pi)),
+        min_size=1,
+        max_size=6,
+    ),
+    start=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 1e-3),
+)
+def test_spinor_kernel_matches_reference_step_loop(model, with_theta, samples, dt, points, start):
+    u, v = np.array(samples).T
+    omega, eps, theta = np.array(points).T
+    q = np.array(start) / np.linalg.norm(start)
+    alpha0 = np.full(len(points), complex(q[0], q[1]))
+    beta0 = np.full(len(points), complex(q[2], q[3]))
+    args = (u, v, dt, omega, eps, theta if with_theta else None, alpha0, beta0, model == "hard_pulse")
+    got = kernels.spinor_propagate(*args)
+    want = reference_spinor_steps(*args)
+    if model == "exact":
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    else:
+        assert max(np.abs(got[0] - want[0]).max(), np.abs(got[1] - want[1]).max()) <= 1e-13
 
 
 def su2_from(coords):

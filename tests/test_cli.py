@@ -481,6 +481,53 @@ def test_render_json_deterministic_and_typed(tmp_path):
     assert parsed["b"][1] == 2.5e-17
 
 
+def test_render_json_layout_of_long_lists_and_lists_of_dicts():
+    from enspulse.fileio import render_json
+
+    doc = {
+        "short": [1, 2.5],
+        "long": [k / 3 for k in range(1, 9)],
+        "rows": [{"a": 1}, {"b": [1, 2]}],
+        "nested": [[k / 7 for k in range(1, 7)], [7]],
+    }
+    assert render_json(doc) == "\n".join(
+        [
+            "{",
+            '  "long": [',
+            "    0.33333333333333331,",
+            "    0.66666666666666663,",
+            "    1,",
+            "    1.3333333333333333,",
+            "    1.6666666666666667,",
+            "    2,",
+            "    2.3333333333333335,",
+            "    2.6666666666666665",
+            "  ],",
+            '  "nested": [',
+            "    [",
+            "      0.14285714285714285,",
+            "      0.2857142857142857,",
+            "      0.42857142857142855,",
+            "      0.5714285714285714,",
+            "      0.7142857142857143,",
+            "      0.8571428571428571",
+            "    ],",
+            "    [7]",
+            "  ],",
+            '  "rows": [',
+            "    {",
+            '      "a": 1',
+            "    },",
+            "    {",
+            '      "b": [1, 2]',
+            "    }",
+            "  ],",
+            '  "short": [1, 2.5]',
+            "}",
+        ]
+    )
+
+
 def test_design_slr_with_amplitude_bound(tmp_path):
     out = tmp_path / "bounded.json"
     code = main(

@@ -548,11 +548,14 @@ def test_small_flip_single_point_plain_repetition():
 def test_small_flip_linearity_check():
     grid = np.linspace(0.9, 1.1, 5)
     ok_block = small_block(0.1)
-    from enspulse.slr import forward_recursion, pulse_to_steps
+    from enspulse.slr import HardPulseStep, forward_recursion
 
-    base = forward_recursion(pulse_to_steps(ok_block))
+    def steps_of(block):
+        return [HardPulseStep(np.hypot(u, v) * block.dt, np.arctan2(v, u)) for u, v in block.samples]
+
+    base = forward_recursion(steps_of(ok_block))
     for eps in (0.9, 1.1):
-        scaled = forward_recursion(pulse_to_steps(ok_block.scaled(eps)))
+        scaled = forward_recursion(steps_of(ok_block.scaled(eps)))
         omega = np.linspace(-2500, 2500, 33)
         qs = scaled.evaluate(omega, ok_block.dt)[1]
         q1 = base.evaluate(omega, ok_block.dt)[1]

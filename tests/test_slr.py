@@ -6,6 +6,8 @@ order, and a root-based minimum-phase factor (the roots of 1 - Q Q~ inside
 the unit disk, multiplied out in Leja order) for the cepstral completion.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from enspulse import kernels
+from enspulse.bloch import DispersionGrid, EnsembleState, propagate
 from enspulse.errors import CompletionError, DegenerateExtractionError
 from enspulse.liealg import so3_generators
 from enspulse.slr import (
@@ -21,6 +24,7 @@ from enspulse.slr import (
     TargetProfile,
     _half_delay_phase,
     band_selective_profile,
+    broadband_profile,
     complete_polynomial,
     design_broadband,
     design_pattern,
@@ -30,7 +34,7 @@ from enspulse.slr import (
     inverse_recursion_full,
     inverse_recursion_trace,
     predicted_spinor,
-    pulse_to_steps,
+    rotation_target,
     steps_to_pulse,
     target_to_polys,
     unimodularity_residual,
@@ -172,6 +176,36 @@ def test_unimodularity_along_backward_recursion():
         assert unimodularity_residual(poly, 256) <= 1e-9
 
 
+def per_length_inverse_trace(poly):
+    """The backward trace by a full inversion of every shorter pair: the last
+    step of each is read off its complete inversion, then reduced away."""
+    pw, qw = poly.p.copy(), poly.q.copy()
+    trace = []
+    for length in range(poly.n, 1, -1):
+        phi, theta, *_ = kernels.slr_inverse(pw[:length], qw[:length])
+        step = HardPulseStep(float(phi[length - 1]), float(theta[length - 1]))
+        c, s = step.chalf, step.shalf
+        p_new = c * pw[:length] + np.conj(s) * qw[:length]
+        q_new = -s * pw[:length] + c * qw[:length]
+        pw[: length - 1] = p_new[: length - 1]
+        qw[: length - 1] = q_new[1:length]
+        trace.append((pw[: length - 1].copy(), qw[: length - 1].copy()))
+    return trace
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(-np.pi, np.pi)), min_size=1, max_size=24)
+)
+def test_inverse_trace_equals_per_length_inversion(flips):
+    poly = forward_recursion([HardPulseStep(phi, theta) for phi, theta in flips])
+    trace = inverse_recursion_trace(poly)
+    oracle = per_length_inverse_trace(poly)
+    assert len(trace) == len(oracle) == poly.n - 1
+    for got, (p, q) in zip(trace, oracle):
+        assert np.array_equal(got.p, p) and np.array_equal(got.q, q)
+
+
 def test_inversion_conditioning_cliff():
     """Inverting the coefficient pair of a long large-flip train is ill posed.
 
@@ -199,6 +233,8 @@ def test_inverse_degenerate_pi_flip():
     poly = SpinorPolynomials(np.array([0.0]), np.array([-1j]))
     with pytest.raises(DegenerateExtractionError):
         inverse_recursion(poly)
+    with pytest.raises(DegenerateExtractionError):
+        inverse_recursion_trace(SpinorPolynomials(np.array([0.0, 0.0]), np.array([-1j, 0.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +369,19 @@ def test_inverse_undoes_forward_recursion(flips):
 # ---------------------------------------------------------------------------
 
 
+def test_fit_makes_no_conjugated_copy_of_the_exponential_matrix():
+    n, band, dt = 256, 2000.0, 1e-4
+    profile = broadband_profile("x", np.pi / 2, band, n, dt)
+    tracemalloc.start()
+    try:
+        target_to_polys(profile, n, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (24n + 1) x n complex exponential matrix alone takes 25 MB
+    assert peak < 40e6
+
+
 def test_constant_profile_recovers_constant_taps():
     # flat rotation over (almost) the whole circle: the fitted filter is the
     # constant polynomial, i.e. a single hard rotation
@@ -432,6 +481,19 @@ def test_broadband_amplitude_bound_and_subdivision():
     assert d2.pulse.amplitudes.max() <= (a_max / 2) * (1 + 1e-12)
     assert d2.blocks >= 2 * d1.blocks
     assert d1.pulse.nsteps == d1.blocks * 64
+
+
+@pytest.mark.parametrize("a_max, blocks", [(None, 1), (800.0, 4)])
+def test_band_error_is_the_hard_pulse_simulation_of_the_written_pulse(a_max, blocks):
+    band, dt = 2000.0, 1e-4
+    d = design_broadband("x", np.pi / 2, band, 64, dt, a_max=a_max)
+    assert d.blocks == blocks
+    omega = np.linspace(-band, band, 129)
+    grid = DispersionGrid(axes={"omega": omega})
+    final = propagate(d.pulse, grid, EnsembleState.uniform_spinor(grid, 1, 0), model="hard_pulse")
+    fa, fb = rotation_target("x", np.pi / 2, omega, d.pulse.nsteps, dt)
+    overlap = np.abs(np.conj(fa) * final.values[:, 0] + np.conj(fb) * final.values[:, 1])
+    assert abs(d.band_error - np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0)).max()) <= 1e-15
 
 
 def test_broadband_angle_limit_is_quiet():
@@ -562,7 +624,6 @@ def test_steps_pulse_roundtrip():
     rng = np.random.default_rng(30)
     steps = rand_steps(rng, 12)
     pulse = steps_to_pulse(steps, DT)
-    back = pulse_to_steps(pulse)
-    for a, b in zip(steps, back):
-        assert abs(a.phi - b.phi) < 1e-12
-        assert abs(a.theta - b.theta) < 1e-12
+    for a, (u, v) in zip(steps, pulse.samples):
+        assert abs(a.phi - np.hypot(u, v) * DT) < 1e-12
+        assert abs(a.theta - np.arctan2(v, u)) < 1e-12
