@@ -263,9 +263,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fidelity_map(args) -> int:
+    target = TargetSpec.constant_bloch(_parse_floats(args.target, 3))
+    dev = abs(float(np.linalg.norm(target.constant)) - 1.0)
+    if not dev <= EnsembleState.NORM_TOL:  # NaN too
+        raise SchemaError(f"--target must be a unit Bloch vector, its norm is off by {dev:.3e}")
     pulse = fileio.load_pulse(args.pulse)
     grid = fileio.load_grid(args.grid)
-    target = TargetSpec.constant_bloch(_parse_floats(args.target, 3))
     initial = EnsembleState.uniform_bloch(grid, _parse_floats(args.initial, 3))
     model = args.model.replace("-", "_")
     fmap = fidelity_map(pulse, grid, target, initial, model=model)

@@ -1,13 +1,14 @@
-"""Numerical core: one SU(2) action under the step loop and the recursions.
+"""Numerical core: one SU(2) action under the propagation pass and the recursions.
 
 All propagators are exact per step (closed-form axis/angle exponentials), so
 the only error anywhere is floating-point roundoff.  Every product of steps
 applies :func:`su2_apply`, the element ``[[a, -conj(b)], [b, conj(a)]]``
-acting on a pair: over grid points in :func:`spinor_propagate`, the one step
-loop, and over polynomial coefficients in :func:`slr_forward` and
-:func:`slr_peel`; every hard-pulse rf rotation is :func:`hard_step`.  Bloch
-vectors and SO(3) rotations are the adjoint image (:func:`adjoint`) of a
-spinor pass.
+acting on a pair: in :func:`spinor_propagate`, which builds the step elements
+of a tile of steps and grid points at once, composes them pairwise and
+applies the tile's product to the running state, and over polynomial
+coefficients in :func:`slr_forward` and :func:`slr_peel`; every hard-pulse rf
+rotation is :func:`hard_step`.  Bloch vectors and SO(3) rotations are the
+adjoint image (:func:`adjoint`) of a spinor pass.
 
 Conventions
 -----------
@@ -49,7 +50,9 @@ def su2_apply(a, b, x, y):
     """Apply the SU(2) element ``[[a, -conj(b)], [b, conj(a)]]`` to the pair (x, y).
 
     Every product of steps in this package, over grid points or over
-    polynomial coefficients, is made of this one update.
+    polynomial coefficients, is made of this one update.  Applied to the
+    first column ``(x, y)`` of another element, it gives the first column of
+    their product, so it composes elements as well.
     """
     return a * x - np.conj(b) * y, b * x + np.conj(a) * y
 
@@ -87,8 +90,33 @@ def _hard_pair(uk, vk, dt, zhalf, eps):
     return c * zhalf, s * zhalf
 
 
+def _product(a, b):
+    """Time-ordered product ``E[n-1] ... E[0]`` of the elements ``(a[k], b[k])``,
+    composed pairwise along axis 0 with :func:`su2_apply`."""
+    while len(a) > 1:
+        na, nb = su2_apply(a[1::2], b[1::2], a[:-1:2], b[:-1:2])
+        if len(a) % 2:
+            na[-1], nb[-1] = su2_apply(a[-1], b[-1], na[-1], nb[-1])
+        a, b = na, nb
+    return a[0], b[0]
+
+
+# A complex array of 4096 elements is 64 KiB, below glibc's mmap threshold, so
+# the temporaries of a tile come from the heap instead of being faulted in anew
+# on every call.  Larger tiles are faster in a warm process but page-fault in a
+# fresh one: 2^14-element tiles made a one-off 512-step pass over 4096 points
+# 1.5-1.9x slower than the per-step loop.
+_CHUNK = 4096
+_TILE = 4096
+
+
 def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=False):
     """Propagate Cayley-Klein pairs through all steps at every grid point.
+
+    Points go in chunks of at most ``_CHUNK`` and steps in blocks of
+    ``_TILE // chunk`` steps.  Each tile's step pairs are built in one call,
+    composed pairwise (:func:`_product`) and applied to the running state, so
+    no (nsteps, npoints) table is ever built.
 
     Parameters
     ----------
@@ -107,19 +135,26 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     beta = np.array(beta0, dtype=np.complex128, copy=True)
     omega = np.asarray(omega, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    if hard_pulse:
-        step, drift = _hard_pair, np.exp(-0.5j * omega * dt)
-    else:
-        step, drift = _exact_pair, omega
-    for k in range(len(u)):
-        uk, vk = phase_frame(u[k], v[k], theta)
-        # a, b live until the next pair exists: freed sooner, wide passes page-fault 3x
-        a, b = step(uk, vk, dt, drift, eps)
-        alpha, beta = su2_apply(a, b, alpha, beta)
+    theta = None if theta is None else np.asarray(theta, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)[:, None]
+    v = np.asarray(v, dtype=np.float64)[:, None]
+    step = _hard_pair if hard_pulse else _exact_pair
+    for p in range(0, len(omega), _CHUNK):
+        pts = slice(p, p + _CHUNK)
+        om, ep = omega[pts], eps[pts]
+        th = None if theta is None else theta[pts]
+        drift = np.exp(-0.5j * om * dt) if hard_pulse else om
+        block = _TILE // len(om)
+        x, y = alpha[pts], beta[pts]
+        for k in range(0, len(u), block):
+            uk, vk = phase_frame(u[k : k + block], v[k : k + block], th)
+            a, b = _product(*step(uk, vk, dt, drift, ep))
+            x, y = su2_apply(a, b, x, y)
+        alpha[pts], beta[pts] = x, y
     return alpha, beta
 
 
-# The Bloch paths reach the step loop through this name, so that wrapping the
+# The Bloch paths reach the spinor pass through this name, so that wrapping the
 # public ``spinor_propagate`` (as the benchmark's tracer does) sees spinor
 # passes only.
 _spin_steps = spinor_propagate

@@ -5,6 +5,8 @@ direct ordered 2x2 matrix product, and brute-force summation for grid
 distances.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -206,12 +208,15 @@ def test_bloch_propagation_matches_so3_step_product(model, samples, dt, omega, e
             assert np.abs(net - rot).max() < 1e-10
 
 
-def reference_spinor_steps(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse):
+def reference_spinor_steps(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse, real=np.float64):
     """The spinor step loop with each model's Cayley-Klein update written out
-    in full, as the kernel computed it before both models shared one SU(2)
-    action; the exact model's arithmetic is unchanged since then."""
-    alpha = np.array(alpha0, dtype=np.complex128, copy=True)
-    beta = np.array(beta0, dtype=np.complex128, copy=True)
+    in full, one step at a time, as the kernel computed it before it composed
+    tiles of steps pairwise.  ``real=np.longdouble`` runs it in extended
+    precision."""
+    u, v, omega, eps = (np.asarray(w, dtype=real) for w in (u, v, omega, eps))
+    theta = None if theta is None else np.asarray(theta, dtype=real)
+    alpha = np.array(alpha0, dtype=np.result_type(real, 1j), copy=True)
+    beta = np.array(beta0, dtype=alpha.dtype, copy=True)
     if hard_pulse:
         zhalf = np.exp(-0.5j * omega * dt)
     for k in range(len(u)):
@@ -265,10 +270,58 @@ def test_spinor_kernel_matches_reference_step_loop(model, with_theta, samples, d
     args = (u, v, dt, omega, eps, theta if with_theta else None, alpha0, beta0, model == "hard_pulse")
     got = kernels.spinor_propagate(*args)
     want = reference_spinor_steps(*args)
-    if model == "exact":
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    else:
-        assert max(np.abs(got[0] - want[0]).max(), np.abs(got[1] - want[1]).max()) <= 1e-13
+    # the tiled kernel composes the steps pairwise, so it agrees to roundoff
+    assert spinor_error(got, want) <= 1e-13
+
+
+def random_pass(rng, nsteps, npoints, with_theta, hard_pulse):
+    """Arguments of a spinor pass: a random pulse, grid and starting spinor."""
+    u, v = rng.uniform(-3000.0, 3000.0, (2, nsteps))
+    omega = rng.uniform(-3000.0, 3000.0, npoints)
+    eps = rng.uniform(0.5, 1.5, npoints)
+    theta = rng.uniform(-np.pi, np.pi, npoints) if with_theta else None
+    q = rng.normal(size=(4, npoints))
+    q /= np.linalg.norm(q, axis=0)
+    return (u, v, 1e-4, omega, eps, theta, q[0] + 1j * q[1], q[2] + 1j * q[3], hard_pulse)
+
+
+def spinor_error(got, want):
+    return float(max(np.abs(got[0] - want[0]).max(), np.abs(got[1] - want[1]).max()))
+
+
+@pytest.mark.parametrize("with_theta", [False, True])
+@pytest.mark.parametrize("hard_pulse", [False, True])
+@pytest.mark.parametrize("npoints", [kernels._CHUNK + 300, 7])
+def test_spinor_kernel_matches_reference_across_tile_edges(npoints, hard_pulse, with_theta):
+    # the step count is odd and a multiple of no chunk's block: full blocks,
+    # an odd block and odd levels of the pairwise product all occur
+    last_block = kernels._TILE // (npoints % kernels._CHUNK)
+    nsteps = 2 * last_block + 3
+    rng = np.random.default_rng(npoints + 2 * hard_pulse + with_theta)
+    args = random_pass(rng, nsteps, npoints, with_theta, hard_pulse)
+    assert spinor_error(kernels.spinor_propagate(*args), reference_spinor_steps(*args)) <= 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@pytest.mark.parametrize("nsteps, npoints", [(14592, 21), (20000, 3)])
+def test_spinor_kernel_is_as_accurate_as_the_step_loop(nsteps, npoints):
+    # the long sequences of composite compilation, against an extended-precision product
+    args = random_pass(np.random.default_rng(nsteps), nsteps, npoints, False, False)
+    exact = reference_spinor_steps(*args, real=np.longdouble)
+    loop_err = spinor_error(reference_spinor_steps(*args), exact)
+    assert spinor_error(kernels.spinor_propagate(*args), exact) <= 4 * loop_err + 1e-15
+
+
+def test_long_pass_builds_no_whole_pulse_table():
+    # an (nsteps, npoints) complex table of this pass alone would be 9.6 MB
+    args = random_pass(np.random.default_rng(3), 200_000, 3, True, True)
+    tracemalloc.start()
+    try:
+        kernels.spinor_propagate(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def su2_from(coords):

@@ -181,6 +181,22 @@ def test_simulate_rejects_bad_pulse(tmp_path, grid_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["0,0,0", "0,0,2", "nan,0,1"])
+def test_fidelity_map_rejects_non_unit_target_before_propagating(
+    tmp_path, pulse_file, grid_file, capsys, monkeypatch, target
+):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated a map for a non-unit target")
+
+    monkeypatch.setattr("enspulse.cli.fidelity_map", no_propagation)
+    out = tmp_path / "map.csv"
+    argv = ["fidelity-map", "--pulse", pulse_file[0], "--grid", grid_file[0],
+            f"--target={target}", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--target" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_outputs_are_byte_identical(tmp_path, pulse_file, grid_file):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

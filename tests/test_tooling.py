@@ -1,10 +1,13 @@
 """The benchmark's tracer wraps package functions by name; those names must exist."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from enspulse import kernels
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -28,3 +31,10 @@ def test_traced_target_resolves(target, attr):
     owner = SPAN_MODULE._resolve(target)
     # classes are patched through their own __dict__, modules by attribute
     assert attr in (vars(owner) if isinstance(owner, type) else dir(owner))
+
+
+@pytest.mark.parametrize("name", ["spinor_propagate", "bloch_propagate"])
+def test_kernel_counter_reads_steps_and_points_by_position(name):
+    # the tracer's kernel counter takes u at position 0 and omega at position 3
+    params = list(inspect.signature(getattr(kernels, name)).parameters)
+    assert params[0] == "u" and params[3] == "omega"
