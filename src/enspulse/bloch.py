@@ -242,7 +242,7 @@ class EnsembleState:
             dev = np.sqrt(np.abs(np.einsum("nik,nik->n", gram, gram.conj())).max())
         else:
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if dev > self.NORM_TOL:
+        if not dev <= self.NORM_TOL:  # NaN fails too
             raise ValueError(f"state normalization violated by {dev:.3e}")
         self.values = v
 
@@ -304,8 +304,8 @@ class FidelityMap:
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size != self.grid.size:
             raise ValueError("fidelity values do not match the grid")
-        if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
-            raise ValueError("fidelities must lie in [0, 1]")
+        if not np.all((v >= -1e-12) & (v <= 1 + 1e-12)):  # NaN fails too
+            raise ValueError("fidelities must be finite and lie in [0, 1]")
         self.values = v
 
     @property

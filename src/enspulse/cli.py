@@ -126,15 +126,8 @@ def _cmd_design_slr(args) -> int:
     fileio.save_pulse(args.out, design.pulse)
     omega = np.linspace(-args.band, args.band, 65)
     al, be = slr.predicted_spinor(design.polys, omega, dt)
-
-    def interp_c(vals):
-        out = np.interp(omega, design.profile.omega, vals.real) + 1j * np.interp(
-            omega, design.profile.omega, vals.imag
-        )
-        return out
-
-    ga = interp_c(design.profile.f_alpha)
-    gb = interp_c(design.profile.f_beta)
+    # inside the band the block's profile is exactly the block rotation
+    ga, gb = slr.rotation_target(args.axis, design.block_angle, omega, args.steps, dt)
     fileio.emit_profile_csv(args.out + ".profile.csv", omega, al, be, ga, gb)
 
     grid = DispersionGrid(axes={"omega": omega})
@@ -240,12 +233,7 @@ def _cmd_design_zz(args) -> int:
 
     jgrid = composite.coupling_grid(args.j0, args.delta)
     target = expm(-1j * args.theta * np.kron(pauli("z"), pauli("z")))
-    fids = np.array(
-        [
-            composite.gate_fidelity(expm(out.predicted.evaluate({"J": j})), target)
-            for j in jgrid
-        ]
-    )
+    fids = composite.gate_fidelity(expm(out.predicted.evaluate({"J": jgrid})), target)
     fmap = FidelityMap(DispersionGrid(axes={"J": jgrid}), fids)
     _write_verification(args.out, fmap, out.diagnostics)
     print(f"fit_max {_fmt(out.diagnostics['fit_max'])} min_fidelity {_fmt(fmap.min)}")

@@ -19,9 +19,11 @@ inverse of a piece list.
   instantaneous local rotations (coupling-strength compensation); inverse
   :func:`_inv_segments`.
 
-Every compiled object records the predicted generator as a
-:class:`~enspulse.liealg.DispersionPolyElement`, so fit error and
-commutator-approximation error can be separated exactly.
+One list of ``(word, exponents)`` pairs per backend decides what is fitted
+(:func:`fit_coefficients` on its exponents), realized and predicted: every
+compiled object records the predicted generator as a
+:class:`~enspulse.liealg.DispersionPolyElement` on those monomials, so fit
+error and commutator-approximation error can be separated exactly.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ def _compile_words(coefficients, words, elements, direction, subdivisions, leaf,
     """Realize sum_i c_i * monomial_i * direction, one bracket word per term.
 
     ``words`` pairs each word with the exponents of the monomial it must
-    carry.  Each word's single-monomial element is measured, never assumed,
-    so sign bookkeeping cannot drift; its block at
-    ``tau = c / scale / subdivisions`` is realized once and repeated
-    ``subdivisions`` times.  Returns the pieces, the predicted
+    carry; the same list gave the fit its monomials and here decides the
+    realized blocks and the predicted terms.  Each word's single-monomial
+    element is measured, never assumed, so sign bookkeeping cannot drift;
+    its block at ``tau = c / scale / subdivisions`` is realized once and
+    repeated ``subdivisions`` times.  Returns the pieces, the predicted
     ``(exponents, coefficient)`` terms and the commutator budget.
     """
     pieces: list = []
@@ -223,15 +226,12 @@ def commutator_block(a: str, b: str, t: float, dt: float = DEFAULT_DT) -> Contro
 
 
 def fit_coefficients(
-    target: np.ndarray,
-    basis_exponents: Sequence[int],
-    grid: np.ndarray,
-    tol: float = 1e-3,
-    param: str = "eps",
+    target, exponents: Sequence[Mapping[str, int]], params: Mapping[str, np.ndarray], tol=1e-3
 ) -> FitResult:
-    """Least-squares coefficients for sum_k c_k p^e_k matching the target."""
-    family = evaluate_monomials([{param: e} for e in basis_exponents], {param: np.asarray(grid)})
-    return approximable(np.asarray(target, dtype=float), family, tol)
+    """Least-squares c_k for sum_k c_k * monomial_k (one exponents dict per word)
+    against the target, broadcast over the equal-length ``params`` grids."""
+    family = evaluate_monomials(exponents, params)
+    return approximable(np.broadcast_to(target, family.shape[1:]), family, tol)
 
 
 def _require_fit(fit: FitResult, what: str) -> FitResult:
@@ -336,11 +336,11 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
         raise ValueError("axis must be 'x' or 'y'")
     partner = "y" if spec.axis == "x" else "x"
     _check_rf_realizable(spec.axis, spec.basis)
+    words = [(word_for_power(spec.axis, partner, e), {"eps": e}) for e in spec.basis]
     fit = _require_fit(
-        fit_coefficients(spec.angles, spec.basis, spec.grid, tol=spec.tol),
+        fit_coefficients(spec.angles, [e for _, e in words], {"eps": spec.grid}, tol=spec.tol),
         f"target not approximable on basis {spec.basis}",
     )
-    words = [(word_for_power(spec.axis, partner, e), {"eps": e}) for e in spec.basis]
     samples, terms, budget = _compile_words(
         fit.coefficients, words, RF_ELEMENTS, SO3[spec.axis].entries, spec.subdivisions,
         _rf_leaf(RF_CHANNELS, dt), _inv_rf,
@@ -418,7 +418,8 @@ def compensate_epsilon_small_flip(
             f"block response deviates from linear in eps by {dev:.3e}; not a small-flip block"
         )
 
-    fit = fit_coefficients(np.full(gridarr.shape, target_angle), basis, gridarr)
+    words = [(word_for_power("x", "y", e), {"eps": e}) for e in basis]
+    fit = fit_coefficients(target_angle, [e for _, e in words], {"eps": gridarr})
 
     def leaf(label: str, amount: float) -> list[np.ndarray]:
         phase = 0.0 if label == "x" else np.pi / 2
@@ -434,7 +435,6 @@ def compensate_epsilon_small_flip(
             out.extend(shifted.scaled(frac / block_flip).samples)
         return out
 
-    words = [(word_for_power("x", "y", e), {"eps": e}) for e in basis]
     samples, _, _ = _compile_words(
         fit.coefficients, words, RF_ELEMENTS, SO3["x"].entries, subdivisions, leaf, _inv_rf
     )
@@ -505,21 +505,13 @@ def compile_two_param(
     if np.any(e1 == 0) or np.any(e2 == 0):
         raise ValueError("parameter ranges must exclude zero")
     g1, g2 = np.meshgrid(e1, e2, indexing="ij")
-    g1f, g2f = g1.ravel(), g2.ravel()
-
-    words = []
-    rows = []
-    for k, l in orders:
-        word = two_param_word(k, l, axis)
-        if axis == "z":
-            exps = {"eps1": 2 * k + 1, "eps2": 2 * l + 1}
-        else:
-            exps = {"eps1": 2 * k, "eps2": 2 * l + 1}
-        words.append((word, exps))
-        rows.append(g1f ** exps.get("eps1", 0) * g2f ** exps.get("eps2", 0))
-
+    words = [
+        (two_param_word(k, l, axis), {"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1})
+        for k, l in orders
+    ]
+    params = {"eps1": g1.ravel(), "eps2": g2.ravel()}
     fit = _require_fit(
-        approximable(np.full(g1f.shape, target_angle), np.array(rows), tol),
+        fit_coefficients(target_angle, [e for _, e in words], params, tol),
         "two-parameter target not approximable",
     )
     samples, terms, _ = _compile_words(
@@ -622,13 +614,11 @@ def compile_omega_robust(
                 f"axis {axis} carries no requested offset powers with one quadrature"
             )
 
-    grid = np.asarray(omega_grid, dtype=float)
-    tvals = np.broadcast_to(np.asarray(target, dtype=float), grid.shape)
-    family = np.array([grid**p for p in powers])
-    fit = _require_fit(
-        approximable(tvals, family, tol), f"offset target not approximable on powers {powers}"
-    )
     words = [(omega_word(axis, p), {"omega": p}) for p in powers]
+    fit = _require_fit(
+        fit_coefficients(target, [e for _, e in words], {"omega": omega_grid}, tol),
+        f"offset target not approximable on powers {powers}",
+    )
     segments, terms, _ = _compile_words(
         fit.coefficients, words, OMEGA_ELEMENTS, SO3[axis].entries, subdivisions,
         _omega_leaf, _inv_segments,
@@ -708,12 +698,12 @@ def compile_j_robust_zz(
 ) -> CompiledSequence:
     """Coupling-strength-robust ZZ evolution exp(-i theta sz sz) over
     J in j0*[1-delta, 1+delta]."""
+    words = [(word_for_power("b2", "b1", e), {"J": e}) for e in basis]
     grid = coupling_grid(j0, delta, nsamples)
     fit = _require_fit(
-        fit_coefficients(np.full(grid.shape, theta), basis, grid, tol=tol, param="J"),
+        fit_coefficients(theta, [e for _, e in words], {"J": grid}, tol),
         f"coupling target not approximable on basis {basis}",
     )
-    words = [(word_for_power("b2", "b1", e), {"J": e}) for e in basis]
     # exp(-i f(J) sz sz) = exp((f(J)/2) B2): the words carry the halved
     # coefficients (halving the direction instead flips signed zeros)
     segments, terms, _ = _compile_words(
@@ -789,15 +779,15 @@ def simulate_two_qubit(segments: list[Segment], j: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rotation_fidelity(r1: np.ndarray, r2: np.ndarray) -> float:
-    """(1 + cos of the relative rotation angle) / 2."""
-    cosang = 0.5 * (np.trace(r1.T @ r2) - 1.0)
-    return float(0.5 * (1.0 + np.clip(cosang, -1.0, 1.0)))
+def rotation_fidelity(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
+    """(1 + cos of the relative rotation angle) / 2; one value per matrix of a stack."""
+    cosang = 0.5 * (np.trace(np.swapaxes(r1, -1, -2) @ r2, axis1=-2, axis2=-1) - 1.0)
+    return 0.5 * (1.0 + np.clip(cosang, -1.0, 1.0))
 
 
-def gate_fidelity(u: np.ndarray, g: np.ndarray) -> float:
-    """|tr(G^H U)| / dim, phase-invariant."""
-    return float(np.abs(np.trace(g.conj().T @ u)) / u.shape[0])
+def gate_fidelity(u: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+    """|tr(G^H U)| / dim, phase-invariant; one value per matrix of a stack."""
+    return np.abs(np.trace(np.swapaxes(np.conj(g), -1, -2) @ u, axis1=-2, axis2=-1)) / u.shape[-1]
 
 
 def generator_level_rotation_fidelity(
@@ -806,10 +796,6 @@ def generator_level_rotation_fidelity(
     """Fidelity of exp(predicted generator) against the target per grid point."""
     from scipy.linalg import expm
 
-    target_angles = np.broadcast_to(np.asarray(target_angles, dtype=float), np.asarray(grid).shape)
-    out = np.empty(np.asarray(grid).size)
-    gen = SO3[axis].entries.real
-    for i, (g, th) in enumerate(zip(np.asarray(grid).ravel(), target_angles.ravel())):
-        achieved = expm(compiled.predicted.evaluate({param: g}).real)
-        out[i] = rotation_fidelity(achieved, expm(th * gen))
-    return out
+    angles = np.broadcast_to(np.asarray(target_angles, dtype=float), np.shape(grid)).ravel()
+    achieved = expm(compiled.predicted.evaluate({param: np.ravel(grid)}).real)
+    return rotation_fidelity(achieved, expm(angles[:, None, None] * SO3[axis].entries.real))

@@ -182,17 +182,14 @@ class DispersionPolyElement:
     def is_zero(self) -> bool:
         return len(self.monomials) == 0
 
-    def evaluate(self, params: Mapping[str, float]) -> np.ndarray:
-        """Sum the monomials at a concrete parameter point."""
+    def evaluate(self, params: Mapping[str, float | np.ndarray]) -> np.ndarray:
+        """Sum the monomials at one parameter point, ``(d, d)``, or over
+        equal-length parameter arrays, ``(npoints, d, d)``."""
         if not self.monomials:
             raise ValueError("cannot evaluate an identically zero element")
-        total = np.zeros_like(self.monomials[0].coeff)
-        for mon in self.monomials:
-            scale = 1.0
-            for name, exp in mon.exponents:
-                scale *= params[name] ** exp
-            total = total + scale * mon.coeff
-        return total
+        table = evaluate_monomials([mon.exponent_dict() for mon in self.monomials], params)
+        total = sum(row[:, None, None] * mon.coeff for row, mon in zip(table, self.monomials))
+        return total if any(np.ndim(v) for v in params.values()) else total[0]
 
 
 def _merge_monomials(mons: Sequence[DispersionMonomial]) -> tuple[DispersionMonomial, ...]:

@@ -224,41 +224,29 @@ def reachability_residual(
 # ---------------------------------------------------------------------------
 
 
-def _nonholonomic_rhs(x: np.ndarray, u1: float, u2: float, eps: float) -> np.ndarray:
-    return np.array(
-        [eps * u1, eps * u2, eps * (-u1 * x[1] + u2 * x[0])]
-    )
-
-
 def heisenberg_trajectories(
     u1: np.ndarray,
     u2: np.ndarray,
     dt: float,
     epsilons: Sequence[float],
-    substeps: int = 4,
 ) -> np.ndarray:
     """Integrate the planar-integrator system from the origin for each gain.
 
-    Classical fixed-step RK4 on the piecewise-constant controls; the step is
-    subdivided so that halving it moves the result below 1e-9.
+    The flow x1' = eps u1, x2' = eps u2, x3' = eps (u2 x1 - u1 x2) is
+    stepped exactly on the piecewise-constant controls: within a step
+    u2 x1 - u1 x2 is constant, so x3 gains eps (u2 x1 - u1 x2) dt.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if u1.shape != u2.shape:
         raise ValueError("control channels must have equal length")
-    out = np.zeros((len(epsilons), 3))
-    h = dt / substeps
-    for i, eps in enumerate(epsilons):
-        x = np.zeros(3)
-        for a, b in zip(u1, u2):
-            for _ in range(substeps):
-                k1 = _nonholonomic_rhs(x, a, b, eps)
-                k2 = _nonholonomic_rhs(x + 0.5 * h * k1, a, b, eps)
-                k3 = _nonholonomic_rhs(x + 0.5 * h * k2, a, b, eps)
-                k4 = _nonholonomic_rhs(x + h * k3, a, b, eps)
-                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = x
-    return out
+    eps = np.asarray(epsilons, dtype=float)
+    x1, x2, x3 = np.zeros(eps.size), np.zeros(eps.size), np.zeros(eps.size)
+    for a, b in zip(u1, u2):
+        x3 = x3 + eps * (b * x1 - a * x2) * dt
+        x1 = x1 + eps * a * dt
+        x2 = x2 + eps * b * dt
+    return np.column_stack([x1, x2, x3])
 
 
 @dataclass

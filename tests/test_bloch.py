@@ -449,6 +449,22 @@ def test_fidelity_range_validation():
 
     with pytest.raises(ValueError):
         FidelityMap(grid, np.array([1.5]))
+    with pytest.raises(ValueError, match="finite"):
+        FidelityMap(grid, np.array([np.nan]))
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        ("bloch", [[np.nan, 0.0, 1.0]]),
+        ("spinor", [[np.nan, 0.0]]),
+        ("unitary", [[[np.nan, 0.0], [0.0, 1.0]]]),
+    ],
+)
+def test_state_with_nan_is_rejected(kind, values):
+    grid = DispersionGrid.from_ranges(omega=(0, 0, 1))
+    with pytest.raises(ValueError, match="normalization"):
+        EnsembleState(grid, kind, np.array(values))
 
 
 # ---------------------------------------------------------------------------

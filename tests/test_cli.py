@@ -21,6 +21,7 @@ from enspulse.fileio import (
     save_grid,
     save_pulse,
 )
+from enspulse.slr import rotation_target
 
 
 @pytest.fixture()
@@ -197,6 +198,18 @@ def test_fidelity_map_rejects_non_unit_target_before_propagating(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fidelity-map"])
+def test_nan_initial_state_is_rejected(tmp_path, pulse_file, grid_file, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--pulse", pulse_file[0], "--grid", grid_file[0],
+            "--initial=nan,0,1", "--out", str(out)]
+    if command == "fidelity-map":
+        argv += ["--target", "1,0,0"]
+    assert main(argv) == 2
+    assert "normalization" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_outputs_are_byte_identical(tmp_path, pulse_file, grid_file):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -232,6 +245,24 @@ def test_design_slr_end_to_end(tmp_path):
     assert diag["unimodularity_residual"] <= 1e-12
     for key in ("res_lead", "res_low", "final_dev"):
         assert 0.0 <= diag[key] <= 1e-6
+
+
+@pytest.mark.parametrize("axis, a_max", [("x", None), ("y", 800.0)])
+def test_design_slr_profile_targets_are_the_block_rotation(tmp_path, axis, a_max):
+    out = tmp_path / "bb.json"
+    argv = ["design-slr", "--axis", axis, "--angle", "1.5707963267948966", "--band", "2000",
+            "--steps", "64", "--dt", "1e-4", "--out", str(out)]
+    if a_max is not None:
+        argv += ["--a-max", str(a_max)]
+    assert main(argv) == 0
+    diag = json.load(open(str(out) + ".diag.json"))
+    table = np.genfromtxt(diag["profile_csv"], delimiter=",", names=True)
+    ga, gb = rotation_target(axis, diag["block_angle"], table["omega"], 64, 1e-4)
+    ta = table["target_alpha_re"] + 1j * table["target_alpha_im"]
+    tb = table["target_beta_re"] + 1j * table["target_beta_im"]
+    # 17 significant digits round-trip every double exactly
+    assert np.array_equal(ta, ga) and np.array_equal(tb, gb)
+    assert np.abs(np.abs(ta) ** 2 + np.abs(tb) ** 2 - 1.0).max() <= 1e-15
 
 
 def hard_pulse_spinors(pulse, omega):

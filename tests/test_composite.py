@@ -41,7 +41,7 @@ from enspulse.composite import (
 )
 from enspulse.bloch import ControlSequence
 from enspulse.errors import InfeasibleError
-from enspulse.liealg import ad_power, pauli, so3_generators
+from enspulse.liealg import ad_power, approximable, pauli, so3_generators
 
 SO3 = so3_generators()
 
@@ -97,7 +97,7 @@ def test_subdivision_monotone_improvement():
 def test_fit_matches_dense_oracle():
     grid = np.linspace(0.9, 1.1, 21)
     target = np.full(grid.shape, np.pi / 2)
-    fit = fit_coefficients(target, (1, 3), grid)
+    fit = fit_coefficients(target, [{"eps": 1}, {"eps": 3}], {"eps": grid})
     a = np.vstack([grid, grid**3])
     oracle = np.linalg.solve(a @ a.T, a @ target)
     assert np.allclose(fit.coefficients, oracle, atol=1e-10)
@@ -107,15 +107,40 @@ def test_fit_matches_dense_oracle():
 
 def test_fit_exact_member():
     grid = np.linspace(0.8, 1.2, 11)
-    fit = fit_coefficients(grid**3, (3,), grid)
+    fit = fit_coefficients(grid**3, [{"eps": 3}], {"eps": grid})
     assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-12)
     assert fit.max_residual <= 1e-12
 
 
 def test_fit_even_target_odd_basis_infeasible():
     grid = np.linspace(-0.2, 0.2, 21)
-    fit = fit_coefficients(np.full(grid.shape, np.pi / 2), (1, 3), grid)
+    fit = fit_coefficients(np.full(grid.shape, np.pi / 2), [{"eps": 1}, {"eps": 3}], {"eps": grid})
     assert not fit.achievable
+
+
+@pytest.mark.parametrize(
+    "axis, orders", [("z", ((0, 0), (1, 0), (0, 1), (1, 1))), ("y", ((0, 0), (1, 0), (1, 1)))]
+)
+def test_two_param_fit_from_word_exponents_equals_hand_built_family(axis, orders):
+    # oracle: the product-grid family written out by hand, one row per order
+    e1 = np.linspace(0.85, 1.15, 7)
+    e2 = np.linspace(0.9, 1.1, 5)
+    g1, g2 = (g.ravel() for g in np.meshgrid(e1, e2, indexing="ij"))
+    rows = [g1 ** (2 * k + (axis == "z")) * g2 ** (2 * l + 1) for k, l in orders]
+    oracle = approximable(np.full(g1.shape, 0.7), np.array(rows), 5e-2)
+    out = compile_two_param(0.7, e1, e2, orders=orders, axis=axis)
+    assert np.array_equal(out.diagnostics["coefficients"], oracle.coefficients)
+    assert out.diagnostics["fit_max"] == oracle.max_residual
+
+
+def test_omega_fit_from_word_exponents_equals_hand_built_family():
+    grid = np.linspace(-0.3, 0.3, 15)
+    target = np.pi / 2 + 0.4 * grid**2
+    powers = (0, 1, 2, 3)
+    oracle = approximable(target, np.array([grid**p for p in powers]), 5e-2)
+    out = compile_omega_robust(target, grid, powers=powers)
+    assert np.array_equal(out.diagnostics["coefficients"], oracle.coefficients)
+    assert out.diagnostics["fit_max"] == oracle.max_residual
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +154,22 @@ def test_robust_rotation_generator_level():
     out = compile_robust_rotation(spec)
     fids = generator_level_rotation_fidelity(out, np.pi / 2, "x", grid)
     assert fids.min() >= 0.9999
+
+
+def test_generator_level_fidelity_matches_per_point_exponentials():
+    # oracle: one evaluate and one expm per grid point
+    grid = np.linspace(0.8, 1.2, 17)
+    angles = np.pi / 2 + 0.1 * grid
+    out = compile_robust_rotation(RobustRotationSpec("y", angles, grid, basis=(1, 3, 5), tol=0.5))
+    fids = generator_level_rotation_fidelity(out, angles, "y", grid)
+    oracle = [
+        rotation_fidelity(
+            expm(out.predicted.evaluate({"eps": e}).real), expm(a * SO3["y"].entries.real)
+        )
+        for e, a in zip(grid, angles)
+    ]
+    assert fids.shape == grid.shape
+    assert np.abs(fids - oracle).max() <= 1e-15
 
 
 def test_generator_level_exactness_separates_fit_from_compilation():

@@ -113,6 +113,39 @@ def test_bracket_poly_zero():
     assert bracket_poly(eps_gen("x"), zero).is_zero()
 
 
+MONOMIAL_FAMILY = st.tuples(
+    st.sampled_from([("eps",), ("eps1", "eps2")]),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80)
+@given(MONOMIAL_FAMILY)
+def test_evaluate_over_a_grid_equals_pointwise_evaluate(family):
+    names, exponents, complex_coeffs, seed = family
+    rng = np.random.default_rng(seed)
+    terms = []
+    for e in exponents:
+        coeff = rng.standard_normal((3, 3))
+        if complex_coeffs:
+            coeff = coeff + 1j * rng.standard_normal((3, 3))
+        terms.append((dict(zip(names, e)), coeff))
+    elem = DispersionPolyElement.make(terms)
+    grid = {name: rng.uniform(-2.0, 2.0, 9) for name in names}
+    table = elem.evaluate(grid)
+    assert table.shape == (9, 3, 3)
+    # every term taken in absolute value bounds the roundoff of the sum
+    bound = DispersionPolyElement.make(
+        [(m.exponent_dict(), np.abs(m.coeff)) for m in elem.monomials]
+    ).evaluate({name: np.abs(v) for name, v in grid.items()})
+    for i in range(9):
+        point = elem.evaluate({name: float(v[i]) for name, v in grid.items()})
+        assert point.shape == (3, 3)
+        assert np.all(np.abs(table[i] - point) <= 1e-15 * bound[i].real)
+
+
 def test_odd_ad_ladder():
     x1 = DispersionPolyElement.single({"eps1": 1}, SO3["x"])
     y2 = DispersionPolyElement.single({"eps2": 1}, SO3["y"])

@@ -230,13 +230,33 @@ def test_trajectories_match_closed_form():
         assert np.allclose(row, closed_form_oracle(u1, u2, 0.2, eps), atol=1e-9)
 
 
-def test_rk4_step_halving_converged():
+def rk4_oracle(u1, u2, dt, eps, substeps):
+    """Classical fixed-step RK4 on the piecewise-constant controls."""
+
+    def rhs(x, a, b):
+        return np.array([eps * a, eps * b, eps * (-a * x[1] + b * x[0])])
+
+    h = dt / substeps
+    x = np.zeros(3)
+    for a, b in zip(u1, u2):
+        for _ in range(substeps):
+            k1 = rhs(x, a, b)
+            k2 = rhs(x + 0.5 * h * k1, a, b)
+            k3 = rhs(x + 0.5 * h * k2, a, b)
+            k4 = rhs(x + h * k3, a, b)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+def test_exact_step_matches_rk4_oracle():
+    # RK4 integrates the quadratic flow exactly within a step, at any substep count
     rng = np.random.default_rng(39)
     u1 = rng.uniform(-1, 1, 10)
     u2 = rng.uniform(-1, 1, 10)
-    a = heisenberg_trajectories(u1, u2, 0.25, (1.3,), substeps=4)
-    b = heisenberg_trajectories(u1, u2, 0.25, (1.3,), substeps=8)
-    assert np.abs(a - b).max() < 1e-9
+    finals = heisenberg_trajectories(u1, u2, 0.25, (0.5, 1.3))
+    for row, eps in zip(finals, (0.5, 1.3)):
+        for substeps in (4, 8):
+            assert np.abs(row - rk4_oracle(u1, u2, 0.25, eps, substeps)).max() < 1e-12
 
 
 def test_zero_controls_stay_at_origin():

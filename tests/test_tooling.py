@@ -1,12 +1,16 @@
-"""The benchmark's tracer wraps package functions by name; those names must exist."""
+"""The benchmark's tracer wraps package functions by name, and every
+module exports names through ``__all__``; those names must exist."""
 
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import enspulse
 from enspulse import kernels
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -38,3 +42,13 @@ def test_kernel_counter_reads_steps_and_points_by_position(name):
     # the tracer's kernel counter takes u at position 0 and omega at position 3
     params = list(inspect.signature(getattr(kernels, name)).parameters)
     assert params[0] == "u" and params[3] == "omega"
+
+
+MODULES = ["enspulse"] + [f"enspulse.{m.name}" for m in pkgutil.iter_modules(enspulse.__path__)]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    exported = getattr(module, "__all__", [])
+    assert [name for name in exported if not hasattr(module, name)] == []
