@@ -10,6 +10,15 @@ coefficients in :func:`slr_forward` and :func:`slr_peel`; every hard-pulse rf
 rotation is :func:`hard_step`.  Bloch vectors and SO(3) rotations are the
 adjoint image (:func:`adjoint`) of a spinor pass.
 
+Every angle, of a step, an rf rotation, a free precession or an rf phase,
+goes through :func:`_half_angle`: one tangent ``t = tan(h/2)`` gives cos h
+and sin(h)/h.  numpy's ``tan`` is vectorized where its ``sin`` and ``cos``
+are scalar loops, so a step element costs one fast transcendental instead
+of two slow ones.  The pass computes what depends only on the grid point,
+``hz = omega*dt/2``, ``hz**2`` and the hard-pulse free precession, once per
+chunk of points, and writes each element's real and imaginary parts in
+place.
+
 Conventions
 -----------
 Single-spin plant, piecewise-constant controls ``(u_k, v_k)`` held for ``dt``:
@@ -35,6 +44,7 @@ import numpy as np
 __all__ = [
     "su2_apply",
     "hard_step",
+    "rf_vector",
     "phase_frame",
     "spinor_propagate",
     "rotation_propagate",
@@ -57,37 +67,71 @@ def su2_apply(a, b, x, y):
     return a * x - np.conj(b) * y, b * x + np.conj(a) * y
 
 
-def hard_step(half_flip, phase):
-    """Cayley-Klein pair ``(cos(phi/2), -i e^(i phase) sin(phi/2))`` of an rf
-    rotation by ``phi = 2 * half_flip`` about the axis at ``phase``."""
-    return np.cos(half_flip), -1j * np.exp(1j * phase) * np.sin(half_flip)
+def _half_angle(h):
+    """``(cos h, sin(h)/h)`` of ``h >= 0`` from the one tangent ``t = tan(h/2)``:
+    cos h = (1 - t^2)/(1 + t^2) and sin h = 2t/(1 + t^2)."""
+    # h + 1e-300 is h for every h above 1e-284; at h = 0 it makes t/h exactly
+    # 1/2, so sin(h)/h keeps its limit 1 there
+    h = h + 1e-300
+    t = np.tan(0.5 * h)
+    t2 = t * t
+    k = 2.0 / (1.0 + t2)  # 1 + cos h
+    # in place on arrays, so a tile holds few temporaries at once
+    t2 *= k  # 1 - cos h
+    t *= k  # sin h
+    t /= h
+    return 1.0 - t2, t
+
+
+def _transverse(sinc, hx, hy):
+    """``sinc * (hy - i hx)``, written into its real and imaginary parts."""
+    b = np.empty(np.shape(sinc), dtype=np.complex128)
+    b.real = sinc * hy
+    b.imag = -sinc * hx
+    return b
+
+
+def hard_step(hx, hy):
+    """Cayley-Klein pair of the rf rotation ``exp(-i (hx sx + hy sy))``.
+
+    Its flip is ``2 |h|`` and its axis lies at the rf phase ``angle(hx + i hy)``:
+    the pair is ``(cos|h|, -i e^(i phase) sin|h|)``.
+    """
+    c, sinc = _half_angle(np.sqrt(hx * hx + hy * hy))
+    return c, _transverse(sinc, hx, hy)
 
 
 def phase_frame(u, v, theta):
     """Controls seen at rf phase offset ``theta`` (unchanged for None)."""
     if theta is None:
         return u, v
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = rf_vector(1.0, theta)  # cos(theta), sin(theta)
     return u * ct + v * st, -u * st + v * ct
 
 
-def _exact_pair(uk, vk, dt, omega, eps):
-    rx = eps * uk * dt
-    ry = eps * vk * dt
-    rz = omega * dt
-    ang = np.sqrt(rx * rx + ry * ry + rz * rz)
-    c = np.cos(0.5 * ang)
-    # sin(ang/2)/ang, with the ang -> 0 limit 1/2
-    sc = np.where(ang > 0.0, np.sin(0.5 * ang) / np.where(ang > 0.0, ang, 1.0), 0.5)
-    return c - 1j * (sc * rz), -1j * (sc * rx) + sc * ry
+def rf_vector(half_flip, phase):
+    """``(hx, hy)`` of the rf rotation by ``2 * half_flip`` about the axis at
+    ``phase``: ``half_flip * (cos(phase), sin(phase))``."""
+    c, sinc = _half_angle(np.abs(phase))
+    return half_flip * c, half_flip * (sinc * phase)
 
 
-def _hard_pair(uk, vk, dt, zhalf, eps):
+def _exact_pair(hx, hy, hz, hz2):
+    # the rotation exp(-i (hx sx + hy sy + hz sz)) of one step at one point
+    c, sinc = _half_angle(np.sqrt(hx * hx + hy * hy + hz2))
+    b = _transverse(sinc, hx, hy)
+    a = np.empty_like(b)
+    a.real = c
+    a.imag = -sinc * hz
+    return a, b
+
+
+def _hard_pair(hx, hy, zhalf):
     # the free precession over the step, diag(zhalf, conj(zhalf)), is folded
     # into the rf rotation's pair
-    phi = eps * np.hypot(uk, vk) * dt
-    c, s = hard_step(0.5 * phi, np.arctan2(vk, uk))
-    return c * zhalf, s * zhalf
+    c, b = hard_step(hx, hy)
+    b *= zhalf
+    return c * zhalf, b
 
 
 def _product(a, b):
@@ -138,18 +182,24 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     theta = None if theta is None else np.asarray(theta, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)[:, None]
     v = np.asarray(v, dtype=np.float64)[:, None]
-    step = _hard_pair if hard_pulse else _exact_pair
+    hdt = 0.5 * dt
     for p in range(0, len(omega), _CHUNK):
         pts = slice(p, p + _CHUNK)
-        om, ep = omega[pts], eps[pts]
+        ep = eps[pts]
         th = None if theta is None else theta[pts]
-        drift = np.exp(-0.5j * om * dt) if hard_pulse else om
-        block = _TILE // len(om)
+        hz = hdt * omega[pts]
+        hz2 = hz * hz
+        # the free precession over a step is the exact step with the rf off
+        zhalf = _exact_pair(0.0, 0.0, hz, hz2)[0] if hard_pulse else None
+        block = _TILE // len(ep)
         x, y = alpha[pts], beta[pts]
         for k in range(0, len(u), block):
             uk, vk = phase_frame(u[k : k + block], v[k : k + block], th)
-            a, b = _product(*step(uk, vk, dt, drift, ep))
-            x, y = su2_apply(a, b, x, y)
+            # eps * u before the scale by dt/2, so a grid's eps and a pulse
+            # scaled by it give the same rotation
+            hx, hy = ep * uk * hdt, ep * vk * hdt
+            pair = _hard_pair(hx, hy, zhalf) if hard_pulse else _exact_pair(hx, hy, hz, hz2)
+            x, y = su2_apply(*_product(*pair), x, y)
         alpha[pts], beta[pts] = x, y
     return alpha, beta
 
@@ -249,7 +299,7 @@ def slr_peel(pw, qw, length):
         w = 0j
     half = np.arctan(abs(w))
     th = np.angle(w) if abs(w) > 0 else 0.0
-    c, s = hard_step(half, th)
+    c, s = hard_step(*rf_vector(half, th))
     p_new, q_new = su2_apply(c, -s, pw[:length], qw[:length])
     # the reduced pair has length - 1 coefficients; what lies beyond is unused
     pw[: length - 1] = p_new[: length - 1]

@@ -69,13 +69,16 @@ class HardPulseStep:
         if not (0.0 <= self.phi <= np.pi + 1e-12):
             raise ValueError(f"flip angle {self.phi} outside [0, pi]")
 
+    def _pair(self):
+        return kernels.hard_step(*kernels.rf_vector(0.5 * self.phi, self.theta))
+
     @property
     def chalf(self) -> float:
-        return float(kernels.hard_step(0.5 * self.phi, self.theta)[0])
+        return float(self._pair()[0])
 
     @property
     def shalf(self) -> complex:
-        return complex(kernels.hard_step(0.5 * self.phi, self.theta)[1])
+        return complex(self._pair()[1])
 
 
 @dataclass(frozen=True)
@@ -418,7 +421,7 @@ def broadband_profile(
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    beta_unit = -1j if axis == "x" else 1.0
+    beta_unit = _beta_unit(axis, angle)
     stop_hi = 0.995 * np.pi / dt
     if transition is None:
         # use a quarter of the free spectral room, floored at the resolvable
@@ -437,6 +440,14 @@ def broadband_profile(
     fb = beta_unit * mag * _half_delay_phase(w, n, dt)
     fa = np.sqrt(1.0 - mag**2)
     return TargetProfile(w, fa, fb, tag=f"broadband-{axis}")
+
+
+def _beta_unit(axis, angle):
+    """Beta direction of the rotation by ``angle`` about x or y, in its SU(2)
+    representative with alpha >= 0: past pi, the rotation by 2 pi - angle
+    about the opposite axis, which the profile's square-root alpha fits."""
+    unit = -1j if axis == "x" else 1.0
+    return -unit if np.cos(0.5 * angle) < 0.0 else unit
 
 
 def _half_delay_phase(omega, n, dt):
@@ -548,12 +559,11 @@ def rotation_target(axis, angle, omega, n, dt):
     """Target spinor (alpha, beta) of an n-step train rotating by ``angle``
     about x or y, from (1, 0), at each offset in ``omega``.
 
-    Alpha is cos(angle/2); beta carries the half-train delay phase of a
-    causal tap train.
+    Alpha is |cos(angle/2)|, in the representative :func:`broadband_profile`
+    fits; beta carries the half-train delay phase of a causal tap train.
     """
-    beta_unit = -1j if axis == "x" else 1.0
-    fb = beta_unit * np.sin(0.5 * angle) * _half_delay_phase(omega, n, dt)
-    return np.full(fb.shape, np.cos(0.5 * angle)), fb
+    fb = _beta_unit(axis, angle) * np.sin(0.5 * angle) * _half_delay_phase(omega, n, dt)
+    return np.full(fb.shape, abs(np.cos(0.5 * angle))), fb
 
 
 @dataclass

@@ -312,6 +312,19 @@ def test_spinor_kernel_is_as_accurate_as_the_step_loop(nsteps, npoints):
     assert spinor_error(kernels.spinor_propagate(*args), exact) <= 4 * loop_err + 1e-15
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@pytest.mark.parametrize("with_theta", [False, True])
+@pytest.mark.parametrize("hard_pulse", [False, True])
+def test_spinor_kernel_is_as_accurate_as_the_step_loop_on_wide_grids(hard_pulse, with_theta):
+    # the short pulses of fidelity maps, where every tile is one step wide
+    npoints = kernels._CHUNK + 300
+    assert kernels._TILE // kernels._CHUNK == 1
+    args = random_pass(np.random.default_rng(128), 128, npoints, with_theta, hard_pulse)
+    exact = reference_spinor_steps(*args, real=np.longdouble)
+    loop_err = spinor_error(reference_spinor_steps(*args), exact)
+    assert spinor_error(kernels.spinor_propagate(*args), exact) <= 4 * loop_err + 1e-15
+
+
 def test_long_pass_builds_no_whole_pulse_table():
     # an (nsteps, npoints) complex table of this pass alone would be 9.6 MB
     args = random_pass(np.random.default_rng(3), 200_000, 3, True, True)

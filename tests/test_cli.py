@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enspulse.bloch import ControlSequence, DispersionGrid, FidelityMap
+from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
 from enspulse.cli import main
 from enspulse.errors import SchemaError
 from enspulse.fileio import (
     _write_csv,
     emit_fidelity_csv,
+    emit_state_csv,
     load_grid,
     load_pulse,
     parse_fidelity_csv,
@@ -149,11 +150,55 @@ def test_csv_rows_render_like_format_17g(tmp_path):
     col_a = [-0.0, 5e-324, 0.1, float(2**53 + 1), 1e300] + near_one
     col_b = [-1.5e-310, 1 / 3, -2.0**-1074, 123456789.0, -7.0] + [-x for x in near_one]
     path = tmp_path / "tricky.csv"
-    _write_csv(str(path), ["a", "b"], [np.array(col_a), col_b])
+    _write_csv(str(path), ["a", "b"], [np.array(col_a)], [col_b])
     expected = ["a,b"] + [
         ",".join(format(x, ".17g") for x in row) for row in zip(col_a, col_b)
     ]
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def written_lines(path):
+    text = path.read_text()
+    assert text.endswith("\n")
+    # lines, not one string, so that a mismatch reports its first row quickly
+    return text.split("\n")[:-1]
+
+
+def per_row_csv(header, grid, columns):
+    """The lines of a grid table's CSV, each row formatted value by value."""
+    pts = grid.points()
+    rows = zip(*[pts[n] for n in grid.names], *columns)
+    return [",".join(header)] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"omega": 1500},
+        {"omega": 7, "epsilon": 100},
+        {"omega": 2, "epsilon": 1100},
+        {"omega": 5, "epsilon": 3, "theta": 40},
+    ],
+    ids=lambda sizes: "x".join(f"{name}{n}" for name, n in sizes.items()),
+)
+def test_grid_csv_rows_match_a_per_row_oracle(tmp_path, sizes):
+    # uneven axis values and values spread over many decades, on grids whose
+    # blocks hold one, several or a partial run of outer-axis values
+    rng = np.random.default_rng(len(sizes))
+    grid = DispersionGrid(
+        {name: np.unique(rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, n))
+         for name, n in sizes.items()}
+    )
+    fmap = FidelityMap(grid, rng.uniform(0.0, 1.0, grid.size) ** 9)
+    path = tmp_path / "map.csv"
+    emit_fidelity_csv(fmap, str(path))
+    header = list(grid.names) + ["fidelity"]
+    assert written_lines(path) == per_row_csv(header, grid, [fmap.values])
+    xyz = rng.normal(size=(grid.size, 3)) * 10.0 ** rng.integers(-8, 8, (grid.size, 1))
+    state = EnsembleState(grid, "bloch", xyz / np.linalg.norm(xyz, axis=1, keepdims=True))
+    emit_state_csv(state, str(path))
+    header = list(grid.names) + ["x", "y", "z"]
+    assert written_lines(path) == per_row_csv(header, grid, list(state.values.T))
 
 
 def test_simulate_writes_state_csv(tmp_path, pulse_file, grid_file):
@@ -300,6 +345,33 @@ def test_design_slr_min_fidelity_simulates_the_written_pulse(tmp_path, a_max):
     assert diag["min_fidelity"] == pytest.approx(simulated.min(), abs=1e-12)
     assert parse_fidelity_csv(diag["fidelity_map"]).min == diag["min_fidelity"]
     assert diag["min_fidelity"] >= (1 - diag["band_error"] ** 2 / 2) ** 2 - 1e-12
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_design_slr_past_a_half_turn_realizes_its_angle(tmp_path, axis):
+    # cos(4.0 / 2) < 0: the written pulse must rotate by 4.0, not by 2 pi - 4.0
+    out = tmp_path / "bb.json"
+    argv = ["design-slr", "--axis", axis, "--angle", "4.0", "--band", "2000",
+            "--steps", "64", "--dt", "1e-4", "--out", str(out)]
+    assert main(argv) == 0
+    pulse = load_pulse(str(out))
+    diag = json.load(open(str(out) + ".diag.json"))
+    assert diag["blocks"] == 1
+    omega = np.linspace(-2000.0, 2000.0, 65)
+    a, b = hard_pulse_spinors(pulse, omega)
+    unit = -1j if axis == "x" else 1.0
+    fb = unit * np.sin(2.0) * np.exp(0.5j * omega * pulse.dt * (pulse.nsteps - 1))
+    simulated = np.abs(np.cos(2.0) * a + np.conj(fb) * b) ** 2
+    assert simulated.min() >= 0.9999
+    assert diag["min_fidelity"] == pytest.approx(simulated.min(), abs=1e-12)
+    assert diag["band_error"] <= 0.01
+    # the profile's target columns: the rotation its predicted columns fit, in
+    # the representative with alpha >= 0
+    table = np.genfromtxt(diag["profile_csv"], delimiter=",", names=True)
+    pa, pb, ta, tb = (table[f"{p}_re"] + 1j * table[f"{p}_im"]
+                      for p in ("alpha", "beta", "target_alpha", "target_beta"))
+    assert np.abs(np.conj(ta) * pa + np.conj(tb) * pb).min() >= 1 - 1e-4
+    assert np.all(ta.real > 0.0)
 
 
 def test_design_pattern_writes_health_figures(tmp_path):

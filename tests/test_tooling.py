@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps package functions by name, and every
-module exports names through ``__all__``; those names must exist."""
+module exports names through ``__all__``; those names must exist.  The
+kernel takes every angle through one tangent."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -52,3 +54,25 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", [])
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def numpy_calls(node, names):
+    return [
+        call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "np"
+        and call.func.attr in names
+    ]
+
+
+def test_kernel_angles_go_through_the_half_angle_helper():
+    # numpy's sin, cos and complex exp are scalar loops and its tan is
+    # vectorized: a step element pays for one tangent, never for a sin/cos pair
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    names = {"sin", "cos", "tan", "exp"}
+    helper = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_half_angle"]
+    assert len(helper) == 1
+    assert numpy_calls(tree, names) == numpy_calls(helper[0], names) == ["tan"]
