@@ -17,8 +17,12 @@ class DegenerateExtractionError(EnspulseError):
     """Backward spinor recursion hit a step it cannot invert."""
 
 
-class CompletionError(EnspulseError):
-    """Spectral factorization failed to reproduce the norm constraint."""
+class CompletionError(InfeasibleError):
+    """Spectral factorization failed to reproduce the norm constraint.
+
+    The target is valid input that this design cannot realize (a flat
+    ``|Q|`` near 1, for example), so it is an infeasibility verdict.
+    """
 
 
 class SchemaError(EnspulseError):

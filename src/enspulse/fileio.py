@@ -2,8 +2,10 @@
 
 All numeric output is rendered with 17 significant digits and writes are
 atomic (write-then-rename), so identical inputs produce byte-identical
-files.  Validation failures raise :class:`~enspulse.errors.SchemaError`
-with a line reference when the JSON itself is malformed.
+files.  Float arrays, such as a pulse's samples, are formatted in one call
+with the same 17-digit text as a single number.  Validation failures raise
+:class:`~enspulse.errors.SchemaError` with a line reference when the JSON
+itself is malformed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,12 @@ def _fmt(x: float) -> str:
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON text: sorted keys, 17-significant-digit floats.
+
+    A nonempty float array of one or two dimensions is formatted by one
+    ``"%.17g"`` template over all its values, which renders each number as
+    :func:`_fmt` does; the parts then take the same layout rule as a list.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -58,15 +65,21 @@ def render_json(obj, indent: int = 0) -> str:
         for key in sorted(obj):
             items.append(f'{pad}  "{key}": {render_json(obj[key], indent + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return render_json(obj.item(), indent)
+        if obj.dtype.kind == "f" and obj.size and obj.ndim <= 2:
+            row = "%.17g" if obj.ndim == 1 else "[" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
+            parts = ("\n".join([row] * obj.shape[0]) % tuple(obj.ravel().tolist())).split("\n")
+            # a row whose numbers do not fit on one line goes to the general
+            # path, which breaks it across lines
+            if obj.ndim == 1 or max(map(len, parts)) - 2 <= 100:
+                return _layout(parts, pad)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             return "[]"
-        parts = [render_json(v, indent + 1) for v in seq]
-        # inline when ", ".join(parts) fits in 100 characters on one line
-        if sum(len(p) + 2 for p in parts) - 2 <= 100 and not any("\n" in p for p in parts):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + pad + "  " + (",\n" + pad + "  ").join(parts) + "\n" + pad + "]"
+        return _layout([render_json(v, indent + 1) for v in seq], pad)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -78,6 +91,14 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj)!r} deterministically")
+
+
+def _layout(parts: list, pad: str) -> str:
+    """A JSON list of rendered ``parts`` at the indentation ``pad``."""
+    # inline when ", ".join(parts) fits in 100 characters on one line
+    if sum(len(p) + 2 for p in parts) - 2 <= 100 and not any("\n" in p for p in parts):
+        return "[" + ", ".join(parts) + "]"
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(parts) + "\n" + pad + "]"
 
 
 def atomic_write_text(path: str, text: str):
@@ -113,7 +134,7 @@ def save_pulse(path: str, pulse: ControlSequence):
         "schema_version": PULSE_SCHEMA_VERSION,
         "amplitude_unit": AMPLITUDE_UNIT,
         "dt": pulse.dt,
-        "samples": [[u, v] for u, v in pulse.samples],
+        "samples": pulse.samples,
     }
     if pulse.a_max is not None:
         doc["a_max"] = pulse.a_max

@@ -348,6 +348,56 @@ def _resample_profile(profile: TargetProfile, min_samples: int) -> TargetProfile
     return TargetProfile(w, fa / norm, fb / norm, profile.tag, wt)
 
 
+class _GramFit:
+    """Weighted least-squares fit of n coefficients on one sample grid.
+
+    The exponential matrix and the eigendecomposition of its weighted Gram
+    matrix depend on the grid, the weights, n and dt alone, so a design
+    that fits several targets on one grid factors them once.
+    """
+
+    def __init__(self, omega: np.ndarray, weights: np.ndarray | None, n: int, dt: float):
+        if n < 1:
+            raise ValueError("need at least one step")
+        wmax = float(np.abs(omega).max())
+        if wmax * dt > np.pi:
+            raise ValueError(
+                f"band aliasing: max |omega|*dt = {wmax * dt:.3f} exceeds pi"
+            )
+        self.a = a = _exp_matrix(omega * dt, n)
+        self.wt = np.ones(omega.size) if weights is None else weights
+        # the weighted Gram matrix of integer-frequency exponentials is Hermitian
+        # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m])
+        r = a.T @ self.wt
+        lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+        gram = np.where(lag >= 0, r[np.abs(lag)], np.conj(r[np.abs(lag)]))
+        lam, vec = np.linalg.eigh(gram)
+        # the cut (sigma > 1e-7 sigma_max) guards against near-null directions
+        # of arc-sampled fits, whose "help" is microscopic but whose
+        # coefficients are not; a cut nearer the Gram roundoff floor admits
+        # noise directions that the completion cannot absorb
+        keep = lam > 1e-14 * lam[-1]
+        self.vec, self.lam = vec[:, keep], lam[keep]
+
+    def _fit_q(self, f_beta):
+        a, wt, vec = self.a, self.wt, self.vec
+        # a^H x as conj(a^T conj(x)): no conjugated copy of the large matrix
+        return vec @ ((vec.conj().T @ np.conj(a.T @ np.conj(wt * f_beta))) / self.lam)
+
+    def fit(self, prof: TargetProfile, margin: float, absorb_alpha_phase: bool) -> PolyFit:
+        """Fit q to ``prof`` (sampled on this grid) and complete it; the band
+        error is measured on the grid."""
+        a = self.a
+        polys = complete_polynomial(self._fit_q(prof.f_beta), margin=margin)
+        if absorb_alpha_phase:
+            ph = np.exp(1j * (np.angle(a @ polys.p) - np.angle(prof.f_alpha)))
+            polys = complete_polynomial(self._fit_q(prof.f_beta * ph), margin=margin)
+        pv, qv = a @ polys.p, a @ polys.q
+        fit_resid = float(np.abs(qv - prof.f_beta).max())
+        band_error = _aligned_distance(pv, qv, prof.f_alpha, prof.f_beta)
+        return PolyFit(polys, band_error, fit_resid)
+
+
 def target_to_polys(
     profile: TargetProfile,
     n: int,
@@ -363,46 +413,11 @@ def target_to_polys(
     error is the max phase-aligned spinor distance against the original
     profile.
     """
-    if n < 1:
-        raise ValueError("need at least one step")
-    wmax = float(np.abs(profile.omega).max())
-    if wmax * dt > np.pi:
-        raise ValueError(
-            f"band aliasing: max |omega|*dt = {wmax * dt:.3f} exceeds pi"
-        )
     prof = _resample_profile(profile, 8 * n)
-    a = _exp_matrix(prof.omega * dt, n)
-    wt = np.ones(prof.omega.size) if prof.weights is None else prof.weights
-
-    # the weighted Gram matrix of integer-frequency exponentials is Hermitian
-    # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m])
-    r = a.T @ wt
-    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
-    gram = np.where(lag >= 0, r[np.abs(lag)], np.conj(r[np.abs(lag)]))
-    lam, vec = np.linalg.eigh(gram)
-    # the cut (sigma > 1e-7 sigma_max) guards against near-null directions
-    # of arc-sampled fits, whose "help" is microscopic but whose
-    # coefficients are not; a cut nearer the Gram roundoff floor admits
-    # noise directions that the completion cannot absorb
-    keep = lam > 1e-14 * lam[-1]
-    vec, lam = vec[:, keep], lam[keep]
-
-    def fit_q(f_beta):
-        # a^H x as conj(a^T conj(x)): no conjugated copy of the large matrix
-        return vec @ ((vec.conj().T @ np.conj(a.T @ np.conj(wt * f_beta))) / lam)
-
-    polys = complete_polynomial(fit_q(prof.f_beta), margin=margin)
-    if absorb_alpha_phase:
-        ph = np.exp(1j * (np.angle(a @ polys.p) - np.angle(prof.f_alpha)))
-        polys = complete_polynomial(fit_q(prof.f_beta * ph), margin=margin)
-
-    pv, qv = a @ polys.p, a @ polys.q
-    fit_resid = float(np.abs(qv - prof.f_beta).max())
-    if prof is profile:
-        band_error = _aligned_distance(pv, qv, profile.f_alpha, profile.f_beta)
-    else:
-        band_error = spinor_band_error(polys, profile, dt)
-    return PolyFit(polys, band_error, fit_resid)
+    fit = _GramFit(prof.omega, prof.weights, n, dt).fit(prof, margin, absorb_alpha_phase)
+    if prof is not profile:
+        fit.band_error = spinor_band_error(fit.polys, profile, dt)
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +481,6 @@ class BroadbandDesign:
     inversion: dict  # inverse_recursion_full diagnostics of the block
 
 
-def _design_block(axis, angle, band, n, dt, margin, transition):
-    profile = broadband_profile(axis, angle, band, n, dt, transition)
-    fit = target_to_polys(profile, n, dt, margin=margin)
-    steps, inversion = inverse_recursion_full(fit.polys)
-    return profile, fit, steps, inversion
-
-
 def design_broadband(
     axis: str,
     angle: float,
@@ -495,8 +503,16 @@ def design_broadband(
     if dt is None:
         dt = 0.5 / band
 
+    profile = broadband_profile(axis, angle, band, n, dt, transition)
+    # the profile's grid depends on n, dt, band and transition, not on the
+    # angle, so every candidate block count fits through one factorization
+    gram = _GramFit(profile.omega, profile.weights, n, dt)
+
     def block_for(m: int):
-        return _design_block(axis, angle / m, band, n, dt, margin, transition)
+        prof = profile if m == 1 else broadband_profile(axis, angle / m, band, n, dt, transition)
+        fit = gram.fit(prof, margin, absorb_alpha_phase=True)
+        steps, inversion = inverse_recursion_full(fit.polys)
+        return prof, fit, steps, inversion
 
     def feasible(block) -> bool:
         if a_max is None:

@@ -2,12 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
 from enspulse.cli import main
@@ -600,6 +604,41 @@ def test_render_json_deterministic_and_typed(tmp_path):
     assert parsed["b"][1] == 2.5e-17
 
 
+@pytest.mark.parametrize("value, text", [(1.5, "1.5"), (7.0, "7"), (3, "3"), (True, "true")])
+def test_render_json_renders_a_zero_dim_array_as_its_scalar(value, text):
+    from enspulse.fileio import render_json
+
+    assert render_json(np.array(value)) == text
+    assert render_json({"x": np.array(value)}) == '{\n  "x": ' + text + "\n}"
+
+
+ARRAY_FLOATS = st.one_of(
+    st.floats(),
+    # signed zero, subnormals, extremes and integral floats ("7", not "7.0")
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 7.0, -12.0]),
+)
+ARRAY_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 300)),
+    st.tuples(st.integers(0, 300), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=150)
+@given(arr=hnp.arrays(np.float64, ARRAY_SHAPES, elements=ARRAY_FLOATS), indent=st.integers(0, 2))
+# one- and two-row arrays that inline, and a list too long to
+@example(arr=np.array([0.5, -0.0, 7.0]), indent=0)
+@example(arr=np.linspace(0.1, 30.0, 300), indent=1)
+@example(arr=np.array([[1.0, 2.5], [-0.0, 5e-324]]), indent=1)
+# rows whose numbers do not fit on one line: 5 x 19 and 4 x 24 characters
+@example(arr=np.full((3, 5), 0.1), indent=2)
+@example(arr=np.full((2, 4), -1.2345678901234567e-308), indent=1)
+def test_render_json_formats_float_arrays_as_their_lists(arr, indent):
+    from enspulse.fileio import render_json
+
+    # the list path renders number by number: it is the oracle
+    assert render_json(arr, indent) == render_json(arr.tolist(), indent)
+
+
 def test_render_json_layout_of_long_lists_and_lists_of_dicts():
     from enspulse.fileio import render_json
 
@@ -645,6 +684,21 @@ def test_render_json_layout_of_long_lists_and_lists_of_dicts():
             "}",
         ]
     )
+
+
+@pytest.mark.parametrize("steps", [64, 128])
+@pytest.mark.parametrize("angle", [0.5, np.pi / 2, 2.8, 3.0, 3.1, 4.0])
+def test_design_slr_angle_is_designed_or_declared_infeasible(tmp_path, capsys, angle, steps):
+    # every angle in (0, 2 pi) is valid input: a design that fails is a
+    # verdict (3), never "bad input" (2)
+    argv = ["design-slr", "--axis", "y", "--angle", repr(angle), "--band", "2000",
+            "--steps", str(steps), "--dt", "1e-4", "--out", str(tmp_path / "bb.json")]
+    code = main(argv)
+    assert code in (0, 3)
+    if (angle, steps) == (3.0, 64):
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^infeasible: completion residual \d\.\d\de-\d\d exceeds 1e-08$", err, re.M)
 
 
 def test_design_slr_with_amplitude_bound(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from enspulse import kernels
+from enspulse import kernels, slr
 from enspulse.bloch import DispersionGrid, EnsembleState, propagate
 from enspulse.errors import CompletionError, DegenerateExtractionError
 from enspulse.liealg import so3_generators
@@ -481,6 +481,19 @@ def test_broadband_amplitude_bound_and_subdivision():
     assert d2.pulse.amplitudes.max() <= (a_max / 2) * (1 + 1e-12)
     assert d2.blocks >= 2 * d1.blocks
     assert d1.pulse.nsteps == d1.blocks * 64
+
+
+def test_subdivision_search_factors_the_fit_once(monkeypatch):
+    # every candidate block count fits on one grid, so a design builds one
+    # exponential matrix (and one Gram eigendecomposition) however many
+    # counts it tries, and each fit is the one target_to_polys makes alone
+    built = []
+    original = slr._exp_matrix
+    monkeypatch.setattr(slr, "_exp_matrix", lambda theta, n: built.append(n) or original(theta, n))
+    d = design_broadband("x", np.pi / 2, 2000.0, 64, 1e-4, a_max=800.0)
+    assert d.blocks == 4 and built == [64]
+    alone = target_to_polys(broadband_profile("x", np.pi / 8, 2000.0, 64, 1e-4), 64, 1e-4)
+    assert np.array_equal(d.polys.p, alone.polys.p) and np.array_equal(d.polys.q, alone.polys.q)
 
 
 @pytest.mark.parametrize("a_max, blocks", [(None, 1), (800.0, 4)])

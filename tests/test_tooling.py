@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps package functions by name, and every
 module exports names through ``__all__``; those names must exist.  The
-kernel takes every angle through one tangent."""
+kernel takes every angle through one tangent, and a pulse file is rendered
+in a few calls, not one per number."""
 
 import ast
 import importlib
@@ -10,10 +11,12 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import enspulse
-from enspulse import kernels
+from enspulse import fileio, kernels
+from enspulse.bloch import ControlSequence
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -76,3 +79,19 @@ def test_kernel_angles_go_through_the_half_angle_helper():
     helper = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_half_angle"]
     assert len(helper) == 1
     assert numpy_calls(tree, names) == numpy_calls(helper[0], names) == ["tan"]
+
+
+def test_pulse_file_renders_its_samples_in_one_call(tmp_path, monkeypatch):
+    # render_json recurses through its module-level name, so the patched
+    # counter sees every call; a 14 592-step pulse once took one per number
+    calls = []
+    original = fileio.render_json
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "render_json", counted)
+    samples = np.random.default_rng(7).uniform(-2000.0, 2000.0, (14592, 2))
+    fileio.save_pulse(str(tmp_path / "pulse.json"), ControlSequence(1e-4, samples))
+    assert len(calls) <= 10
