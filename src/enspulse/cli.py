@@ -64,9 +64,12 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _require_positive(**kwargs):
+    """Reject a given flag value that is not a finite positive number (NaN too)."""
     for name, value in kwargs.items():
-        if value is not None and value <= 0:
-            raise SchemaError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        if value is not None and not 0 < value < np.inf:
+            raise SchemaError(
+                f"--{name.replace('_', '-')} must be positive and finite, got {value}"
+            )
 
 
 def _read_config(path: str, valid: set) -> dict[str, str]:
@@ -154,7 +157,9 @@ def _cmd_design_slr(args) -> int:
 
 
 def _cmd_design_pattern(args) -> int:
-    _require_positive(band=args.band, steps=args.steps, dt=args.dt, margin=args.margin)
+    _require_positive(band=args.band, steps=args.steps, dt=args.dt, transition=args.transition)
+    if not 0 < args.margin < 1:
+        raise SchemaError(f"--margin must lie in (0, 1), got {args.margin}")
     dt = args.dt if args.dt is not None else 0.5 / args.band
     lo, hi = _parse_floats(args.select, 2)
     profile = slr.band_selective_profile(

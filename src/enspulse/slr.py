@@ -10,6 +10,12 @@ degree) turns it into steps, and the forward recursion maps steps to (P, Q).
 A written pulse is simulated only by the kernel's hard-pulse step loop, so
 ``band_error`` and a design's fidelity map come from one engine.
 
+Every product with the exponential matrix ``exp(1j * outer(omega dt, k))``
+of a sample grid (the fit's Gram row and right-hand side, evaluations of P
+and Q) goes through :func:`_circle_products`: a Bluestein chirp-z over one
+FFT convolution on an arithmetic grid, which is every grid this package
+builds, and Horner's rule on any other.  No m x n matrix is built.
+
 Completion convention: P is the minimum-phase spectral factor of
 ``1 - |Q|^2`` on the unit circle (all zeros of P inside the open disk,
 constant coefficient real positive), deterministic and energy-front-loaded.
@@ -102,33 +108,87 @@ class SpinorPolynomials:
 
     def evaluate(self, omega: np.ndarray, dt: float):
         """P(z), Q(z) at z = exp(-i omega dt)."""
-        v = _exp_matrix(np.asarray(omega, dtype=float).ravel() * dt, self.n)
-        return v @ self.p, v @ self.q
+        theta = np.asarray(omega, dtype=float).ravel() * dt
+        pv, qv = _circle_products(theta, np.stack([self.p, self.q]))
+        return pv, qv
 
 
-def _exp_matrix(theta: np.ndarray, n: int) -> np.ndarray:
-    """``exp(1j * outer(theta, arange(n)))`` from two tables of ~sqrt(n) columns.
+_TWO_PI = 8.0 * np.arctan(np.longdouble(1.0))
 
-    exp(i theta (b j + k)) = exp(i theta b j) exp(i theta k): one complex
-    product per entry in place of one complex exponential, with phase
-    rounding of the same order as the direct form.
+
+def _circle_products(theta: np.ndarray, x: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Products with ``a = exp(1j * outer(theta, arange(n)))``, never built.
+
+    With ``n`` None, ``x[..., k]`` are coefficients and the result holds the
+    evaluations ``a @ c`` at every angle; with ``n`` given, ``x[..., j]`` are
+    samples on the grid and the result holds the n sums ``a.T @ x``.  An
+    arithmetic grid (every grid this package builds) takes a Bluestein
+    chirp-z over one FFT convolution; any other grid takes Horner's rule or
+    a power loop.  Neither holds more than O(m + n) entries per row of x.
     """
-    b = int(np.ceil(np.sqrt(n)))
-    lo = np.exp(1j * np.outer(theta, np.arange(b)))
-    hi = np.exp(1j * np.outer(theta, np.arange(0, n, b)))
-    return (hi[:, :, None] * lo[:, None, :]).reshape(theta.size, hi.shape[1] * b)[:, :n]
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=np.complex128)
+    m = theta.size
+    size = m if n is None else n
+    if size == 0 or x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1] + (size,), dtype=np.complex128)
+    step = (theta[-1] - theta[0]) / max(m - 1, 1)
+    # linspace grids and their products by dt sit within about 2.6 ulp of
+    # the progression; the chirp then differs from the dense product by at
+    # most that deviation times n
+    dev = np.abs(theta - (theta[0] + step * np.arange(m))).max()
+    if dev <= 4.0 * np.finfo(float).eps * np.abs(theta).max():
+        if n is None:
+            return _chirp(x * _cis(theta[0], np.arange(x.shape[-1])), step, m)
+        return _chirp(x, step, n) * _cis(theta[0], np.arange(n))
+    return _horner_products(theta, x, n)
+
+
+def _horner_products(theta: np.ndarray, x: np.ndarray, n: int | None) -> np.ndarray:
+    """:func:`_circle_products` on any grid: Horner's rule for the
+    evaluations, a running power of ``exp(1j theta)`` for the sums."""
+    z = np.exp(1j * theta)
+    if n is None:
+        y = np.repeat(x[..., -1:], theta.size, axis=-1)
+        for k in range(x.shape[-1] - 2, -1, -1):
+            y *= z
+            y += x[..., k : k + 1]
+        return y
+    out = np.empty(x.shape[:-1] + (n,), dtype=np.complex128)
+    zk = np.ones(theta.size, dtype=np.complex128)
+    for k in range(n):
+        out[..., k] = x @ zk
+        zk *= z
+    return out
+
+
+def _chirp(u: np.ndarray, step: float, size: int) -> np.ndarray:
+    """``sum_p u[..., p] exp(1j step p r)`` for r < size, by Bluestein's
+    identity ``p r = (p^2 + r^2 - (r - p)^2) / 2``: a chirp product, one
+    circular convolution with the conjugate chirp, and a chirp product."""
+    p = u.shape[-1]
+    nfft = 1 << (p + size - 2).bit_length()  # a power of two >= p + size - 1
+    t = np.arange(max(p, size), dtype=np.int64)
+    w = _cis(0.5 * step, t * t)
+    kernel = np.zeros(nfft, dtype=np.complex128)
+    kernel[:size] = np.conj(w[:size])
+    kernel[nfft - p + 1 :] = np.conj(w[p - 1 : 0 : -1])
+    conv = np.fft.ifft(np.fft.fft(u * w[:p], nfft) * np.fft.fft(kernel))
+    return conv[..., :size] * w[:size]
+
+
+def _cis(scale: float, ints: np.ndarray) -> np.ndarray:
+    """``exp(1j * scale * ints)``, the phase reduced modulo 2 pi in extended
+    precision: chirp phases reach ~80 n radians, where a double phase keeps
+    only ~1e-11 absolute."""
+    return np.exp(1j * np.remainder(np.longdouble(scale) * ints, _TWO_PI).astype(float))
 
 
 def unimodularity_residual(poly: SpinorPolynomials, nsamples: int = 256) -> float:
-    """Max over unit-circle samples of | |P|^2 + |Q|^2 - 1 |.
-
-    The samples ``omega dt = 2 pi k / nsamples`` form a DFT grid, so the
-    values are ``nsamples * ifft`` of the coefficients folded modulo
-    ``nsamples``.
-    """
-    fold = -poly.n % nsamples
-    coeffs = np.pad(np.stack([poly.p, poly.q]), ((0, 0), (0, fold)))
-    pv, qv = nsamples * np.fft.ifft(coeffs.reshape(2, -1, nsamples).sum(axis=1))
+    """Max over unit-circle samples ``omega dt = 2 pi k / nsamples`` of
+    | |P|^2 + |Q|^2 - 1 |."""
+    theta = np.arange(nsamples) * (2.0 * np.pi / nsamples)
+    pv, qv = _circle_products(theta, np.stack([poly.p, poly.q]))
     return float(np.abs(np.abs(pv) ** 2 + np.abs(qv) ** 2 - 1.0).max())
 
 
@@ -351,9 +411,12 @@ def _resample_profile(profile: TargetProfile, min_samples: int) -> TargetProfile
 class _GramFit:
     """Weighted least-squares fit of n coefficients on one sample grid.
 
-    The exponential matrix and the eigendecomposition of its weighted Gram
-    matrix depend on the grid, the weights, n and dt alone, so a design
-    that fits several targets on one grid factors them once.
+    Every product with the grid's m x n exponential matrix goes through
+    :func:`_circle_products` (a chirp-z on the arithmetic grids this package
+    builds, Horner elsewhere), so no m x n array is ever made.  The
+    eigendecomposition of the weighted Gram matrix depends on the grid, the
+    weights, n and dt alone, so a design that fits several targets on one
+    grid factors it once.
     """
 
     def __init__(self, omega: np.ndarray, weights: np.ndarray | None, n: int, dt: float):
@@ -364,14 +427,15 @@ class _GramFit:
             raise ValueError(
                 f"band aliasing: max |omega|*dt = {wmax * dt:.3f} exceeds pi"
             )
-        self.a = a = _exp_matrix(omega * dt, n)
+        self.theta = omega * dt
+        self.n = n
         self.wt = np.ones(omega.size) if weights is None else weights
         # the weighted Gram matrix of integer-frequency exponentials is Hermitian
-        # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m])
-        r = a.T @ self.wt
-        lag = np.arange(n)[None, :] - np.arange(n)[:, None]
-        gram = np.where(lag >= 0, r[np.abs(lag)], np.conj(r[np.abs(lag)]))
-        lam, vec = np.linalg.eigh(gram)
+        # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m]),
+        # a reversed sliding window over (conj(r[n-1:0:-1]), r)
+        r = _circle_products(self.theta, self.wt, n)
+        diagonals = np.concatenate([np.conj(r[:0:-1]), r])
+        lam, vec = np.linalg.eigh(np.lib.stride_tricks.sliding_window_view(diagonals, n)[::-1])
         # the cut (sigma > 1e-7 sigma_max) guards against near-null directions
         # of arc-sampled fits, whose "help" is microscopic but whose
         # coefficients are not; a cut nearer the Gram roundoff floor admits
@@ -380,19 +444,20 @@ class _GramFit:
         self.vec, self.lam = vec[:, keep], lam[keep]
 
     def _fit_q(self, f_beta):
-        a, wt, vec = self.a, self.wt, self.vec
-        # a^H x as conj(a^T conj(x)): no conjugated copy of the large matrix
-        return vec @ ((vec.conj().T @ np.conj(a.T @ np.conj(wt * f_beta))) / self.lam)
+        vec = self.vec
+        # a^H x as conj(a^T conj(x))
+        rhs = np.conj(_circle_products(self.theta, np.conj(self.wt * f_beta), self.n))
+        return vec @ ((vec.conj().T @ rhs) / self.lam)
 
     def fit(self, prof: TargetProfile, margin: float, absorb_alpha_phase: bool) -> PolyFit:
         """Fit q to ``prof`` (sampled on this grid) and complete it; the band
         error is measured on the grid."""
-        a = self.a
         polys = complete_polynomial(self._fit_q(prof.f_beta), margin=margin)
         if absorb_alpha_phase:
-            ph = np.exp(1j * (np.angle(a @ polys.p) - np.angle(prof.f_alpha)))
+            pv = _circle_products(self.theta, polys.p)
+            ph = np.exp(1j * (np.angle(pv) - np.angle(prof.f_alpha)))
             polys = complete_polynomial(self._fit_q(prof.f_beta * ph), margin=margin)
-        pv, qv = a @ polys.p, a @ polys.q
+        pv, qv = _circle_products(self.theta, np.stack([polys.p, polys.q]))
         fit_resid = float(np.abs(qv - prof.f_beta).max())
         band_error = _aligned_distance(pv, qv, prof.f_alpha, prof.f_beta)
         return PolyFit(polys, band_error, fit_resid)

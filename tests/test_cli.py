@@ -723,16 +723,30 @@ def test_design_slr_with_amplitude_bound(tmp_path):
     assert pulse.nsteps == 32 * diag["blocks"]
 
 
-def test_nonpositive_tolerance_rejected(tmp_path):
-    code = main(
-        [
-            "design-composite",
-            "--angle", "1.0",
-            "--tol", "-1e-3",
-            "--out", str(tmp_path / "x.json"),
-        ]
-    )
+_SLR = ["design-slr", "--angle", "1.5707963267948966", "--band", "2000", "--steps", "32", "--dt", "1e-4"]
+_PATTERN = ["design-pattern", "--band", "5000", "--select=-2500,2500", "--flip", "3.14159", "--steps", "64"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["design-composite", "--angle", "1.0", "--tol", "-1e-3"], "--tol", id="composite-tol"),
+        pytest.param(_SLR + ["--band", "inf"], "--band", id="slr-band-inf"),
+        pytest.param(_SLR + ["--band", "nan"], "--band", id="slr-band-nan"),
+        pytest.param(_SLR + ["--a-max", "nan"], "--a-max", id="slr-amax-nan"),
+        pytest.param(_SLR + ["--a-max", "inf"], "--a-max", id="slr-amax-inf"),
+        pytest.param(_PATTERN + ["--band", "inf"], "--band", id="pattern-band-inf"),
+        pytest.param(_PATTERN + ["--transition", "nan"], "--transition", id="pattern-transition-nan"),
+        pytest.param(_PATTERN + ["--margin", "1"], "--margin", id="pattern-margin-1"),
+        pytest.param(_PATTERN + ["--margin", "2"], "--margin", id="pattern-margin-2"),
+    ],
+)
+def test_nonpositive_tolerance_rejected(tmp_path, capsys, argv, flag):
+    # nonpositive, non-finite and out-of-range flag values are bad input:
+    # exit 2 with the flag named, before any design work
+    code = main(argv + ["--out", str(tmp_path / "x.json")])
     assert code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_key(tmp_path, pulse_file, grid_file):

@@ -7,10 +7,11 @@ the unit disk, multiplied out in Leja order) for the cepstral completion.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -119,6 +120,78 @@ def test_unimodularity_residual_matches_direct_evaluation(nsamples):
     v = np.exp(1j * np.outer(phase, np.arange(40)))
     direct = np.abs(np.abs(v @ poly.p) ** 2 + np.abs(v @ poly.q) ** 2 - 1.0).max()
     assert unimodularity_residual(poly, nsamples) == pytest.approx(direct, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["design", "arc", "dft", "sorted", "unsorted"]),
+    m=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2000)),
+    n=st.integers(1, 300),
+    knob=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="design", m=2000, n=300, knob=0.0, seed=0)
+@example(kind="dft", m=1, n=300, knob=0.5, seed=1)
+@example(kind="arc", m=2, n=1, knob=1.0, seed=2)
+@example(kind="sorted", m=3, n=300, knob=0.0, seed=3)
+def test_circle_products_match_the_dense_exponential_matrix(kind, m, n, knob, seed):
+    # both products a @ c and a.T @ x of a = exp(1j outer(theta, arange(n)))
+    # agree with the dense matrix within 1e-12 of the input's 1-norm, on
+    # arithmetic grids (chirp-z, and the Horner path on the same grid) and on
+    # any other grid (Horner)
+    rng = np.random.default_rng(seed)
+    if kind == "design":
+        dt = 10.0 ** (-6.0 + 3.0 * knob)
+        stop = 0.995 * np.pi / dt
+        theta = np.linspace(-stop, stop, m) * dt
+    elif kind == "arc":
+        lo, hi = np.sort(rng.uniform(-0.1, 0.1, 2)) * np.pi
+        theta = np.linspace(lo, hi, m)
+    elif kind == "dft":
+        theta = np.arange(m) * (2.0 * np.pi / (max(m, 1) + int(3 * m * knob)))
+    else:
+        theta = rng.uniform(-np.pi, np.pi, m)
+        if kind == "sorted":
+            theta = np.sort(theta)
+    arithmetic = kind in ("design", "arc", "dft") or m <= 2
+    a = np.exp(1j * np.outer(theta, np.arange(n)))  # the dense oracle
+    c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    x = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    want_eval, want_sums = c @ a.T, x @ a
+
+    def check(products):
+        got_eval, got_sums = products(theta, c, None), products(theta, x, n)
+        assert got_eval.shape == (2, m) and got_sums.shape == (2, n)
+        for got, want, inp in ((got_eval, want_eval, c), (got_sums, want_sums, x)):
+            bound = 1e-12 * np.abs(inp).sum(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound)
+        one_row = products(theta, c[0], None)
+        assert np.all(np.abs(one_row - want_eval[0]) <= 1e-12 * np.abs(c[0]).sum())
+
+    if arithmetic:
+        with mock.patch.object(slr, "_horner_products", side_effect=AssertionError("not chirp")):
+            check(slr._circle_products)
+    check(slr._circle_products)
+    check(slr._horner_products)
+
+
+def dft_fold_residual(poly, nsamples):
+    """The unimodularity residual through a DFT of the coefficients folded
+    modulo ``nsamples``."""
+    fold = -poly.n % nsamples
+    coeffs = np.pad(np.stack([poly.p, poly.q]), ((0, 0), (0, fold)))
+    pv, qv = nsamples * np.fft.ifft(coeffs.reshape(2, -1, nsamples).sum(axis=1))
+    return float(np.abs(np.abs(pv) ** 2 + np.abs(qv) ** 2 - 1.0).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), nsamples=st.integers(1, 1200), seed=st.integers(0, 2**32 - 1))
+def test_unimodularity_residual_matches_the_dft_fold(n, nsamples, seed):
+    rng = np.random.default_rng(seed)
+    poly = forward_recursion(rand_steps(rng, n))
+    noise = 1e-3 / np.sqrt(n) * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    for pair in (poly, SpinorPolynomials(poly.p + noise[0], poly.q + noise[1])):
+        assert abs(unimodularity_residual(pair, nsamples) - dft_fold_residual(pair, nsamples)) <= 1e-13
 
 
 def test_unimodularity_along_forward_recursion():
@@ -369,8 +442,9 @@ def test_inverse_undoes_forward_recursion(flips):
 # ---------------------------------------------------------------------------
 
 
-def test_fit_makes_no_conjugated_copy_of_the_exponential_matrix():
-    n, band, dt = 256, 2000.0, 1e-4
+@pytest.mark.parametrize("n, ceiling", [(256, 40e6), (512, 16e6)])
+def test_fit_makes_no_conjugated_copy_of_the_exponential_matrix(n, ceiling):
+    band, dt = 2000.0, 1e-4
     profile = broadband_profile("x", np.pi / 2, band, n, dt)
     tracemalloc.start()
     try:
@@ -378,8 +452,10 @@ def test_fit_makes_no_conjugated_copy_of_the_exponential_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (24n + 1) x n complex exponential matrix alone takes 25 MB
-    assert peak < 40e6
+    # the (24n + 1) x n complex exponential matrix alone would take 25 MB at
+    # n = 256 and 100 MB at n = 512; the fit holds the n x n Gram matrix and
+    # O(24n) grid vectors
+    assert peak < ceiling
 
 
 def test_constant_profile_recovers_constant_taps():
@@ -484,14 +560,14 @@ def test_broadband_amplitude_bound_and_subdivision():
 
 
 def test_subdivision_search_factors_the_fit_once(monkeypatch):
-    # every candidate block count fits on one grid, so a design builds one
-    # exponential matrix (and one Gram eigendecomposition) however many
-    # counts it tries, and each fit is the one target_to_polys makes alone
-    built = []
-    original = slr._exp_matrix
-    monkeypatch.setattr(slr, "_exp_matrix", lambda theta, n: built.append(n) or original(theta, n))
+    # every candidate block count fits on one grid, so a design makes one
+    # Gram eigendecomposition however many counts it tries, and each fit is
+    # the one target_to_polys makes alone
+    factored = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: factored.append(g.shape) or original(g))
     d = design_broadband("x", np.pi / 2, 2000.0, 64, 1e-4, a_max=800.0)
-    assert d.blocks == 4 and built == [64]
+    assert d.blocks == 4 and factored == [(64, 64)]
     alone = target_to_polys(broadband_profile("x", np.pi / 8, 2000.0, 64, 1e-4), 64, 1e-4)
     assert np.array_equal(d.polys.p, alone.polys.p) and np.array_equal(d.polys.q, alone.polys.q)
 
