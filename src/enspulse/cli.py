@@ -405,17 +405,7 @@ def _cmd_demo_heisenberg(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enspulse",
-        description="Design and verify dispersion-compensating pulse sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", action=_ConfigDefaults, help="key=value file supplying defaults")
-
-    p = sub.add_parser("design-slr", help="broadband rotation via spinor polynomials")
+def _args_design_slr(p):
     p.add_argument("--axis", choices=("x", "y"), default="x")
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--band", type=float, required=True)
@@ -423,10 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--a-max", type=float, dest="a_max")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_design_slr)
 
-    p = sub.add_parser("design-pattern", help="frequency-selective flip pattern")
+
+def _args_design_pattern(p):
     p.add_argument("--band", type=float, required=True)
     p.add_argument("--select", required=True, help="lo,hi of the selected interval")
     p.add_argument("--flip", type=float, required=True)
@@ -435,10 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transition", type=float)
     p.add_argument("--margin", type=float, default=0.01)
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_design_pattern)
 
-    p = sub.add_parser("design-composite", help="rf-scale-robust rotation via bracket words")
+
+def _args_design_composite(p):
     p.add_argument("--axis", choices=("x", "y"), default="x")
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--eps-range", default="0.9,1.1", dest="eps_range")
@@ -447,10 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdivisions", type=int, default=1)
     p.add_argument("--tol", type=float, default=5e-2)
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_design_composite)
 
-    p = sub.add_parser("design-zz", help="coupling-robust ZZ evolution")
+
+def _args_design_zz(p):
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--j0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -458,29 +445,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdivisions", type=int, default=1)
     p.add_argument("--tol", type=float, default=5e-2)
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_design_zz)
 
-    p = sub.add_parser("simulate", help="propagate Bloch states over a grid")
+
+def _args_simulate(p):
     p.add_argument("--pulse", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--initial", default="0,0,1")
     p.add_argument("--model", choices=("exact", "hard-pulse"), default="exact")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fidelity-map", help="score a pulse against a target state")
+
+def _args_fidelity_map(p):
     p.add_argument("--pulse", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--target", required=True, help="target Bloch vector x,y,z")
     p.add_argument("--initial", default="0,0,1")
     p.add_argument("--model", choices=("exact", "hard-pulse"), default="exact")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_fidelity_map)
 
-    p = sub.add_parser("analyze-lie", help="bracket closure and nilpotency of a preset family")
+
+def _args_analyze_lie(p):
     p.add_argument(
         "--preset",
         required=True,
@@ -496,38 +480,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-depth", type=int, default=8, dest="max_depth")
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_analyze_lie)
 
-    p = sub.add_parser("analyze-linear", help="necessary conditions for a linear ensemble")
+
+def _args_analyze_linear(p):
     p.add_argument("--samples", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--reachability-targets", dest="reachability_targets")
     p.add_argument("--horizon", type=int, default=16)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_analyze_linear)
 
-    p = sub.add_parser("demo-phase", help="rf-phase frame-law deviation of a pulse")
+
+def _args_demo_phase(p):
     p.add_argument("--pulse", required=True)
     p.add_argument("--thetas", default="0,0.5,1.0")
-    add_common(p)
-    p.set_defaults(func=_cmd_demo_phase)
 
-    p = sub.add_parser("demo-heisenberg", help="gain-scaling law of the planar integrator")
+
+def _args_demo_heisenberg(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--epsilons", default="0.5,1,2")
-    add_common(p)
-    p.set_defaults(func=_cmd_demo_heisenberg)
 
+
+# every subcommand: its help line, its arguments and its handler, in the
+# order ``enspulse --help`` lists them
+_COMMANDS = {
+    "design-slr": ("broadband rotation via spinor polynomials", _args_design_slr, _cmd_design_slr),
+    "design-pattern": (
+        "frequency-selective flip pattern", _args_design_pattern, _cmd_design_pattern,
+    ),
+    "design-composite": (
+        "rf-scale-robust rotation via bracket words", _args_design_composite, _cmd_design_composite,
+    ),
+    "design-zz": ("coupling-robust ZZ evolution", _args_design_zz, _cmd_design_zz),
+    "simulate": ("propagate Bloch states over a grid", _args_simulate, _cmd_simulate),
+    "fidelity-map": (
+        "score a pulse against a target state", _args_fidelity_map, _cmd_fidelity_map,
+    ),
+    "analyze-lie": (
+        "bracket closure and nilpotency of a preset family", _args_analyze_lie, _cmd_analyze_lie,
+    ),
+    "analyze-linear": (
+        "necessary conditions for a linear ensemble", _args_analyze_linear, _cmd_analyze_linear,
+    ),
+    "demo-phase": ("rf-phase frame-law deviation of a pulse", _args_demo_phase, _cmd_demo_phase),
+    "demo-heisenberg": (
+        "gain-scaling law of the planar integrator", _args_demo_heisenberg, _cmd_demo_heisenberg,
+    ),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``enspulse`` parser, with every subcommand or, for a known
+    ``command``, with that one alone.
+
+    :func:`main` passes the command its arguments name, so a call builds one
+    subparser instead of ten.  The usage line still names every command, so
+    the two parsers print the same text for that command's arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="enspulse",
+        description="Design and verify dispersion-compensating pulse sequences.",
+    )
+    if command in _COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--config", action=_ConfigDefaults, help="key=value file supplying defaults")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -14,10 +14,19 @@ Every angle, of a step, an rf rotation, a free precession or an rf phase,
 goes through :func:`_half_angle`: one tangent ``t = tan(h/2)`` gives cos h
 and sin(h)/h.  numpy's ``tan`` is vectorized where its ``sin`` and ``cos``
 are scalar loops, so a step element costs one fast transcendental instead
-of two slow ones.  The pass computes what depends only on the grid point,
-``hz = omega*dt/2``, ``hz**2`` and the hard-pulse free precession, once per
-chunk of points, and writes each element's real and imaginary parts in
-place.
+of two slow ones.
+
+The pass builds each part of a step element over the values it depends on,
+and writes its real and imaginary parts in place:
+
+* per point, once per chunk of points: ``hz = omega*dt/2``, ``hz**2``, the
+  hard-pulse free precession and the rf phase's factor ``e^(-i theta)``;
+* per step and distinct eps of the chunk: the hard-pulse rf rotation
+  (:func:`hard_step`), gathered to the points where eps repeats;
+* per step and point: the exact element, times the rf phase's factor.
+
+The rf phase turns the controls, so it leaves ``|h|`` unchanged and only
+multiplies each element's ``b`` by ``e^(-i theta)``.
 
 Conventions
 -----------
@@ -126,12 +135,31 @@ def _exact_pair(hx, hy, hz, hz2):
     return a, b
 
 
-def _hard_pair(hx, hy, zhalf):
-    # the free precession over the step, diag(zhalf, conj(zhalf)), is folded
-    # into the rf rotation's pair
-    c, b = hard_step(hx, hy)
-    b *= zhalf
-    return c * zhalf, b
+def _turn(theta):
+    """``e^(-i theta)`` per point: seen at rf phase ``theta``, a step's controls
+    turn ``hx + i hy`` into ``(hx + i hy) e^(-i theta)``, so ``|h|`` and ``a``
+    stay and ``b`` takes this factor."""
+    ct, st = rf_vector(1.0, theta)
+    turn = np.empty(np.shape(theta), dtype=np.complex128)
+    turn.real = ct
+    turn.imag = -st
+    return turn
+
+
+def _distinct(values):
+    """``(distinct, index)``: the bitwise-distinct ``values`` and each value's
+    index into them, or ``(values, None)`` where a gather would gain nothing:
+    one value broadcasts and all-distinct values are used as they are.
+
+    Values are told apart by their bits (``-0.0`` is not ``0.0``), so what is
+    built over the distinct values is bitwise what each point would build.
+    """
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    if len(keys) == 1:
+        return values[:1], None
+    if len(keys) == len(values):
+        return values, None
+    return keys.view(np.float64), index
 
 
 def _product(a, b):
@@ -186,20 +214,32 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     for p in range(0, len(omega), _CHUNK):
         pts = slice(p, p + _CHUNK)
         ep = eps[pts]
-        th = None if theta is None else theta[pts]
         hz = hdt * omega[pts]
         hz2 = hz * hz
-        # the free precession over a step is the exact step with the rf off
-        zhalf = _exact_pair(0.0, 0.0, hz, hz2)[0] if hard_pulse else None
+        turn = None if theta is None else _turn(theta[pts])
         block = _TILE // len(ep)
+        if hard_pulse:
+            # the free precession over a step is the exact step with the rf
+            # off; b takes the rf phase's turn with it
+            za = _exact_pair(0.0, 0.0, hz, hz2)[0]
+            zb = za if turn is None else za * turn
+            # the rf rotation depends on the step and eps alone
+            ep, index = _distinct(ep)
         x, y = alpha[pts], beta[pts]
         for k in range(0, len(u), block):
-            uk, vk = phase_frame(u[k : k + block], v[k : k + block], th)
             # eps * u before the scale by dt/2, so a grid's eps and a pulse
             # scaled by it give the same rotation
-            hx, hy = ep * uk * hdt, ep * vk * hdt
-            pair = _hard_pair(hx, hy, zhalf) if hard_pulse else _exact_pair(hx, hy, hz, hz2)
-            x, y = su2_apply(*_product(*pair), x, y)
+            hx, hy = ep * u[k : k + block] * hdt, ep * v[k : k + block] * hdt
+            if hard_pulse:
+                c, b = hard_step(hx, hy)
+                if index is not None:
+                    c, b = c[:, index], b[:, index]
+                a, b = c * za, b * zb
+            else:
+                a, b = _exact_pair(hx, hy, hz, hz2)
+                if turn is not None:
+                    b *= turn
+            x, y = su2_apply(*_product(a, b), x, y)
         alpha[pts], beta[pts] = x, y
     return alpha, beta
 

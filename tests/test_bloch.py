@@ -291,15 +291,80 @@ def spinor_error(got, want):
 
 @pytest.mark.parametrize("with_theta", [False, True])
 @pytest.mark.parametrize("hard_pulse", [False, True])
-@pytest.mark.parametrize("npoints", [kernels._CHUNK + 300, 7])
-def test_spinor_kernel_matches_reference_across_tile_edges(npoints, hard_pulse, with_theta):
+@pytest.mark.parametrize(
+    "npoints, distinct_eps",
+    [
+        pytest.param(n, k, id=str(n) if k is None else f"{n}-{k}eps")
+        for k in (None, 3)
+        for n in (kernels._CHUNK + 300, 7)
+    ],
+)
+def test_spinor_kernel_matches_reference_across_tile_edges(npoints, distinct_eps, hard_pulse, with_theta):
     # the step count is odd and a multiple of no chunk's block: full blocks,
     # an odd block and odd levels of the pairwise product all occur
     last_block = kernels._TILE // (npoints % kernels._CHUNK)
     nsteps = 2 * last_block + 3
     rng = np.random.default_rng(npoints + 2 * hard_pulse + with_theta)
     args = random_pass(rng, nsteps, npoints, with_theta, hard_pulse)
+    if distinct_eps is not None:
+        # a few rf scales shuffled over the points, as on an (omega, eps) grid
+        args[4][:] = rng.choice(args[4][:distinct_eps], npoints)
     assert spinor_error(kernels.spinor_propagate(*args), reference_spinor_steps(*args)) <= 1e-13
+
+
+def per_point_hard_pass(u, v, dt, omega, eps, alpha0, beta0):
+    """The hard-pulse pass building every step's rf rotation at every grid
+    point, tile by tile as the kernel does, with no sharing over equal eps."""
+    alpha = np.array(alpha0, dtype=np.complex128, copy=True)
+    beta = np.array(beta0, dtype=np.complex128, copy=True)
+    u, v, hdt = u[:, None], v[:, None], 0.5 * dt
+    for p in range(0, len(omega), kernels._CHUNK):
+        pts = slice(p, p + kernels._CHUNK)
+        ep, hz = eps[pts], hdt * omega[pts]
+        zhalf = kernels._exact_pair(0.0, 0.0, hz, hz * hz)[0]
+        block = kernels._TILE // len(ep)
+        x, y = alpha[pts], beta[pts]
+        for k in range(0, len(u), block):
+            c, b = kernels.hard_step(ep * u[k : k + block] * hdt, ep * v[k : k + block] * hdt)
+            b *= zhalf
+            x, y = kernels.su2_apply(*kernels._product(c * zhalf, b), x, y)
+        alpha[pts], beta[pts] = x, y
+    return alpha, beta
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nsteps=st.integers(1, 12),
+    npoints=st.sampled_from([1, 5, kernels._CHUNK - 1, kernels._CHUNK + 37, 2 * kernels._CHUNK + 1]),
+    ndistinct=st.sampled_from([1, 2, 7, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hard_pass_with_repeated_eps_is_bitwise_the_per_point_build(nsteps, npoints, ndistinct, seed):
+    # None: every point has its own eps
+    rng = np.random.default_rng(seed)
+    u, v, _, omega, eps, _, alpha0, beta0, _ = random_pass(rng, nsteps, npoints, False, True)
+    if ndistinct is not None:
+        eps = rng.permutation(np.resize(eps[:ndistinct], npoints))
+    got = kernels.spinor_propagate(u, v, 1e-4, omega, eps, None, alpha0, beta0, True)
+    want = per_point_hard_pass(u, v, 1e-4, omega, eps, alpha0, beta0)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_hard_pass_with_one_eps_builds_each_rf_rotation_once_per_step(monkeypatch):
+    shapes = []
+    original = kernels.hard_step
+
+    def recorded(hx, hy):
+        shapes.append(np.shape(hx))
+        return original(hx, hy)
+
+    monkeypatch.setattr(kernels, "hard_step", recorded)
+    args = list(random_pass(np.random.default_rng(11), 256, 6145, False, True))
+    args[4] = np.full(6145, 0.93)
+    kernels.spinor_propagate(*args)
+    # two chunks, one step per tile: one rotation per step and chunk
+    assert len(shapes) == 2 * 256
+    assert {shape[-1] for shape in shapes} == {1}
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")

@@ -1,5 +1,6 @@
 """File formats and command-line behavior: schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
-from enspulse.cli import main
+from enspulse.cli import build_parser, main
 from enspulse.errors import SchemaError
 from enspulse.fileio import (
     _write_csv,
@@ -586,6 +587,46 @@ def test_command_line_flag_overrides_config(tmp_path):
     assert load_pulse(str(out)).nsteps == 32
     assert main([*SLR_QUARTER_TURN, "--out", str(out), "--config", str(cfg)]) == 0
     assert load_pulse(str(out)).nsteps == 128
+
+
+COMMANDS = (
+    "design-slr", "design-pattern", "design-composite", "design-zz", "simulate",
+    "fidelity-map", "analyze-lie", "analyze-linear", "demo-phase", "demo-heisenberg",
+)
+
+
+def test_a_call_builds_only_its_own_subparser(tmp_path, pulse_file, grid_file, monkeypatch, capsys):
+    built = []
+    original = argparse._SubParsersAction.add_parser
+
+    def recorded(self, name, **kwargs):
+        built.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    argv = ["simulate", "--pulse", pulse_file[0], "--grid", grid_file[0]]
+    assert main([*argv, "--out", str(tmp_path / "state.csv")]) == 0
+    assert built == ["simulate"]
+    built.clear()
+    assert main(["--help"]) == 0
+    assert built == list(COMMANDS)
+    listing = capsys.readouterr().out
+    assert all(f"\n    {name} " in listing for name in COMMANDS)
+    assert "{" + ",".join(COMMANDS) + "}" in listing
+
+
+def test_one_subparser_prints_the_full_parsers_usage_and_errors(capsys):
+    # an argument the subcommand leaves over is reported by the top-level
+    # parser, whose usage line names every command
+    texts = []
+    for argv in (["demo-heisenberg", "--bogus"], ["demo-phase", "--help"], ["design-slr"]):
+        for parser in (build_parser(), build_parser(argv[0])):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            texts.append(capsys.readouterr())
+    for full, one in zip(texts[::2], texts[1::2]):
+        assert one == full
+    assert "{" + ",".join(COMMANDS) + "}" in texts[1].err
 
 
 def test_render_json_deterministic_and_typed(tmp_path):
