@@ -22,7 +22,8 @@ and writes its real and imaginary parts in place:
 * per point, once per chunk of points: ``hz = omega*dt/2``, ``hz**2``, the
   hard-pulse free precession and the rf phase's factor ``e^(-i theta)``;
 * per step and distinct eps of the chunk: the hard-pulse rf rotation
-  (:func:`hard_step`), gathered to the points where eps repeats;
+  (:func:`hard_step`), gathered to the points unless one eps covers the
+  chunk;
 * per step and point: the exact element, times the rf phase's factor.
 
 The rf phase turns the controls, so it leaves ``|h|`` unchanged and only
@@ -148,8 +149,7 @@ def _turn(theta):
 
 def _distinct(values):
     """``(distinct, index)``: the bitwise-distinct ``values`` and each value's
-    index into them, or ``(values, None)`` where a gather would gain nothing:
-    one value broadcasts and all-distinct values are used as they are.
+    index into them, or ``(values[:1], None)`` for one value, which broadcasts.
 
     Values are told apart by their bits (``-0.0`` is not ``0.0``), so what is
     built over the distinct values is bitwise what each point would build.
@@ -157,8 +157,6 @@ def _distinct(values):
     keys, index = np.unique(values.view(np.int64), return_inverse=True)
     if len(keys) == 1:
         return values[:1], None
-    if len(keys) == len(values):
-        return values, None
     return keys.view(np.float64), index
 
 
@@ -233,7 +231,7 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
             if hard_pulse:
                 c, b = hard_step(hx, hy)
                 if index is not None:
-                    c, b = c[:, index], b[:, index]
+                    c, b = c.take(index, axis=1), b.take(index, axis=1)
                 a, b = c * za, b * zb
             else:
                 a, b = _exact_pair(hx, hy, hz, hz2)
