@@ -76,8 +76,8 @@ class ControlSequence:
             raise ValueError("samples must be an (n, 2) array of (u, v) pairs")
         if not np.all(np.isfinite(s)):
             raise ValueError("control samples must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:  # NaN too
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.a_max is not None:
             amp = np.hypot(s[:, 0], s[:, 1])
             if np.any(amp > self.a_max * (1 + 1e-12)):
@@ -334,8 +334,6 @@ def step_propagator(omega: float, epsilon: float, u: float, v: float, dt: float)
     for val in (omega, epsilon, u, v, dt):
         if not np.isfinite(val):
             raise ValueError("step parameters must be finite")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     step = ControlSequence(dt, np.array([[u, v]], dtype=float))
     return net_su2(step, omega, epsilon), net_rotation(step, omega, epsilon)
 

@@ -33,8 +33,6 @@ from .liealg import (
     SampledElement,
     lie_closure,
     pauli,
-    so3_generators,
-    two_qubit_coupling_generators,
 )
 from .linear import (
     LinearSystemSample,
@@ -70,6 +68,13 @@ def _require_positive(**kwargs):
             raise SchemaError(
                 f"--{name.replace('_', '-')} must be positive and finite, got {value}"
             )
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _read_config(path: str, valid: set) -> dict[str, str]:
@@ -206,6 +211,8 @@ def _cmd_design_composite(args) -> int:
     _require_positive(tol=args.tol, grid_points=args.grid_points, subdivisions=args.subdivisions)
     lo, hi = _parse_floats(args.eps_range, 2)
     grid = np.linspace(lo, hi, args.grid_points)
+    if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+        raise SchemaError(f"--eps-range must be finite and increasing, got {args.eps_range!r}")
     spec = composite.RobustRotationSpec(
         args.axis,
         args.angle,
@@ -270,25 +277,20 @@ def _cmd_fidelity_map(args) -> int:
     return 0
 
 
+# the families the compilers bracket, as the compilers hold them
+_FAMILY_PRESETS = {
+    "rf-scale": composite.RF_ELEMENTS,
+    "rf-two-scale": composite.TWO_PARAM_ELEMENTS,
+    "offset": composite.OMEGA_ELEMENTS,
+    "coupling": composite.COUPLING_ELEMENTS,
+}
+
+
 def _lie_preset(name: str):
-    so3 = so3_generators()
-    if name == "rf-scale":
-        return [
-            DispersionPolyElement.single({"eps": 1}, so3["x"]),
-            DispersionPolyElement.single({"eps": 1}, so3["y"]),
-        ]
-    if name == "rf-two-scale":
-        return [
-            DispersionPolyElement.single({"eps1": 1}, so3["x"]),
-            DispersionPolyElement.single({"eps2": 1}, so3["y"]),
-        ]
-    if name == "offset":
-        return [
-            DispersionPolyElement.single({"omega": 1}, so3["z"]),
-            DispersionPolyElement.single({}, so3["x"]),
-            DispersionPolyElement.single({}, so3["y"]),
-        ]
+    if name in _FAMILY_PRESETS:
+        return list(_FAMILY_PRESETS[name].values())
     if name == "phase":
+        so3 = composite.SO3
         theta = np.linspace(0.0, 2 * np.pi, 33)
         return [
             SampledElement.make([(np.cos(theta), so3["x"]), (np.sin(theta), so3["y"])]),
@@ -305,12 +307,6 @@ def _lie_preset(name: str):
         g1 = PolyVectorField.make(3, [{(0, 0, 0): 1.0}, {}, {(0, 1, 0): -1.0}])
         g2 = PolyVectorField.make(3, [{}, {(0, 0, 0): 1.0}, {(1, 0, 0): 1.0}])
         return [g1, g2]
-    if name == "coupling":
-        gens = two_qubit_coupling_generators()
-        return [
-            DispersionPolyElement.single({"J": 1}, gens["b1"]),
-            DispersionPolyElement.single({"J": 1}, gens["b2"]),
-        ]
     raise SchemaError(f"unknown preset {name!r}")
 
 
@@ -428,7 +424,7 @@ def _args_design_pattern(p):
 
 def _args_design_composite(p):
     p.add_argument("--axis", choices=("x", "y"), default="x")
-    p.add_argument("--angle", type=float, required=True)
+    p.add_argument("--angle", type=_finite_float, required=True)
     p.add_argument("--eps-range", default="0.9,1.1", dest="eps_range")
     p.add_argument("--grid-points", type=int, default=21, dest="grid_points")
     p.add_argument("--basis", default="1,3,5")
@@ -438,7 +434,7 @@ def _args_design_composite(p):
 
 
 def _args_design_zz(p):
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--j0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--basis", default="1,3")
@@ -466,17 +462,8 @@ def _args_fidelity_map(p):
 
 def _args_analyze_lie(p):
     p.add_argument(
-        "--preset",
-        required=True,
-        choices=(
-            "rf-scale",
-            "rf-two-scale",
-            "offset",
-            "phase",
-            "heisenberg-matrix",
-            "heisenberg-fields",
-            "coupling",
-        ),
+        "--preset", required=True,
+        choices=(*_FAMILY_PRESETS, "phase", "heisenberg-matrix", "heisenberg-fields"),
     )
     p.add_argument("--max-depth", type=int, default=8, dest="max_depth")
     p.add_argument("--out", required=True)

@@ -73,6 +73,8 @@ __all__ = [
 
 SO3 = so3_generators()
 DEFAULT_DT = 1e-3  # segment duration for compiled rf sequences (s)
+SMALL_FLIP_BAND = 0.25  # half-width of the small-flip linearity band, in units of 1/dt
+SMALL_FLIP_LINEARITY_TOL = 0.05  # allowed nonlinearity, relative to half the block flip
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +124,27 @@ def word_for_power(axis: str, partner: str, exponent: int) -> BracketWord:
     for _ in range((exponent - 1) // 2):
         word = BracketWord.ad(p, BracketWord.ad(p, word))
     return word
+
+
+def _reachable(elements, direction, exponents) -> list[bool]:
+    """Per exponent map: does some bracket of ``elements`` carry it on ``direction``?
+
+    The closure runs one depth past the highest total degree asked for, so
+    it covers words with one parameter-free leaf.
+    """
+    if any(v < 0 for e in exponents for v in e.values()):
+        raise ValueError(f"parameter powers must be nonnegative, got {exponents}")
+    depth = 1 + max(sum(e.values()) for e in exponents)
+    funcs = reachable_functions(lie_closure(list(elements.values()), max_depth=depth), direction)
+    return [{k: v for k, v in e.items() if v} in funcs for e in exponents]
+
+
+def _require_reachable(elements, axis: str, direction, exponents):
+    """Raise :class:`InfeasibleError` at the first exponent map ``elements`` cannot reach."""
+    for e, ok in zip(exponents, _reachable(elements, direction, exponents)):
+        if not ok:
+            powers = " ".join(f"{k}^{v}" for k, v in e.items())
+            raise InfeasibleError(f"power {powers} on axis {axis} is not bracket-reachable")
 
 
 def _monomial_scale(elem: DispersionPolyElement, exponents: Mapping[str, int], direction: np.ndarray) -> float:
@@ -317,14 +340,6 @@ class RobustRotationSpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_rf_realizable(axis: str, basis: Sequence[int]):
-    report = lie_closure(list(RF_ELEMENTS.values()), max_depth=max(basis) + 1)
-    funcs = reachable_functions(report, SO3[axis])
-    for e in basis:
-        if {"eps": e} not in funcs:
-            raise InfeasibleError(f"power eps^{e} on axis {axis} is not bracket-reachable")
-
-
 def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) -> CompiledSequence:
     """Realize exp(theta(eps) * O_axis) to fit accuracy over the eps grid.
 
@@ -335,10 +350,11 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
     if spec.axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     partner = "y" if spec.axis == "x" else "x"
-    _check_rf_realizable(spec.axis, spec.basis)
-    words = [(word_for_power(spec.axis, partner, e), {"eps": e}) for e in spec.basis]
+    exponents = [{"eps": e} for e in spec.basis]
+    _require_reachable(RF_ELEMENTS, spec.axis, SO3[spec.axis], exponents)
+    words = [(word_for_power(spec.axis, partner, e["eps"]), e) for e in exponents]
     fit = _require_fit(
-        fit_coefficients(spec.angles, [e for _, e in words], {"eps": spec.grid}, tol=spec.tol),
+        fit_coefficients(spec.angles, exponents, {"eps": spec.grid}, tol=spec.tol),
         f"target not approximable on basis {spec.basis}",
     )
     samples, terms, budget = _compile_words(
@@ -381,8 +397,6 @@ def compensate_epsilon_small_flip(
     target_angle: float,
     grid: np.ndarray,
     basis: tuple[int, ...] = (1, 3),
-    band: float | None = None,
-    linearity_tol: float = 0.05,
     subdivisions: int = 1,
 ) -> ControlSequence:
     """Concatenate phase-shifted copies of a small-flip block so the net
@@ -394,11 +408,12 @@ def compensate_epsilon_small_flip(
     realizes fractional amounts.  The block must respond linearly in eps
     (small-flip regime).
     """
+    exponents = [{"eps": e} for e in basis]
+    _require_reachable(RF_ELEMENTS, "x", SO3["x"], exponents)
     # small-flip linearity check on the block's hard-pulse response over the
     # band at eps 1 and at the grid's ends, from one kernel pass
     gridarr = np.asarray(grid, dtype=float)
-    if band is None:
-        band = 0.25 / block.dt
+    band = SMALL_FLIP_BAND / block.dt
     omega = np.linspace(-band, band, 33)  # omega[16] is exactly 0
     scales = np.array([1.0, gridarr.min(), gridarr.max()])
     npoints = scales.size * omega.size
@@ -413,13 +428,13 @@ def compensate_epsilon_small_flip(
             f"block flip {block_flip:.2f} rad leaves the hard-pulse range over the grid"
         )
     dev = float(np.abs(qs - scales[1:, None] * q1).max())
-    if dev > linearity_tol * max(0.5 * block_flip, 1e-12):
+    if dev > SMALL_FLIP_LINEARITY_TOL * max(0.5 * block_flip, 1e-12):
         raise InfeasibleError(
             f"block response deviates from linear in eps by {dev:.3e}; not a small-flip block"
         )
 
-    words = [(word_for_power("x", "y", e), {"eps": e}) for e in basis]
-    fit = fit_coefficients(target_angle, [e for _, e in words], {"eps": gridarr})
+    words = [(word_for_power("x", "y", e["eps"]), e) for e in exponents]
+    fit = fit_coefficients(target_angle, exponents, {"eps": gridarr})
 
     def leaf(label: str, amount: float) -> list[np.ndarray]:
         phase = 0.0 if label == "x" else np.pi / 2
@@ -457,20 +472,16 @@ def two_param_word(k: int, l: int, axis: str = "z") -> BracketWord:
     eps1^(2k) eps2^(2l+1) on Oy (axis 'y').
 
     The y2 pairs act on the Oz word [x1, y2]; on Oy, where they would
-    vanish, a last x1 bracket then turns the word back to Oy.
-    eps1^0 eps2^(2l+1) on Oy with l >= 1 is not bracket-reachable.
+    vanish, a last x1 bracket then turns the word back to Oy.  On Oy, k = 0
+    is the leaf y2 alone, so l must be 0 there.
     """
     if axis not in ("z", "y"):
         raise ValueError("axis must be 'z' or 'y'")
-    if k < 0 or l < 0:
-        raise ValueError("orders must be nonnegative")
+    if k < 0 or l < 0 or (axis == "y" and k == 0 < l):
+        raise ValueError("orders must be nonnegative, and k = 0 on axis y needs l = 0")
     x1 = BracketWord.leaf("x1")
     y2 = BracketWord.leaf("y2")
     if axis == "y" and k == 0:
-        if l > 0:
-            raise InfeasibleError(
-                f"power eps1^0 eps2^{2 * l + 1} on axis y is not bracket-reachable"
-            )
         return y2
     word = BracketWord.ad(x1, y2)
     for _ in range(2 * k if axis == "z" else 0):
@@ -505,13 +516,12 @@ def compile_two_param(
     if np.any(e1 == 0) or np.any(e2 == 0):
         raise ValueError("parameter ranges must exclude zero")
     g1, g2 = np.meshgrid(e1, e2, indexing="ij")
-    words = [
-        (two_param_word(k, l, axis), {"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1})
-        for k, l in orders
-    ]
+    exponents = [{"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1} for k, l in orders]
+    _require_reachable(TWO_PARAM_ELEMENTS, axis, SO3[axis], exponents)
+    words = [(two_param_word(k, l, axis), e) for (k, l), e in zip(orders, exponents)]
     params = {"eps1": g1.ravel(), "eps2": g2.ravel()}
     fit = _require_fit(
-        fit_coefficients(target_angle, [e for _, e in words], params, tol),
+        fit_coefficients(target_angle, exponents, params, tol),
         "two-parameter target not approximable",
     )
     samples, terms, _ = _compile_words(
@@ -595,24 +605,17 @@ def compile_omega_robust(
     """Synthesize exp(f(omega) O_axis) from drift periods and hard rotations.
 
     ``single_quadrature`` restricts the instantaneous rotations to the x
-    channel; the y direction then only carries odd offset powers, and even
-    targets on it are reported infeasible.
+    channel.  Requested powers the family cannot put on the axis are
+    dropped (with one quadrature, y only carries odd offset powers), and
+    none left is infeasible.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    powers = tuple(int(p) for p in powers)
-    if single_quadrature:
-        allowed = (
-            tuple(p for p in powers if p % 2 == 0)
-            if axis == "x"
-            else tuple(p for p in powers if p % 2 == 1)
-        )
-        if allowed != powers:
-            powers = allowed
-        if not powers:
-            raise InfeasibleError(
-                f"axis {axis} carries no requested offset powers with one quadrature"
-            )
+    table = {k: v for k, v in OMEGA_ELEMENTS.items() if not (single_quadrature and k == "ry")}
+    asked = [{"omega": int(p)} for p in powers]
+    powers = tuple(e["omega"] for e, ok in zip(asked, _reachable(table, SO3[axis], asked)) if ok)
+    if not powers:
+        raise InfeasibleError(f"axis {axis} carries no requested offset powers with one quadrature")
 
     words = [(omega_word(axis, p), {"omega": p}) for p in powers]
     fit = _require_fit(
@@ -698,10 +701,12 @@ def compile_j_robust_zz(
 ) -> CompiledSequence:
     """Coupling-strength-robust ZZ evolution exp(-i theta sz sz) over
     J in j0*[1-delta, 1+delta]."""
-    words = [(word_for_power("b2", "b1", e), {"J": e}) for e in basis]
+    exponents = [{"J": e} for e in basis]
+    _require_reachable(COUPLING_ELEMENTS, "zz", _B["b2"], exponents)
+    words = [(word_for_power("b2", "b1", e["J"]), e) for e in exponents]
     grid = coupling_grid(j0, delta, nsamples)
     fit = _require_fit(
-        fit_coefficients(theta, [e for _, e in words], {"J": grid}, tol),
+        fit_coefficients(theta, exponents, {"J": grid}, tol),
         f"coupling target not approximable on basis {basis}",
     )
     # exp(-i f(J) sz sz) = exp((f(J)/2) B2): the words carry the halved

@@ -189,9 +189,11 @@ def load_grid(path: str) -> DispersionGrid:
     for name, spec in axes_doc.items():
         if not isinstance(spec, dict) or not {"min", "max", "n"} <= set(spec):
             raise SchemaError(f"{path}: axis {name!r} needs min, max and n")
-        if spec["n"] < 1 or spec["min"] > spec["max"]:
-            raise SchemaError(f"{path}: axis {name!r} has an invalid range")
-        ranges[name] = (float(spec["min"]), float(spec["max"]), int(spec["n"]))
+        lo, hi, n = (spec[k] for k in ("min", "max", "n"))
+        numeric = all(type(v) in (int, float) for v in (lo, hi, n))  # not bool, str or null
+        if not (numeric and -np.inf < lo <= hi < np.inf and 1 <= n < np.inf and n == int(n)):
+            raise SchemaError(f"{path}: axis {name!r} has an invalid range: {spec}")
+        ranges[name] = (float(lo), float(hi), int(n))
     try:
         return DispersionGrid.from_ranges(**ranges)
     except (TypeError, ValueError) as exc:

@@ -31,6 +31,9 @@ __all__ = [
     "HeisenbergReport",
 ]
 
+RANK_TOL = 1e-9  # controllability rank: singular values above this times the largest
+SCALING_TOL = 1e-6  # relative spread the gain-scaling law may show
+
 
 @dataclass
 class LinearSystemSample:
@@ -101,7 +104,7 @@ def _companion(coeffs: np.ndarray) -> np.ndarray:
     return c
 
 
-def companion_transform(sys: LinearSystemSample, rank_tol: float = 1e-9) -> CompanionForm:
+def companion_transform(sys: LinearSystemSample) -> CompanionForm:
     """Similarity transform to controllable canonical (companion) form.
 
     Rejects uncontrollable samples with the observed Krylov rank in the
@@ -111,7 +114,7 @@ def companion_transform(sys: LinearSystemSample, rank_tol: float = 1e-9) -> Comp
         raise ValueError("companion form requires a single-input system")
     krylov = controllability_matrix(sys)
     svals = np.linalg.svd(krylov, compute_uv=False)
-    rank = int(np.sum(svals > rank_tol * svals[0]))
+    rank = int(np.sum(svals > RANK_TOL * svals[0]))
     if rank < sys.n:
         raise ValueError(
             f"sample is not controllable: controllability rank {rank} < {sys.n}"
@@ -262,7 +265,6 @@ def heisenberg_invariant(
     u2: np.ndarray,
     dt: float,
     epsilons: Sequence[float],
-    rel_tol: float = 1e-6,
 ) -> HeisenbergReport:
     """Check the gain-scaling law of the planar integrator from the origin.
 
@@ -284,7 +286,7 @@ def heisenberg_invariant(
     s1 = rel_spread(lin)
     s2 = rel_spread(quad[:, None])
     return HeisenbergReport(
-        passed=(s1 <= rel_tol and s2 <= rel_tol),
+        passed=(s1 <= SCALING_TOL and s2 <= SCALING_TOL),
         finals=finals,
         first_order_spread=s1,
         second_order_spread=s2,

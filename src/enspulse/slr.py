@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 MAX_SUBDIVISIONS = 2**16
+UNIMOD_TOL = 1e-6  # norm-constraint residual the inverse recursion accepts
+COMPLETION_TOL = 1e-8  # norm-constraint residual a completed pair may keep
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def forward_recursion_trace(steps: list[HardPulseStep]) -> list[SpinorPolynomial
     return out
 
 
-def inverse_recursion_full(poly: SpinorPolynomials, unimod_tol: float = 1e-6):
+def inverse_recursion_full(poly: SpinorPolynomials):
     """Backward recursion; returns (steps, diagnostics dict).
 
     Diagnostics carry the input pair's unimodularity residual, the worst
@@ -261,9 +263,9 @@ def inverse_recursion_full(poly: SpinorPolynomials, unimod_tol: float = 1e-6):
     conditions) and the deviation of the fully reduced pair from (1, 0).
     """
     res = unimodularity_residual(poly, max(256, 4 * poly.n))
-    if res > unimod_tol:
+    if res > UNIMOD_TOL:
         raise ValueError(
-            f"polynomials violate the norm constraint by {res:.2e} (tol {unimod_tol:.0e})"
+            f"polynomials violate the norm constraint by {res:.2e} (tol {UNIMOD_TOL:.0e})"
         )
     phi, theta, res_lead, res_low, final_dev = kernels.slr_inverse(poly.p, poly.q)
     if np.any(np.isnan(phi)):
@@ -313,9 +315,7 @@ def steps_to_pulse(steps: list[HardPulseStep], dt: float, a_max: float | None = 
 # ---------------------------------------------------------------------------
 
 
-def complete_polynomial(
-    q: np.ndarray, margin: float = 1e-6, residual_tol: float = 1e-8
-) -> SpinorPolynomials:
+def complete_polynomial(q: np.ndarray, margin: float = 1e-6) -> SpinorPolynomials:
     """Build the minimum-phase P with |P|^2 = 1 - |Q|^2 on the unit circle.
 
     If max |Q| exceeds 1 - margin the coefficients are rescaled down to
@@ -356,8 +356,8 @@ def complete_polynomial(
     p[0] = abs(p[0])
     out = SpinorPolynomials(p, q)
     res = unimodularity_residual(out, 16 * n)
-    if res > residual_tol:
-        raise CompletionError(f"completion residual {res:.2e} exceeds {residual_tol:.0e}")
+    if res > COMPLETION_TOL:
+        raise CompletionError(f"completion residual {res:.2e} exceeds {COMPLETION_TOL:.0e}")
     return out
 
 

@@ -111,6 +111,35 @@ def test_grid_bad_range(tmp_path):
         load_grid(str(path))
 
 
+@pytest.mark.parametrize(
+    "axis",
+    [
+        {"min": -1.0, "max": 1.0, "n": "5"},
+        {"min": -1.0, "max": 1.0, "n": None},
+        {"min": "a", "max": 1.0, "n": 5},
+        {"min": -1.0, "max": True, "n": 5},
+        {"min": -1.0, "max": 1.0, "n": float("nan")},
+        {"min": -1.0, "max": float("inf"), "n": 5},
+        {"min": -1.0, "max": 1.0, "n": 2.5},
+    ],
+)
+def test_grid_non_numeric_or_non_finite_axis_names_file_and_axis(tmp_path, axis):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"axes": {"omega": axis}}))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: axis 'omega'")):
+        load_grid(str(path))
+
+
+@pytest.mark.parametrize("dt", ["NaN", "Infinity", "-Infinity", "0"])
+def test_pulse_dt_must_be_finite_and_positive(tmp_path, dt):
+    path = tmp_path / "pulse.json"
+    path.write_text(
+        '{"schema_version": 1, "amplitude_unit": "rad_per_s", "dt": %s, "samples": [[1.0, 0.0]]}' % dt
+    )
+    with pytest.raises(SchemaError, match="dt must be positive and finite"):
+        load_pulse(str(path))
+
+
 def test_fidelity_csv_roundtrip(tmp_path):
     grid = DispersionGrid.from_ranges(omega=(-10, 10, 3), epsilon=(0.95, 1.05, 4))
     rng = np.random.default_rng(51)
@@ -439,6 +468,39 @@ def test_design_composite_infeasible_exit_code(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_design_zz_unreachable_power_exit_code(tmp_path, capsys):
+    code = main(
+        ["design-zz", "--theta", "0.7", "--j0", "1.0", "--delta", "0.1", "--basis", "1,2",
+         "--out", str(tmp_path / "zz.json")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "power J^2" in err and "not bracket-reachable" in err
+    assert os.listdir(tmp_path) == []
+
+
+_COMPOSITE = ["design-composite", "--angle", "1.0"]
+_ZZ = ["design-zz", "--j0", "1.0", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(_COMPOSITE + ["--eps-range", "1.1,0.9"], "--eps-range", id="eps-range-reversed"),
+        pytest.param(_COMPOSITE + ["--eps-range", "nan,1.1"], "--eps-range", id="eps-range-nan"),
+        pytest.param(["design-composite", "--angle", "nan"], "--angle", id="angle-nan"),
+        pytest.param(["design-composite", "--angle", "inf"], "--angle", id="angle-inf"),
+        pytest.param(_ZZ + ["--theta", "nan"], "--theta", id="theta-nan"),
+        pytest.param(_ZZ + ["--theta=-inf"], "--theta", id="theta-inf"),
+    ],
+)
+def test_bad_composite_flags_exit_2_before_writing(tmp_path, capsys, argv, flag):
+    code = main(argv + ["--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_design_zz_end_to_end(tmp_path):

@@ -334,6 +334,11 @@ def test_two_param_y_axis_default_orders_infeasible():
         compile_two_param(0.7, grid1, grid1, axis="y")
 
 
+def test_two_param_word_has_no_eps1_free_word_above_eps2_on_y():
+    with pytest.raises(ValueError):
+        two_param_word(0, 1, axis="y")
+
+
 def test_two_param_rejects_zero_range():
     with pytest.raises(ValueError):
         compile_two_param(0.5, np.array([0.0, 1.0]), np.array([1.0]))
@@ -604,3 +609,48 @@ def test_small_flip_linearity_check():
 
     with pytest.raises(InfeasibleError):
         compensate_epsilon_small_flip(small_block(2.9), np.pi / 2, grid)
+
+
+# ---------------------------------------------------------------------------
+# one reachability verdict for every compiler
+# ---------------------------------------------------------------------------
+
+REACH_GRID = np.linspace(0.9, 1.1, 9)
+
+
+@pytest.mark.parametrize(
+    "compile_unreachable, message",
+    [
+        pytest.param(
+            lambda: compile_robust_rotation(RobustRotationSpec("x", 1.0, REACH_GRID, (1, 2))),
+            "power eps\\^2 on axis x is not bracket-reachable",
+            id="rf",
+        ),
+        pytest.param(
+            lambda: compile_two_param(0.7, REACH_GRID, REACH_GRID, orders=((1, 0), (0, 1)), axis="y"),
+            "power eps1\\^0 eps2\\^3 on axis y is not bracket-reachable",
+            id="two-param",
+        ),
+        pytest.param(
+            lambda: compile_omega_robust(
+                0.3 * REACH_GRID, REACH_GRID, powers=(2,), axis="y", single_quadrature=True
+            ),
+            "axis y carries no requested offset powers",
+            id="omega-single-quadrature",
+        ),
+        pytest.param(
+            lambda: compile_j_robust_zz(0.7, 1.0, 0.1, basis=(1, 2)),
+            "power J\\^2 on axis zz is not bracket-reachable",
+            id="zz",
+        ),
+        pytest.param(
+            lambda: compensate_epsilon_small_flip(small_block(), 0.5, REACH_GRID, basis=(1, 2)),
+            "power eps\\^2 on axis x is not bracket-reachable",
+            id="small-flip",
+        ),
+    ],
+)
+def test_every_compiler_rejects_an_unreachable_power(compile_unreachable, message):
+    # the closure of each backend's own element table decides, before any fit
+    with pytest.raises(InfeasibleError, match=message):
+        compile_unreachable()

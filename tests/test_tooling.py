@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps package functions by name, and every
 module exports names through ``__all__``; those names must exist.  The
-kernel takes every angle through one tangent, and a pulse file is rendered
-in a few calls, not one per number."""
+kernel takes every angle through one tangent, a pulse file is rendered in a
+few calls, not one per number, and analyze-lie's family presets are the
+compilers' own element tables."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import enspulse
-from enspulse import fileio, kernels
+from enspulse import cli, composite, fileio, kernels
 from enspulse.bloch import ControlSequence
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -95,3 +96,20 @@ def test_pulse_file_renders_its_samples_in_one_call(tmp_path, monkeypatch):
     samples = np.random.default_rng(7).uniform(-2000.0, 2000.0, (14592, 2))
     fileio.save_pulse(str(tmp_path / "pulse.json"), ControlSequence(1e-4, samples))
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize(
+    "preset, table",
+    [
+        ("rf-scale", composite.RF_ELEMENTS),
+        ("rf-two-scale", composite.TWO_PARAM_ELEMENTS),
+        ("offset", composite.OMEGA_ELEMENTS),
+        ("coupling", composite.COUPLING_ELEMENTS),
+    ],
+)
+def test_lie_family_presets_are_the_compilers_tables(preset, table):
+    # analyze-lie reports on the very elements the compilers bracket, so a
+    # family declared a second time cannot drift from the compiled one
+    gens = cli._lie_preset(preset)
+    assert len(gens) == len(table)
+    assert all(g is e for g, e in zip(gens, table.values()))
