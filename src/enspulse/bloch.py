@@ -79,6 +79,8 @@ class ControlSequence:
         if not 0 < self.dt < np.inf:  # NaN too
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.a_max is not None:
+            if not 0 < self.a_max < np.inf:  # NaN too
+                raise ValueError(f"a_max must be positive and finite, got {self.a_max}")
             amp = np.hypot(s[:, 0], s[:, 1])
             if np.any(amp > self.a_max * (1 + 1e-12)):
                 raise ValueError("control amplitude exceeds a_max")

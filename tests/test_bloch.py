@@ -28,6 +28,7 @@ from enspulse.bloch import (
     step_rotation,
     su2_to_so3,
 )
+from enspulse.composite import RobustRotationSpec, compile_robust_rotation
 from enspulse.liealg import pauli, so3_generators
 
 SO3 = so3_generators()
@@ -367,6 +368,101 @@ def test_hard_pass_with_one_eps_builds_each_rf_rotation_once_per_step(monkeypatc
     assert {shape[-1] for shape in shapes} == {1}
 
 
+control_row = st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0))
+
+
+@st.composite
+def run_pulses(draw, max_period=10, max_count=40):
+    """Controls ``(u, v)`` made of a literal prefix, runs of repeated blocks and
+    a literal suffix.  Block rows are fresh or drawn from a small shared pool,
+    so blocks repeat rows internally and share rows with each other."""
+    pool = draw(st.lists(control_row, min_size=1, max_size=3))
+    row = st.one_of(st.sampled_from(pool), control_row)
+    samples = draw(st.lists(control_row, max_size=20))
+    for period, count in draw(
+        st.lists(st.tuples(st.integers(1, max_period), st.integers(1, max_count)), min_size=1, max_size=3)
+    ):
+        samples += draw(st.lists(row, min_size=period, max_size=period)) * count
+    samples += draw(st.lists(control_row, max_size=20))
+    u, v = np.array(samples).T
+    return u.copy(), v.copy()
+
+
+def check_segments(u, v, segments):
+    """The segments tile the steps in order, and each run's copies are bitwise
+    its first block."""
+    bits = np.column_stack((u, v)).view(np.int64)
+    at = 0
+    for start, period, count in segments:
+        assert start == at and period >= 1 and count >= 1
+        copies = bits[start : start + period * count].reshape(count, period, 2)
+        assert np.array_equal(copies, np.broadcast_to(copies[0], copies.shape))
+        at += period * count
+    assert at == len(u)
+    # a pulse with no run is one literal stretch, so it takes the tile loop whole
+    assert len(segments) == 1 or any(count > 1 for _, _, count in segments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pulse=run_pulses(max_period=60), npoints=st.sampled_from([1, 21, 300, kernels._CHUNK + 5]))
+def test_run_segments_tile_the_pulse_with_bitwise_copies(pulse, npoints):
+    check_segments(*pulse, kernels._runs(*pulse, npoints))
+
+
+@pytest.mark.parametrize("with_theta", [False, True])
+@pytest.mark.parametrize("hard_pulse", [False, True])
+@settings(max_examples=12, deadline=None)
+@given(
+    pulse=run_pulses(),
+    npoints=st.sampled_from([40, 300, kernels._CHUNK + 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_pass_matches_reference_step_loop(pulse, npoints, seed, hard_pulse, with_theta):
+    # npoints sets how many steps a run must spare to be taken
+    u, v = pulse
+    _, _, dt, omega, eps, theta, alpha0, beta0, _ = random_pass(
+        np.random.default_rng(seed), 0, npoints, with_theta, hard_pulse
+    )
+    check_segments(u, v, kernels._runs(u, v, npoints))
+    args = (u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse)
+    assert spinor_error(kernels.spinor_propagate(*args), reference_spinor_steps(*args)) <= 1e-12
+
+
+def readme_composite(subdivisions):
+    """The README composite: a quarter turn about x, robust over eps 0.9-1.1
+    on the basis 1, 3, 5, each word's block repeated ``subdivisions`` times."""
+    grid = np.linspace(0.9, 1.1, 21)
+    out = compile_robust_rotation(RobustRotationSpec("x", np.pi / 2, grid, (1, 3, 5), subdivisions=subdivisions))
+    return out.sequence
+
+
+def test_subdivided_composite_is_a_run_per_word():
+    seq = readme_composite(256)
+    assert seq.nsteps == 14592
+    # at 21 points a run must spare 391 steps: the 1-step word's would spare 255
+    assert kernels._runs(seq.u, seq.v, 21) == [(0, 256, 1), (256, 10, 256), (2816, 46, 256)]
+    assert kernels._runs(seq.u, seq.v, 300) == [(0, 1, 256), (256, 10, 256), (2816, 46, 256)]
+
+
+@pytest.mark.parametrize("hard_pulse", [False, True])
+def test_subdivided_composite_pass_matches_reference_step_loop(hard_pulse):
+    seq = readme_composite(64)
+    assert len(kernels._runs(seq.u, seq.v, 21)) == 3
+    eps = np.linspace(0.9, 1.1, 21)
+    omega = np.linspace(-50.0, 50.0, 21)
+    args = (seq.u, seq.v, seq.dt, omega, eps, None, np.ones(21, complex), np.zeros(21, complex), hard_pulse)
+    assert spinor_error(kernels.spinor_propagate(*args), reference_spinor_steps(*args)) <= 1e-12
+
+
+@pytest.mark.parametrize("npoints", [1, 21, kernels._CHUNK + 5])
+def test_fragmented_pulse_stays_one_literal_stretch(npoints):
+    # 14 592 steps drawn from three samples: thousands of short repeats, none
+    # worth a run, so the pass takes the tile loop whole
+    rng = np.random.default_rng(7)
+    u, v = rng.uniform(-3000.0, 3000.0, (3, 2))[rng.integers(0, 3, 14592)].T
+    assert kernels._runs(u, v, npoints) == [(0, 14592, 1)]
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
 @pytest.mark.parametrize("nsteps, npoints", [(14592, 21), (20000, 3)])
 def test_spinor_kernel_is_as_accurate_as_the_step_loop(nsteps, npoints):
@@ -385,6 +481,18 @@ def test_spinor_kernel_is_as_accurate_as_the_step_loop_on_wide_grids(hard_pulse,
     npoints = kernels._CHUNK + 300
     assert kernels._TILE // kernels._CHUNK == 1
     args = random_pass(np.random.default_rng(128), 128, npoints, with_theta, hard_pulse)
+    exact = reference_spinor_steps(*args, real=np.longdouble)
+    loop_err = spinor_error(reference_spinor_steps(*args), exact)
+    assert spinor_error(kernels.spinor_propagate(*args), exact) <= 4 * loop_err + 1e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@pytest.mark.parametrize("hard_pulse", [False, True])
+def test_powered_pass_is_as_accurate_as_the_step_loop(hard_pulse):
+    # the 64-fold composite: its word blocks raised to the 64th power by squaring
+    seq = readme_composite(64)
+    eps = np.linspace(0.9, 1.1, 21)
+    args = (seq.u, seq.v, seq.dt, np.zeros(21), eps, None, np.ones(21, complex), np.zeros(21, complex), hard_pulse)
     exact = reference_spinor_steps(*args, real=np.longdouble)
     loop_err = spinor_error(reference_spinor_steps(*args), exact)
     assert spinor_error(kernels.spinor_propagate(*args), exact) <= 4 * loop_err + 1e-15

@@ -140,6 +140,29 @@ def test_pulse_dt_must_be_finite_and_positive(tmp_path, dt):
         load_pulse(str(path))
 
 
+@pytest.mark.parametrize("a_max", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_a_max_must_be_finite_and_positive(a_max):
+    # amp > nan is false, so a NaN bound used to pass every amplitude check
+    with pytest.raises(ValueError, match="a_max must be positive and finite"):
+        ControlSequence(1e-4, [[1.0, 0.0]], a_max)
+
+
+@pytest.mark.parametrize("a_max", ["NaN", "Infinity", "-Infinity", "0"])
+def test_pulse_file_a_max_must_be_finite_and_positive(tmp_path, grid_file, capsys, a_max):
+    path = tmp_path / "pulse.json"
+    path.write_text(
+        '{"schema_version": 1, "amplitude_unit": "rad_per_s", "dt": 1e-4, "samples": [[1.0, 0.0]],'
+        ' "a_max": %s}' % a_max
+    )
+    with pytest.raises(SchemaError, match="a_max must be positive and finite"):
+        load_pulse(str(path))
+    out = tmp_path / "map.csv"
+    argv = ["fidelity-map", "--pulse", str(path), "--grid", grid_file[0], "--target", "1,0,0", "--out", str(out)]
+    assert main(argv) == 2
+    assert "a_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fidelity_csv_roundtrip(tmp_path):
     grid = DispersionGrid.from_ranges(omega=(-10, 10, 3), epsilon=(0.95, 1.05, 4))
     rng = np.random.default_rng(51)
