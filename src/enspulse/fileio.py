@@ -162,9 +162,13 @@ def load_pulse(path: str) -> ControlSequence:
     samples = doc.get("samples")
     if not samples:
         raise SchemaError(f"{path}: samples must be nonempty")
+    for key in ("dt", "a_max"):
+        value = doc.get(key)
+        if (key == "dt" or key in doc) and type(value) not in (int, float):  # not bool, str or null
+            raise SchemaError(f"{path}: {key} must be a JSON number, got {json.dumps(value)}")
     try:
         return ControlSequence(float(doc["dt"]), np.asarray(samples, dtype=float), doc.get("a_max"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

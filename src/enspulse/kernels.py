@@ -7,8 +7,12 @@ acting on a pair: in :func:`spinor_propagate`, which builds the step elements
 of a tile of steps and grid points at once, composes them pairwise and
 applies the tile's product to the running state, and over polynomial
 coefficients in :func:`slr_forward` and :func:`slr_peel`; every hard-pulse rf
-rotation is :func:`hard_step`.  Bloch vectors and SO(3) rotations are the
-adjoint image (:func:`adjoint`) of a spinor pass.
+rotation over arrays is :func:`hard_step`.  A single step, such as the one
+:func:`slr_peel` removes per degree, takes :func:`step_pair`, the same pair
+from ``math`` in Python scalars: the peel reads the step's half flip and
+phase off the tangent ``w = i S / C`` of its coefficients and builds the
+rotation from them without numpy's per-call cost.  Bloch vectors and SO(3)
+rotations are the adjoint image (:func:`adjoint`) of a spinor pass.
 
 Written pulses are mostly runs of one block repeated many times: a composite
 repeats each bracket word's block once per subdivision, and a multi-block SLR
@@ -62,11 +66,15 @@ models; :func:`rotation_propagate` is the one place that exchange is made.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 __all__ = [
     "su2_apply",
     "hard_step",
+    "step_pair",
     "rf_vector",
     "phase_frame",
     "spinor_propagate",
@@ -122,6 +130,12 @@ def hard_step(hx, hy):
     """
     c, sinc = _half_angle(np.sqrt(hx * hx + hy * hy))
     return c, _transverse(sinc, hx, hy)
+
+
+def step_pair(half_flip, phase):
+    """:func:`hard_step` of one rf rotation by ``2 * half_flip`` about the axis
+    at ``phase``, in Python scalars: ``(cos h, -i e^(i phase) sin h)``."""
+    return math.cos(half_flip), -1j * cmath.rect(math.sin(half_flip), phase)
 
 
 def phase_frame(u, v, theta):
@@ -455,18 +469,18 @@ def slr_peel(pw, qw, length):
     0).  Degenerate extraction returns ``phi = nan`` and leaves the pair as is.
     """
     # w = i S / C, whose modulus is tan(phi/2) and whose angle is theta
-    p0, q0 = pw[0], qw[0]
+    p0, q0 = complex(pw[0]), complex(qw[0])
     if length >= 2 and abs(qw[length - 1]) > abs(p0):
-        w = -1j * np.conj(pw[length - 1] / qw[length - 1])
+        w = -1j * (complex(pw[length - 1]) / complex(qw[length - 1])).conjugate()
     elif abs(p0) >= 1e-14:
         w = 1j * (q0 / p0)
     elif abs(q0) > 1e-14:
         return np.nan, 0.0, 0.0, 0.0
     else:
         w = 0j
-    half = np.arctan(abs(w))
-    th = np.angle(w) if abs(w) > 0 else 0.0
-    c, s = hard_step(*rf_vector(half, th))
+    half = math.atan(abs(w))
+    th = cmath.phase(w) if w else 0.0
+    c, s = step_pair(half, th)
     p_new, q_new = su2_apply(c, -s, pw[:length], qw[:length])
     # the reduced pair has length - 1 coefficients; what lies beyond is unused
     pw[: length - 1] = p_new[: length - 1]

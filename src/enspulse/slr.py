@@ -59,6 +59,7 @@ __all__ = [
 MAX_SUBDIVISIONS = 2**16
 UNIMOD_TOL = 1e-6  # norm-constraint residual the inverse recursion accepts
 COMPLETION_TOL = 1e-8  # norm-constraint residual a completed pair may keep
+GRAM_SHIFT = 1e-14  # Tikhonov shift of the fit, relative to a bound on its largest eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +78,13 @@ class HardPulseStep:
         if not (0.0 <= self.phi <= np.pi + 1e-12):
             raise ValueError(f"flip angle {self.phi} outside [0, pi]")
 
-    def _pair(self):
-        return kernels.hard_step(*kernels.rf_vector(0.5 * self.phi, self.theta))
-
     @property
     def chalf(self) -> float:
-        return float(self._pair()[0])
+        return kernels.step_pair(0.5 * self.phi, self.theta)[0]
 
     @property
     def shalf(self) -> complex:
-        return complex(self._pair()[1])
+        return kernels.step_pair(0.5 * self.phi, self.theta)[1]
 
 
 @dataclass(frozen=True)
@@ -227,8 +225,9 @@ class TargetProfile:
             raise ValueError(f"profile is not unimodular (deviation {norm_dev:.2e})")
         if self.weights is not None:
             wt = np.asarray(self.weights, dtype=float).ravel()
-            if wt.size != w.size or np.any(wt < 0):
-                raise ValueError("weights must be nonnegative, one per sample")
+            # all-zero weights constrain nothing, and their Gram matrix is zero
+            if wt.size != w.size or not (np.all(wt >= 0) and np.isfinite(wt).all() and wt.any()):
+                raise ValueError("weights must be finite and nonnegative, one per sample, not all zero")
             self.weights = wt
         self.omega, self.f_alpha, self.f_beta = w, fa, fb
 
@@ -408,15 +407,51 @@ def _resample_profile(profile: TargetProfile, min_samples: int) -> TargetProfile
     return TargetProfile(w, fa / norm, fb / norm, profile.tag, wt)
 
 
+def _durbin(r: np.ndarray):
+    """Durbin's recursion on the Hermitian positive definite Toeplitz matrix
+    ``G[j, k] = r[k - j]`` (``r[-m] = conj(r[m])``), in O(n^2).
+
+    Returns ``(b, e)``: row k of b holds in its first k + 1 entries the
+    backward predictor of order k + 1 (last entry 1), for which the leading
+    (k + 1)-square block of G gives ``e[k]`` times the last unit vector.  So
+    ``conj(b) G b^T = diag(e)`` and ``G^-1 = b^T diag(1/e) conj(b)``.  A
+    prediction error that is not finite and positive means G is not positive
+    definite; that is a ``ValueError``.
+    """
+    n = r.size
+    b = np.zeros((n, n), dtype=np.complex128)
+    e = np.empty(n)
+    b[0, 0] = 1.0
+    err = float(r[0].real)
+    for k in range(n):
+        if not 0.0 < err < np.inf:
+            raise ValueError(
+                f"the profile weights give a Gram matrix that is not positive definite "
+                f"(prediction error {err:.3g} at order {k + 1})"
+            )
+        e[k] = err
+        if k + 1 == n:
+            break
+        prev = b[k, : k + 1]
+        # the top entry of G_(k+2) [0; prev]; the bottom one of [J conj(prev); 0]
+        # is its conjugate, so this reflection zeroes the top entry
+        refl = -complex(r[1 : k + 2] @ prev) / err
+        row = b[k + 1, : k + 2]
+        row[1:] = prev
+        row[: k + 1] += refl * np.conj(prev[::-1])
+        err *= 1.0 - abs(refl) ** 2
+    return b, e
+
+
 class _GramFit:
     """Weighted least-squares fit of n coefficients on one sample grid.
 
     Every product with the grid's m x n exponential matrix goes through
     :func:`_circle_products` (a chirp-z on the arithmetic grids this package
-    builds, Horner elsewhere), so no m x n array is ever made.  The
-    eigendecomposition of the weighted Gram matrix depends on the grid, the
-    weights, n and dt alone, so a design that fits several targets on one
-    grid factors it once.
+    builds, Horner elsewhere), so no m x n array is ever made.  The factored
+    inverse of the weighted Gram matrix (:func:`_durbin`) depends on the
+    grid, the weights, n and dt alone, so a design that fits several targets
+    on one grid factors it once.
     """
 
     def __init__(self, omega: np.ndarray, weights: np.ndarray | None, n: int, dt: float):
@@ -431,23 +466,20 @@ class _GramFit:
         self.n = n
         self.wt = np.ones(omega.size) if weights is None else weights
         # the weighted Gram matrix of integer-frequency exponentials is Hermitian
-        # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m]),
-        # a reversed sliding window over (conj(r[n-1:0:-1]), r)
+        # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m])
         r = _circle_products(self.theta, self.wt, n)
-        diagonals = np.concatenate([np.conj(r[:0:-1]), r])
-        lam, vec = np.linalg.eigh(np.lib.stride_tricks.sliding_window_view(diagonals, n)[::-1])
-        # the cut (sigma > 1e-7 sigma_max) guards against near-null directions
-        # of arc-sampled fits, whose "help" is microscopic but whose
-        # coefficients are not; a cut nearer the Gram roundoff floor admits
-        # noise directions that the completion cannot absorb
-        keep = lam > 1e-14 * lam[-1]
-        self.vec, self.lam = vec[:, keep], lam[keep]
+        # arc-sampled fits have near-null directions whose "help" is
+        # microscopic but whose coefficients are not; a Tikhonov shift of
+        # GRAM_SHIFT times a Gershgorin bound on the largest eigenvalue keeps
+        # them out of q and keeps the matrix Toeplitz
+        r[0] = r[0].real + GRAM_SHIFT * (r[0].real + 2.0 * np.abs(r[1:]).sum())
+        self.pred, self.err = _durbin(r)
 
     def _fit_q(self, f_beta):
-        vec = self.vec
-        # a^H x as conj(a^T conj(x))
-        rhs = np.conj(_circle_products(self.theta, np.conj(self.wt * f_beta), self.n))
-        return vec @ ((vec.conj().T @ rhs) / self.lam)
+        # the right-hand side a^H x is conj(c) with c = a^T conj(x), and
+        # G^-1 = b^T diag(1/e) conj(b), so conj(b) conj(c) = conj(b c)
+        c = _circle_products(self.theta, np.conj(self.wt * f_beta), self.n)
+        return self.pred.T @ (np.conj(self.pred @ c) / self.err)
 
     def fit(self, prof: TargetProfile, margin: float, absorb_alpha_phase: bool) -> PolyFit:
         """Fit q to ``prof`` (sampled on this grid) and complete it; the band

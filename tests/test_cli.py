@@ -163,6 +163,31 @@ def test_pulse_file_a_max_must_be_finite_and_positive(tmp_path, grid_file, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", "true"), ("dt", '"1e-4"'), ("dt", "null"), ("dt", None),
+        ("a_max", "true"), ("a_max", '"5"'), ("a_max", "null"),
+    ],
+)
+def test_pulse_file_dt_and_a_max_must_be_json_numbers(tmp_path, grid_file, capsys, key, value):
+    # a boolean used to load as 1.0 and a string as its number; None leaves the key out
+    fields = {"dt": "1e-4", key: value}
+    path = tmp_path / "pulse.json"
+    path.write_text(
+        '{"schema_version": 1, "amplitude_unit": "rad_per_s", "samples": [[1.0, 0.0]]'
+        + "".join(f', "{k}": {v}' for k, v in fields.items() if v is not None)
+        + "}"
+    )
+    with pytest.raises(SchemaError, match=f"{key} must be a JSON number"):
+        load_pulse(str(path))
+    out = tmp_path / "map.csv"
+    argv = ["fidelity-map", "--pulse", str(path), "--grid", grid_file[0], "--target", "1,0,0", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{key} must be a JSON number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fidelity_csv_roundtrip(tmp_path):
     grid = DispersionGrid.from_ranges(omega=(-10, 10, 3), epsilon=(0.95, 1.05, 4))
     rng = np.random.default_rng(51)
@@ -459,6 +484,27 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120
     )
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design-slr", "--angle", "1.5707963267948966", "--band", "2000", "--steps", "64", "--dt", "1e-4"],
+        ["design-pattern", "--band", "5000", "--select=-2500,2500", "--flip", "1.5707963267948966", "--steps", "64"],
+    ],
+)
+def test_slr_designs_leave_scipy_unloaded(tmp_path, argv):
+    # the fit solves its Toeplitz system without scipy.linalg, whose import
+    # would cost a fresh process about a third of a second
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    full = argv + ["--out", str(tmp_path / "pulse.json")]
+    code = f"import sys, enspulse.cli; assert enspulse.cli.main({full!r}) == 0; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert result.returncode == 0
+    assert (tmp_path / "pulse.json").exists()
 
 
 def test_design_composite_writes_diagnostics(tmp_path):

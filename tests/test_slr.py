@@ -453,8 +453,8 @@ def test_fit_makes_no_conjugated_copy_of_the_exponential_matrix(n, ceiling):
     finally:
         tracemalloc.stop()
     # the (24n + 1) x n complex exponential matrix alone would take 25 MB at
-    # n = 256 and 100 MB at n = 512; the fit holds the n x n Gram matrix and
-    # O(24n) grid vectors
+    # n = 256 and 100 MB at n = 512; the fit holds the n x n table of Durbin
+    # predictors and O(24n) grid vectors
     assert peak < ceiling
 
 
@@ -500,13 +500,53 @@ def test_linear_phase_slice_profile_matches_dense_oracle():
     assert np.abs(fit.polys.q - q_oracle).max() < 1e-6
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(1, 48),
+    st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(0.01, 1.0)), min_size=1, max_size=12),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_durbin_solve_matches_dense_solve(n, nodes, shift_exp, seed):
+    # a Hermitian positive definite Toeplitz row: a positive measure on the
+    # circle, r[k] = sum_j w_j exp(i theta_j k), plus a shift on the diagonal
+    theta, weight = np.array(nodes).T
+    r = (weight[:, None] * np.exp(1j * np.outer(theta, np.arange(n)))).sum(axis=0)
+    r[0] = r[0].real + 10.0**-shift_exp * weight.sum()
+    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+    dense = np.where(lag >= 0, r[np.abs(lag)], np.conj(r[np.abs(lag)]))
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    pred, err = slr._durbin(r)
+    x = pred.T @ (np.conj(pred @ np.conj(y)) / err)
+    oracle = np.linalg.solve(dense, y)
+    bound = 16 * n * np.finfo(float).eps * np.linalg.cond(dense) * np.abs(oracle).max()
+    assert np.abs(x - oracle).max() <= bound
+    assert np.all(err > 0) and np.array_equal(np.diag(pred), np.ones(n))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_degenerate_weights_are_rejected_not_fitted(bad):
+    # all-zero weights used to fit q = 0; the Durbin recursion would divide
+    # by their zero Gram matrix, so they and non-finite weights are an error
+    w = np.linspace(-BAND, BAND, 64)
+    weights = np.zeros(w.size) if bad == 0.0 else np.ones(w.size)
+    weights[7] = bad
+    fa, fb = np.full(w.size, np.cos(0.5)), np.full(w.size, -1j * np.sin(0.5))
+    with pytest.raises(ValueError, match="weights"):
+        TargetProfile(w, fa, fb, weights=weights)
+    # an infinite weight turns the chirp products into NaN, with a warning
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="weights"):
+        slr._GramFit(w, weights, 8, DT)
+
+
 @pytest.mark.parametrize(
     "arc, n, absorbed_ceiling",
     [(0.1, 64, 3.56e-3), (0.3, 64, 4.67e-3), (0.5, 128, None)],
 )
 def test_arc_sampled_quarter_turn_completes(arc, n, absorbed_ceiling):
     # flat quarter turn sampled only on |omega| dt <= arc * pi: the Gram
-    # matrix has near-null directions that the rank cut must keep out of q;
+    # matrix has near-null directions that the Tikhonov shift must keep out of q;
     # the ceilings are the band errors a root-based completion reached here
     w = np.linspace(-arc * np.pi / DT, arc * np.pi / DT, 8 * n)
     prof = TargetProfile(
@@ -542,6 +582,11 @@ def test_broadband_x_quarter_turn():
     assert max(np.abs(al_p - al_s).max(), np.abs(be_p - be_s).max()) <= 1e-8
 
 
+def test_broadband_at_1024_steps_is_one_block_in_band():
+    d = design_broadband("x", np.pi / 2, 2000.0, 1024, 1e-4)
+    assert d.blocks == 1 and d.band_error <= 1e-5
+
+
 def test_broadband_more_steps_beat_fewer():
     d64 = design_broadband("x", np.pi / 2, BAND, 64, DT)
     d16 = design_broadband("x", np.pi / 2, BAND, 16, DT)
@@ -561,13 +606,13 @@ def test_broadband_amplitude_bound_and_subdivision():
 
 def test_subdivision_search_factors_the_fit_once(monkeypatch):
     # every candidate block count fits on one grid, so a design makes one
-    # Gram eigendecomposition however many counts it tries, and each fit is
-    # the one target_to_polys makes alone
+    # Durbin factorization of the Gram matrix however many counts it tries,
+    # and each fit is the one target_to_polys makes alone
     factored = []
-    original = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda g: factored.append(g.shape) or original(g))
+    original = slr._durbin
+    monkeypatch.setattr(slr, "_durbin", lambda r: factored.append(r.size) or original(r))
     d = design_broadband("x", np.pi / 2, 2000.0, 64, 1e-4, a_max=800.0)
-    assert d.blocks == 4 and factored == [(64, 64)]
+    assert d.blocks == 4 and factored == [64]
     alone = target_to_polys(broadband_profile("x", np.pi / 8, 2000.0, 64, 1e-4), 64, 1e-4)
     assert np.array_equal(d.polys.p, alone.polys.p) and np.array_equal(d.polys.q, alone.polys.q)
 
