@@ -12,8 +12,10 @@ Convention table (all simulation code derives from this block):
   the adjoint image of the SU(2) step with u and v exchanged (and theta
   negated).  Every Bloch vector and rotation here is computed that way,
   from one SU(2) pass (:func:`.kernels.rotation_propagate`), so the spinor
-  step loop is the only propagator; the test suite checks the Bloch results
-  against independently exponentiated SO(3) steps.
+  pass of :mod:`.kernels` is the only propagator: its step loop, or, for a
+  hard-pulse pass at one rf scale over a wide grid, the pulse's polynomial
+  pair (:func:`.kernels.offset_pass`).  The test suite checks the Bloch
+  results against independently exponentiated SO(3) steps.
 * rf phase dispersion ``theta`` advances the polar angle of the control
   field in the SO(3) plant's (Ox, Oy) plane:
   ``u' = u cos(theta) + v sin(theta)``, ``v' = -u sin(theta) + v cos(theta)``.
@@ -374,7 +376,7 @@ def propagate(
         out = kernels.bloch_propagate(u, v, dt, omega, eps, theta, initial.values, hard)
         return EnsembleState(grid, "bloch", out)
     if initial.kind == "spinor":
-        al, be = kernels.spinor_propagate(
+        al, be = kernels.offset_pass(
             u, v, dt, omega, eps, theta,
             initial.values[:, 0], initial.values[:, 1], hard,
         )
@@ -382,7 +384,7 @@ def propagate(
     if initial.kind == "unitary":
         if initial.values.shape[1] != 2:
             raise ValueError("only 2x2 unitaries can be propagated by a ControlSequence")
-        al, be = kernels.spinor_propagate(
+        al, be = kernels.offset_pass(
             u, v, dt, omega, eps, theta,
             np.ones(grid.size, dtype=np.complex128), np.zeros(grid.size, dtype=np.complex128),
             hard,

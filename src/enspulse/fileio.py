@@ -72,8 +72,9 @@ def render_json(obj, indent: int = 0) -> str:
             row = "%.17g" if obj.ndim == 1 else "[" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
             parts = ("\n".join([row] * obj.shape[0]) % tuple(obj.ravel().tolist())).split("\n")
             # a row whose numbers do not fit on one line goes to the general
-            # path, which breaks it across lines
-            if obj.ndim == 1 or max(map(len, parts)) - 2 <= 100:
+            # path, which breaks it across lines; a number takes at most 24
+            # characters, so rows of up to three always fit
+            if obj.ndim == 1 or obj.shape[1] <= 3 or max(map(len, parts)) - 2 <= 100:
                 return _layout(parts, pad)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
@@ -95,8 +96,13 @@ def render_json(obj, indent: int = 0) -> str:
 
 def _layout(parts: list, pad: str) -> str:
     """A JSON list of rendered ``parts`` at the indentation ``pad``."""
-    # inline when ", ".join(parts) fits in 100 characters on one line
-    if sum(len(p) + 2 for p in parts) - 2 <= 100 and not any("\n" in p for p in parts):
+    # inline when ", ".join(parts) fits in 100 characters on one line, which
+    # more than 34 nonempty parts never do
+    if (
+        len(parts) <= 34
+        and sum(len(p) + 2 for p in parts) - 2 <= 100
+        and not any("\n" in p for p in parts)
+    ):
         return "[" + ", ".join(parts) + "]"
     return "[\n" + pad + "  " + (",\n" + pad + "  ").join(parts) + "\n" + pad + "]"
 
@@ -162,6 +168,13 @@ def load_pulse(path: str) -> ControlSequence:
     samples = doc.get("samples")
     if not samples:
         raise SchemaError(f"{path}: samples must be nonempty")
+    try:
+        # one pass over every entry: a boolean, string or null is no number
+        numbers = set(map(type, itertools.chain.from_iterable(samples))) <= {int, float}
+    except TypeError:  # a row that is not a list
+        numbers = False
+    if not numbers:
+        raise SchemaError(f"{path}: samples must be [u, v] pairs of JSON numbers")
     for key in ("dt", "a_max"):
         value = doc.get(key)
         if (key == "dt" or key in doc) and type(value) not in (int, float):  # not bool, str or null
@@ -236,7 +249,8 @@ def _write_csv(path: str, header: list, axes: list, columns: list):
     point's axis values, then its entry of every one of ``columns``, all with
     ``"%.17g"``, which renders a float exactly as :func:`_fmt` does.  Each axis
     value is formatted once, and rows are formatted one block of outer-axis
-    values at a time, so no Python float exists for more than one block.
+    values at a time, so no Python float exists for more than one block.  A
+    lone axis is one more column of its block's formatting call.
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row = ",".join(["%.17g"] * table.shape[1])
@@ -249,9 +263,14 @@ def _write_csv(path: str, header: list, axes: list, columns: list):
     per = max(1, _CSV_BLOCK // len(inner))  # outer-axis values per block
     parts = [",".join(header)]
     for i in range(0, len(outer), per):
-        heads = ["%.17g," % x for x in outer[i : i + per].tolist()] if axes else [""]
+        values = outer[i : i + per]
+        block = table[i * len(inner) : (i + len(values)) * len(inner)]
+        if len(axes) == 1:
+            # a lone axis is one more column of the block's one formatting call
+            heads, block = ["%.17g,"] * len(values), np.column_stack((values, block))
+        else:
+            heads = ["%.17g," % x for x in values.tolist()] if axes else [""]
         template = "\n".join([head + tail for head in heads for tail in inner])
-        block = table[i * len(inner) : (i + len(heads)) * len(inner)]
         parts.append(template % tuple(block.ravel().tolist()))
     parts.append("")  # the trailing newline
     atomic_write_text(path, "\n".join(parts))

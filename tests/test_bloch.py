@@ -498,6 +498,90 @@ def test_powered_pass_is_as_accurate_as_the_step_loop(hard_pulse):
     assert spinor_error(kernels.spinor_propagate(*args), exact) <= 4 * loop_err + 1e-15
 
 
+def one_scale_pass(rng, nsteps, npoints, max_flip, dt=1e-4):
+    """A hard-pulse pass at one rf scale: flips up to ``max_flip`` per step at
+    random rf phases, offsets over the whole unaliased band."""
+    eps = rng.uniform(0.5, 1.5)
+    amp = rng.uniform(0.0, max_flip, nsteps) / (eps * dt)
+    phase = rng.uniform(-np.pi, np.pi, nsteps)
+    u, v = amp * np.cos(phase), amp * np.sin(phase)
+    omega = rng.uniform(-np.pi / dt, np.pi / dt, npoints)
+    q = rng.normal(size=(4, npoints))
+    q /= np.linalg.norm(q, axis=0)
+    return (u, v, dt, omega, np.full(npoints, eps), None, q[0] + 1j * q[1], q[2] + 1j * q[3], True)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@settings(max_examples=30, deadline=None)
+@given(
+    nsteps=st.integers(1, 1024),
+    npoints=st.integers(1, 257),
+    max_flip=st.floats(0.0, np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polynomial_route_is_as_accurate_as_the_step_loop(nsteps, npoints, max_flip, seed):
+    # the route's accuracy does not depend on the width that selects it, so
+    # narrow grids reach 1024 steps at a small cost
+    args = one_scale_pass(np.random.default_rng(seed), nsteps, npoints, max_flip)
+    exact = reference_spinor_steps(*args, real=np.longdouble)
+    loop_err = spinor_error(reference_spinor_steps(*args), exact)
+    u, v, dt, omega, eps, _, alpha0, beta0, _ = args
+    got = kernels._polynomial_pass(u, v, dt, omega, eps[0], alpha0, beta0)
+    assert spinor_error(got, exact) <= 4 * loop_err + 1e-15
+
+
+@pytest.mark.parametrize("nsteps", [1, 2, 7, 64, 255])
+def test_polynomial_route_agrees_with_the_tile_loop(nsteps):
+    args = one_scale_pass(np.random.default_rng(nsteps), nsteps, 8 * nsteps, np.pi)
+    assert spinor_error(kernels.offset_pass(*args), kernels.spinor_propagate(*args)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["spinor", "unitary", "bloch"])
+def test_propagate_takes_the_route_for_every_state_kind(monkeypatch, kind):
+    rng = np.random.default_rng(17)
+    pulse = rand_pulse(rng, 40, dt=1e-4, scale=6000.0)
+    grid = DispersionGrid(axes={"omega": np.linspace(-3e4, 3e4, 320), "epsilon": np.array([0.9])})
+    start = {
+        "spinor": EnsembleState.uniform_spinor(grid, 0.6, 0.8j),
+        "unitary": EnsembleState.uniform_unitary(grid, su2_from([0.3, -0.5, 0.1, 0.8])),
+        "bloch": EnsembleState.uniform_bloch(grid, (0.6, 0.0, 0.8)),
+    }[kind]
+    steps = []
+    monkeypatch.setattr(kernels, "hard_step", lambda *a, f=kernels.hard_step: steps.append(1) or f(*a))
+    routed = propagate(pulse, grid, start, model="hard_pulse").values
+    assert steps == [1]
+    monkeypatch.setattr(kernels, "_POINTS_PER_STEP", 10**9)
+    looped = propagate(pulse, grid, start, model="hard_pulse").values
+    assert len(steps) > 1
+    assert np.abs(routed - looped).max() <= 1e-12
+
+
+def test_route_builds_the_rf_rotations_once_and_skips_the_tile_loop(monkeypatch):
+    calls = []
+    for name in ("hard_step", "_tiled_pass"):
+        original = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    args = list(one_scale_pass(np.random.default_rng(5), 64, 8 * 64, np.pi))
+    u, v, dt, _, eps = args[:5]
+    recorded = []
+    monkeypatch.setattr(kernels, "slr_forward", lambda c, s, f=kernels.slr_forward: recorded.append((c, s)) or f(c, s))
+    kernels.offset_pass(*args)
+    assert calls == ["hard_step"]
+    # eps * u before the scale by dt/2, as the tile loop builds each rotation
+    c, s = kernels.hard_step(eps[0] * u * (0.5 * dt), eps[0] * v * (0.5 * dt))
+    assert np.array_equal(recorded[0][0], c) and np.array_equal(recorded[0][1], s)
+    # one point short of the rule, a second rf scale or an rf phase: the tile loop
+    for change in (
+        lambda a: [x[1:] if i in (3, 4, 6, 7) else x for i, x in enumerate(a)],
+        lambda a: a[:4] + [np.where(np.arange(len(a[4])) % 2, a[4], 1.0)] + a[5:],
+        lambda a: a[:5] + [np.zeros(len(a[3]))] + a[6:],
+        lambda a: a[:8] + [False],
+    ):
+        calls.clear()
+        kernels.offset_pass(*change(args))
+        assert "_tiled_pass" in calls
+
+
 def test_long_pass_builds_no_whole_pulse_table():
     # an (nsteps, npoints) complex table of this pass alone would be 9.6 MB
     args = random_pass(np.random.default_rng(3), 200_000, 3, True, True)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from enspulse import slr
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
 from enspulse.cli import build_parser, main
 from enspulse.errors import SchemaError
@@ -185,6 +186,27 @@ def test_pulse_file_dt_and_a_max_must_be_json_numbers(tmp_path, grid_file, capsy
     argv = ["fidelity-map", "--pulse", str(path), "--grid", grid_file[0], "--target", "1,0,0", "--out", str(out)]
     assert main(argv) == 2
     assert f"{key} must be a JSON number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        '[["1e3", 2.0]]', "[[1.0, true]]", "[[false, 2.0]]", "[[1.0, null]]",
+        '[["1e3", true], [false, "2"]]', "[[1.0, 0.0], [[2.0], 0.0]]", "[1.0, 0.0]", '"1e3"',
+    ],
+)
+def test_pulse_file_samples_must_be_json_numbers(tmp_path, grid_file, capsys, samples):
+    # np.asarray(..., dtype=float) used to read strings as their numbers and
+    # booleans as 0 and 1
+    path = tmp_path / "pulse.json"
+    path.write_text('{"schema_version": 1, "amplitude_unit": "rad_per_s", "dt": 1e-4, "samples": %s}' % samples)
+    with pytest.raises(SchemaError, match="samples must be"):
+        load_pulse(str(path))
+    out = tmp_path / "map.csv"
+    argv = ["fidelity-map", "--pulse", str(path), "--grid", grid_file[0], "--target", "1,0,0", "--out", str(out)]
+    assert main(argv) == 2
+    assert "samples must be" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -473,6 +495,28 @@ def test_design_pattern_writes_health_figures(tmp_path):
     assert diag["unimodularity_residual"] <= 1e-12
     for key in ("res_lead", "res_low", "final_dev"):
         assert 0.0 <= diag[key] <= 1e-6
+
+
+@pytest.mark.parametrize("steps, flip", [(64, 1.5707963267948966), (65, 3.14159)])
+def test_design_pattern_figures_simulate_the_written_pulse(tmp_path, capsys, steps, flip):
+    # the 24 n + 1 profile offsets at one rf scale: the verification pass goes
+    # through the pulse's polynomial pair, checked here step by step
+    out = tmp_path / "pat.json"
+    argv = ["design-pattern", "--band", "5000", "--select=-2500,2500", "--flip", repr(flip),
+            "--steps", str(steps), "--out", str(out)]
+    assert main(argv) == 0
+    printed = float(re.search(r"z_profile_error (\S+)", capsys.readouterr().out).group(1))
+    pulse = load_pulse(str(out))
+    diag = json.load(open(str(out) + ".diag.json"))
+    profile = slr.band_selective_profile(5000.0, (-2500.0, 2500.0), flip, steps, pulse.dt)
+    a, b = hard_pulse_spinors(pulse, profile.omega)
+    z = np.abs(a) ** 2 - np.abs(b) ** 2
+    keep = profile.weights >= 1.0
+    z_error = np.abs(z - (1.0 - 2.0 * np.abs(profile.f_beta) ** 2))[keep].max()
+    fidelity = np.abs(np.conj(profile.f_alpha) * a + np.conj(profile.f_beta) * b) ** 2
+    assert printed == diag["z_profile_error"]
+    assert abs(printed - z_error) <= 1e-12
+    assert abs(diag["min_fidelity"] - fidelity.min()) <= 1e-12
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -809,6 +853,15 @@ def test_render_json_formats_float_arrays_as_their_lists(arr, indent):
 
     # the list path renders number by number: it is the oracle
     assert render_json(arr, indent) == render_json(arr.tolist(), indent)
+
+
+def test_render_json_inlines_a_list_of_up_to_100_characters():
+    from enspulse.fileio import render_json
+
+    # 34 one-character parts and their separators are exactly 100 characters
+    assert render_json([7] * 34) == "[" + ", ".join(["7"] * 34) + "]"
+    assert render_json([7] * 35) == "[\n  " + ",\n  ".join(["7"] * 35) + "\n]"
+    assert render_json([7] * 33 + [10]).startswith("[\n")
 
 
 def test_render_json_layout_of_long_lists_and_lists_of_dicts():

@@ -2,7 +2,9 @@
 module exports names through ``__all__``; those names must exist.  The
 kernel takes every angle through one tangent, a pulse file is rendered in a
 few calls, not one per number, and analyze-lie's family presets are the
-compilers' own element tables."""
+compilers' own element tables.  One kernel function chooses between the tile
+loop and the pulse's polynomial pair, and the public spinor pass never takes
+the pair."""
 
 import ast
 import importlib
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import enspulse
-from enspulse import cli, composite, fileio, kernels
+from enspulse import bloch, cli, composite, fileio, kernels, slr
 from enspulse.bloch import ControlSequence
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -80,6 +82,67 @@ def test_kernel_angles_go_through_the_half_angle_helper():
     helper = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_half_angle"]
     assert len(helper) == 1
     assert numpy_calls(tree, names) == numpy_calls(helper[0], names) == ["tan"]
+
+
+def reference_graph(*modules):
+    """``{"module.function": referenced "module.function" names}`` over the
+    top-level functions of ``modules``, read from their source.  A bare name
+    resolves in its own module, through module-level aliases such as
+    ``_spin_steps``; ``kernels.name`` resolves in the kernel module."""
+    graph = {}
+    for module in modules:
+        tree = ast.parse(Path(module.__file__).read_text())
+        prefix = module.__name__.rsplit(".", 1)[-1]
+        funcs = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+        aliases = {
+            target.id: node.value.id
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for func in (f for f in tree.body if isinstance(f, ast.FunctionDef)):
+            refs = set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and aliases.get(node.id, node.id) in funcs:
+                    refs.add(f"{prefix}.{aliases.get(node.id, node.id)}")
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernels":
+                    refs.add(f"kernels.{node.attr}")
+            graph[f"{prefix}.{func.name}"] = refs
+    return graph
+
+
+def reachable(graph, start):
+    seen, todo = set(), [start]
+    while todo:
+        for ref in graph.get(todo.pop(), ()):
+            if ref not in seen:
+                seen.add(ref)
+                todo.append(ref)
+    return seen
+
+
+def test_one_kernel_function_chooses_the_polynomial_route():
+    # a band error and the map of its pulse, or a spinor and a Bloch pass over
+    # one grid, cannot come from different engines, and the public spinor pass
+    # stays the tile loop that the benchmark's tracer and the oracles time
+    graph = reference_graph(kernels, bloch, slr)
+    choosers = [name for name, refs in graph.items() if "kernels._polynomial_pass" in refs]
+    assert choosers == ["kernels.offset_pass"]
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    rule = [
+        f.name
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "_POINTS_PER_STEP" for n in ast.walk(f))
+    ]
+    assert rule == ["offset_pass"]
+    assert "kernels.offset_pass" in graph["bloch.propagate"]
+    assert "kernels.offset_pass" in graph["slr._design_band_error"]
+    # the Bloch kind: the control exchange and adjoint of rotation_propagate
+    assert "kernels.offset_pass" in graph["kernels.rotation_propagate"]
+    assert "kernels.bloch_propagate" in graph["bloch.propagate"]
+    assert not {"kernels.offset_pass", "kernels._polynomial_pass"} & reachable(graph, "kernels.spinor_propagate")
 
 
 def test_pulse_file_renders_its_samples_in_one_call(tmp_path, monkeypatch):
