@@ -14,8 +14,8 @@ Convention table (all simulation code derives from this block):
   from one SU(2) pass (:func:`.kernels.rotation_propagate`), so the spinor
   pass of :mod:`.kernels` is the only propagator: its step loop, or, for a
   hard-pulse pass at one rf scale over a wide grid, the pulse's polynomial
-  pair (:func:`.kernels.offset_pass`).  The test suite checks the Bloch
-  results against independently exponentiated SO(3) steps.
+  pair, both planned by :func:`.kernels.spinor_propagate`.  The test suite
+  checks the Bloch results against independently exponentiated SO(3) steps.
 * rf phase dispersion ``theta`` advances the polar angle of the control
   field in the SO(3) plant's (Ox, Oy) plane:
   ``u' = u cos(theta) + v sin(theta)``, ``v' = -u sin(theta) + v cos(theta)``.
@@ -376,7 +376,7 @@ def propagate(
         out = kernels.bloch_propagate(u, v, dt, omega, eps, theta, initial.values, hard)
         return EnsembleState(grid, "bloch", out)
     if initial.kind == "spinor":
-        al, be = kernels.offset_pass(
+        al, be = kernels.spinor_propagate(
             u, v, dt, omega, eps, theta,
             initial.values[:, 0], initial.values[:, 1], hard,
         )
@@ -384,7 +384,7 @@ def propagate(
     if initial.kind == "unitary":
         if initial.values.shape[1] != 2:
             raise ValueError("only 2x2 unitaries can be propagated by a ControlSequence")
-        al, be = kernels.offset_pass(
+        al, be = kernels.spinor_propagate(
             u, v, dt, omega, eps, theta,
             np.ones(grid.size, dtype=np.complex128), np.zeros(grid.size, dtype=np.complex128),
             hard,

@@ -383,6 +383,7 @@ def _cmd_demo_phase(args) -> int:
 
 
 def _cmd_demo_heisenberg(args) -> int:
+    _require_positive(steps=args.steps, step=args.step)
     rng = np.random.default_rng(args.seed)
     u1 = rng.uniform(-1, 1, args.steps)
     u2 = rng.uniform(-1, 1, args.steps)

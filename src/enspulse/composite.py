@@ -132,6 +132,8 @@ def _reachable(elements, direction, exponents) -> list[bool]:
     The closure runs one depth past the highest total degree asked for, so
     it covers words with one parameter-free leaf.
     """
+    if not exponents:
+        raise ValueError(f"parameter powers must be nonempty, got {exponents}")
     if any(v < 0 for e in exponents for v in e.values()):
         raise ValueError(f"parameter powers must be nonnegative, got {exponents}")
     depth = 1 + max(sum(e.values()) for e in exponents)

@@ -30,13 +30,13 @@ loop alone gives.
 A hard-pulse pass at one rf scale and no rf phase has a second route: its
 propagator at offset omega is the pulse's own spinor-polynomial pair, the one
 :func:`slr_forward` builds from the steps' rf rotations, evaluated at ``z =
-e^(i omega dt)`` behind the half-train delay.  :func:`offset_pass` is the one
-place that chooses it, for grids of at least ``_POINTS_PER_STEP`` points per
-step, where one O(n^2) recursion and Horner's rule over the points cost less
-than the tile loop's n step elements per point.  The route changes roundoff
-only (it is the more accurate of the two); :func:`spinor_propagate` is always
-the tile loop, and the Bloch passes and ``bloch.propagate`` reach the route
-through :func:`offset_pass`.
+e^(i omega dt)`` behind the half-train delay (:func:`_polynomial_pass`).
+:func:`spinor_propagate` is the one place that plans a pass: it takes the
+route for grids of at least ``_POINTS_PER_STEP`` points per step, where one
+O(n^2) recursion and Horner's rule over the points cost less than the tile
+loop's n step elements per point, and the runs and the tile loop otherwise.
+The route changes roundoff only (it is the more accurate of the two); every
+spinor, unitary and Bloch pass reaches it through :func:`spinor_propagate`.
 
 Every angle, of a step, an rf rotation, a free precession or an rf phase,
 goes through :func:`_half_angle`: one tangent ``t = tan(h/2)`` gives cos h
@@ -89,7 +89,6 @@ __all__ = [
     "rf_vector",
     "phase_frame",
     "spinor_propagate",
-    "offset_pass",
     "rotation_propagate",
     "bloch_propagate",
     "adjoint",
@@ -312,14 +311,28 @@ def _power(a, b, count, x, y):
         a, b = su2_apply(a, b, a, b)
 
 
+# The polynomial route costs one O(n^2) recursion plus Horner's rule, one
+# complex product and sum per step and point; the tile loop builds an element
+# per step and point.  Near one point per step the two are within noise of each
+# other; from eight on the route was faster at every size tried.  Medians on a
+# 2-core host, route against tile loop: n = 64 at 512 points 0.69 vs 0.87 ms,
+# n = 256 at 2048 points 5.1 vs 8.9 ms, n = 1024 at 8192 points 35 vs 149 ms.
+_POINTS_PER_STEP = 8
+
+
 def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=False):
     """Propagate Cayley-Klein pairs through all steps at every grid point.
 
-    The steps split into runs of a bitwise-repeated block and literal
-    stretches (:func:`_runs`).  A literal stretch goes through the tile loop
-    (:func:`_tiled_pass`) from the running state; a run's block goes through
-    it once from (1, 0), and the block's element, raised to the run's count
-    by squaring (:func:`_power`), is applied to the running state.
+    A hard-pulse pass at one rf scale and no rf phase is, at every offset,
+    the polynomial pair of :func:`slr_forward` evaluated on the unit circle
+    (:func:`_polynomial_pass`).  That route is taken when ``eps`` holds one
+    bitwise-distinct value, ``theta`` is None and the grid has at least
+    ``_POINTS_PER_STEP`` points per step.  Otherwise the steps split into
+    runs of a bitwise-repeated block and literal stretches (:func:`_runs`).
+    A literal stretch goes through the tile loop (:func:`_tiled_pass`) from
+    the running state; a run's block goes through it once from (1, 0), and
+    the block's element, raised to the run's count by squaring
+    (:func:`_power`), is applied to the running state.
 
     Parameters
     ----------
@@ -334,13 +347,17 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     -------
     (alpha, beta) : complex arrays after the full sequence.
     """
-    alpha = np.array(alpha0, dtype=np.complex128, copy=True)
-    beta = np.array(beta0, dtype=np.complex128, copy=True)
     omega = np.asarray(omega, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    theta = None if theta is None else np.asarray(theta, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    if hard_pulse and theta is None and 0 < len(u) * _POINTS_PER_STEP <= len(omega):
+        bits = eps.view(np.int64)
+        if (bits == bits[0]).all():
+            return _polynomial_pass(u, v, dt, omega, eps[0], alpha0, beta0)
+    alpha = np.array(alpha0, dtype=np.complex128, copy=True)
+    beta = np.array(beta0, dtype=np.complex128, copy=True)
+    theta = None if theta is None else np.asarray(theta, dtype=np.float64)
     for start, period, count in _runs(u, v, len(omega)):
         block = slice(start, start + period)
         if count == 1:
@@ -360,8 +377,8 @@ def _tiled_pass(u, v, dt, omega, eps, theta, alpha, beta, hard_pulse):
     ``_TILE // chunk`` steps.  Each tile's step pairs are built in one call,
     composed pairwise (:func:`_product`) and applied to the running state, so
     no (nsteps, npoints) table is ever built.  Arrays as converted by
-    :func:`spinor_propagate`, which alone calls this loop, so that a traced
-    ``spinor_propagate`` counts each pass once.
+    :func:`spinor_propagate`, its one caller, so that a traced
+    ``spinor_propagate`` counts each pass once, whichever route it takes.
     """
     u, v = u[:, None], v[:, None]
     hdt = 0.5 * dt
@@ -403,39 +420,6 @@ def _tiled_pass(u, v, dt, omega, eps, theta, alpha, beta, hard_pulse):
 _spin_steps = spinor_propagate
 
 
-# The polynomial route costs one O(n^2) recursion plus Horner's rule, one
-# complex product and sum per step and point; the tile loop builds an element
-# per step and point.  Near one point per step the two are within noise of each
-# other; from eight on the route was faster at every size tried.  Medians on a
-# 2-core host, route against tile loop: n = 64 at 512 points 0.69 vs 0.87 ms,
-# n = 256 at 2048 points 5.1 vs 8.9 ms, n = 1024 at 8192 points 35 vs 149 ms.
-_POINTS_PER_STEP = 8
-
-
-def offset_pass(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=False, fallback=None):
-    """The pass of :func:`spinor_propagate`, through the pulse's own
-    spinor-polynomial pair where the grid makes that the faster route.
-
-    A hard-pulse pass at one rf scale and no rf phase is, at every offset,
-    the polynomial pair of :func:`slr_forward` evaluated on the unit circle
-    (:func:`_polynomial_pass`).  That route is taken when ``eps`` holds one
-    bitwise-distinct value, ``theta`` is None and the grid has at least
-    ``_POINTS_PER_STEP`` points per step.  Every other pass goes to
-    ``fallback``, by default :func:`spinor_propagate` as the module names it
-    at call time, so a wrapped ``spinor_propagate`` sees it.
-    Arguments as for :func:`spinor_propagate`.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    nsteps = len(u)
-    if hard_pulse and theta is None and 0 < nsteps * _POINTS_PER_STEP <= len(omega):
-        bits = eps.view(np.int64)
-        if (bits == bits[0]).all():
-            return _polynomial_pass(u, v, dt, omega, eps[0], alpha0, beta0)
-    fallback = spinor_propagate if fallback is None else fallback
-    return fallback(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse)
-
-
 def _polynomial_pass(u, v, dt, omega, eps, alpha0, beta0):
     """Hard-pulse pass at the one rf scale ``eps``, through the pulse's pair.
 
@@ -450,8 +434,7 @@ def _polynomial_pass(u, v, dt, omega, eps, alpha0, beta0):
     n leaves one half step, ``e^(-i omega dt/2)``.
     """
     hdt = 0.5 * dt
-    p, q = slr_forward(*hard_step(eps * np.asarray(u, dtype=np.float64) * hdt,
-                                  eps * np.asarray(v, dtype=np.float64) * hdt))
+    p, q = slr_forward(*hard_step(eps * u * hdt, eps * v * hdt))
     n, h = len(p), len(p) // 2
     # powers z^j of the coefficients h + j, and conj(z)^j of h - j
     table = np.zeros((2, 2, h + 1), dtype=np.complex128)
@@ -467,9 +450,7 @@ def _polynomial_pass(u, v, dt, omega, eps, alpha0, beta0):
         y += table[:, :, j : j + 1]
     a, b = y[0] + y[1]
     if n % 2:
-        c, s = rf_vector(1.0, hdt * omega)
-        half = np.empty(len(omega), dtype=np.complex128)
-        half.real, half.imag = c, -s
+        half = _turn(hdt * omega)
         a *= half
         b *= half
     return su2_apply(a, b, alpha0, beta0)
@@ -497,14 +478,14 @@ def rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse=False):
     """Net SO(3) rotations (npoints, 3, 3) of the Bloch plant at every point.
 
     One spinor pass from (1, 0) with the controls exchanged and the rf phase
-    negated (:func:`offset_pass`, falling back on the tile loop), mapped
-    through :func:`adjoint`.  Arguments as for :func:`spinor_propagate`.
+    negated, mapped through :func:`adjoint`.  Arguments as for
+    :func:`spinor_propagate`.
     """
     npoints = len(omega)
-    alpha, beta = offset_pass(
+    alpha, beta = _spin_steps(
         v, u, dt, omega, eps, None if theta is None else -np.asarray(theta, dtype=np.float64),
         np.ones(npoints, dtype=np.complex128), np.zeros(npoints, dtype=np.complex128),
-        hard_pulse, _spin_steps,
+        hard_pulse,
     )
     return adjoint(alpha, beta)
 
@@ -531,9 +512,21 @@ def slr_forward(chalf, shalf):
     n = len(chalf)
     p = np.zeros(n, dtype=np.complex128)
     q = np.zeros(n, dtype=np.complex128)
+    sx_buf = np.empty(n, dtype=np.complex128)
+    csy_buf = np.empty(n, dtype=np.complex128)
     p[0] = 1.0
-    for k in range(n):
-        p, q = su2_apply(chalf[k], shalf[k], p, np.concatenate(([0.0], q[:-1])))
+    # m steps leave m live coefficients: P's at p[:m], Q's at q[n - m:].  The
+    # next window, q[n - m - 1:], is Q shifted up a degree behind a zero no step
+    # has written, so each step updates its window in place, as su2_apply would.
+    steps = zip(chalf.tolist(), shalf.tolist(), np.conj(shalf).tolist())
+    for m, (c, s, cs) in enumerate(steps, 1):
+        x, y, sx, csy = p[:m], q[n - m :], sx_buf[:m], csy_buf[:m]
+        np.multiply(s, x, out=sx)
+        np.multiply(cs, y, out=csy)
+        x *= c
+        x -= csy
+        y *= c
+        y += sx
     return p, q
 
 

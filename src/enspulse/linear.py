@@ -273,6 +273,8 @@ def heisenberg_invariant(
     coordinate a different gain profile.
     """
     eps = np.asarray(epsilons, dtype=float)
+    if eps.size == 0 or not np.isfinite(eps).all():
+        raise ValueError(f"gains must be nonempty and finite, got {eps.tolist()}")
     if np.any(eps == 0):
         raise ValueError("gains must be nonzero")
     finals = heisenberg_trajectories(u1, u2, dt, eps)

@@ -664,7 +664,7 @@ def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
     """
     omega = np.linspace(-band, band, npoints)
     ones = np.ones(npoints)
-    alpha, beta = kernels.offset_pass(pulse.u, pulse.v, dt, omega, ones, None, ones, 0 * ones, True)
+    alpha, beta = kernels.spinor_propagate(pulse.u, pulse.v, dt, omega, ones, None, ones, 0 * ones, True)
     return _aligned_distance(alpha, beta, *rotation_target(axis, angle, omega, pulse.nsteps, dt))
 
 

@@ -346,7 +346,10 @@ def test_hard_pass_with_repeated_eps_is_bitwise_the_per_point_build(nsteps, npoi
     u, v, _, omega, eps, _, alpha0, beta0, _ = random_pass(rng, nsteps, npoints, False, True)
     if ndistinct is not None:
         eps = rng.permutation(np.resize(eps[:ndistinct], npoints))
-    got = kernels.spinor_propagate(u, v, 1e-4, omega, eps, None, alpha0, beta0, True)
+    # the tile loop, also where one eps over a wide grid meets the route's rule
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_POINTS_PER_STEP", 10**9)
+        got = kernels.spinor_propagate(u, v, 1e-4, omega, eps, None, alpha0, beta0, True)
     want = per_point_hard_pass(u, v, 1e-4, omega, eps, alpha0, beta0)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -360,6 +363,8 @@ def test_hard_pass_with_one_eps_builds_each_rf_rotation_once_per_step(monkeypatc
         return original(hx, hy)
 
     monkeypatch.setattr(kernels, "hard_step", recorded)
+    # the tile loop: one eps over 6145 points would otherwise take the route
+    monkeypatch.setattr(kernels, "_POINTS_PER_STEP", 10**9)
     args = list(random_pass(np.random.default_rng(11), 256, 6145, False, True))
     args[4] = np.full(6145, 0.93)
     kernels.spinor_propagate(*args)
@@ -531,9 +536,11 @@ def test_polynomial_route_is_as_accurate_as_the_step_loop(nsteps, npoints, max_f
 
 
 @pytest.mark.parametrize("nsteps", [1, 2, 7, 64, 255])
-def test_polynomial_route_agrees_with_the_tile_loop(nsteps):
+def test_polynomial_route_agrees_with_the_tile_loop(monkeypatch, nsteps):
     args = one_scale_pass(np.random.default_rng(nsteps), nsteps, 8 * nsteps, np.pi)
-    assert spinor_error(kernels.offset_pass(*args), kernels.spinor_propagate(*args)) <= 1e-12
+    routed = kernels.spinor_propagate(*args)
+    monkeypatch.setattr(kernels, "_POINTS_PER_STEP", 10**9)
+    assert spinor_error(routed, kernels.spinor_propagate(*args)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["spinor", "unitary", "bloch"])
@@ -565,7 +572,7 @@ def test_route_builds_the_rf_rotations_once_and_skips_the_tile_loop(monkeypatch)
     u, v, dt, _, eps = args[:5]
     recorded = []
     monkeypatch.setattr(kernels, "slr_forward", lambda c, s, f=kernels.slr_forward: recorded.append((c, s)) or f(c, s))
-    kernels.offset_pass(*args)
+    kernels.spinor_propagate(*args)
     assert calls == ["hard_step"]
     # eps * u before the scale by dt/2, as the tile loop builds each rotation
     c, s = kernels.hard_step(eps[0] * u * (0.5 * dt), eps[0] * v * (0.5 * dt))
@@ -578,7 +585,7 @@ def test_route_builds_the_rf_rotations_once_and_skips_the_tile_loop(monkeypatch)
         lambda a: a[:8] + [False],
     ):
         calls.clear()
-        kernels.offset_pass(*change(args))
+        kernels.spinor_propagate(*change(args))
         assert "_tiled_pass" in calls
 
 

@@ -667,6 +667,32 @@ def test_demo_heisenberg(capsys):
     assert "second_order_spread" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--step", "nan"], "--step must be positive"),
+        (["--step", "0"], "--step must be positive"),
+        (["--steps", "0"], "--steps must be positive"),
+        (["--epsilons", ""], "gains must be nonempty and finite, got []"),
+        (["--epsilons", "nan,1"], "gains must be nonempty and finite, got [nan, 1.0]"),
+    ],
+    ids=["step-nan", "step-0", "steps-0", "epsilons-empty", "epsilons-nan"],
+)
+def test_demo_heisenberg_rejects_degenerate_flags(capsys, flags, message):
+    # a NaN step once printed nan rows and exit 1, as if the scaling law
+    # failed; zero steps or a zero step passed on all-zero x3
+    assert main(["demo-heisenberg", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_design_zz_empty_basis_exits_2_naming_the_powers(tmp_path, capsys):
+    code = main([*_ZZ, "--theta", "0.7", "--basis", "", "--out", str(tmp_path / "zz.json")])
+    assert code == 2
+    assert "parameter powers must be nonempty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_analyze_lie_presets(tmp_path):
     out = tmp_path / "lie.json"
     assert main(["analyze-lie", "--preset", "rf-scale", "--out", str(out)]) == 0

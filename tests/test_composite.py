@@ -344,6 +344,20 @@ def test_two_param_rejects_zero_range():
         compile_two_param(0.5, np.array([0.0, 1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "compile_empty",
+    [
+        lambda: compile_omega_robust(np.full(5, 0.4), np.linspace(-1.0, 1.0, 5), powers=()),
+        lambda: compile_two_param(0.5, np.array([0.9, 1.1]), np.array([1.0]), orders=()),
+        lambda: compile_j_robust_zz(0.7, 1.0, 0.1, basis=()),
+    ],
+    ids=["omega-powers", "two-param-orders", "zz-basis"],
+)
+def test_empty_powers_are_rejected_by_name(compile_empty):
+    with pytest.raises(ValueError, match="parameter powers must be nonempty"):
+        compile_empty()
+
+
 # ---------------------------------------------------------------------------
 # offset compensation with strong rf
 # ---------------------------------------------------------------------------

@@ -282,3 +282,8 @@ def test_no_control_reaches_unit_third_coordinate_at_two_gains():
 def test_heisenberg_rejects_zero_gain():
     with pytest.raises(ValueError):
         heisenberg_invariant(np.ones(3), np.ones(3), 0.1, (0.0, 1.0))
+
+
+def test_heisenberg_rejects_an_empty_gain_list():
+    with pytest.raises(ValueError, match="gains must be nonempty and finite"):
+        heisenberg_invariant(np.ones(3), np.ones(3), 0.1, ())

@@ -94,6 +94,30 @@ def test_forward_zero_flips():
     assert np.allclose(poly.q, 0.0)
 
 
+def full_length_forward(chalf, shalf):
+    """The recursion over whole length-n arrays, with a fresh shifted copy of
+    Q per step."""
+    n = len(chalf)
+    p = np.zeros(n, dtype=np.complex128)
+    q = np.zeros(n, dtype=np.complex128)
+    p[0] = 1.0
+    for k in range(n):
+        p, q = kernels.su2_apply(chalf[k], shalf[k], p, np.concatenate(([0.0], q[:-1])))
+    return p, q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024])
+def test_forward_on_live_coefficients_is_bitwise_the_full_length_recursion(n):
+    # a quarter of the steps have the rf off, so zero pairs enter the sums
+    rng = np.random.default_rng(n)
+    half_flip = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.75)
+    phase = rng.uniform(-np.pi, np.pi, n)
+    c, s = kernels.hard_step(half_flip * np.cos(phase), half_flip * np.sin(phase))
+    p, q = kernels.slr_forward(c, s)
+    want_p, want_q = full_length_forward(c, s)
+    assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
+
+
 def test_forward_matches_matrix_product_oracle():
     rng = np.random.default_rng(21)
     steps = rand_steps(rng, 8)

@@ -2,9 +2,9 @@
 module exports names through ``__all__``; those names must exist.  The
 kernel takes every angle through one tangent, a pulse file is rendered in a
 few calls, not one per number, and analyze-lie's family presets are the
-compilers' own element tables.  One kernel function chooses between the tile
-loop and the pulse's polynomial pair, and the public spinor pass never takes
-the pair."""
+compilers' own element tables.  One kernel function, the public spinor pass,
+plans every pass: the tile loop or the pulse's polynomial pair, so the
+tracer's kernel spans see each pass once."""
 
 import ast
 import importlib
@@ -19,7 +19,7 @@ import pytest
 
 import enspulse
 from enspulse import bloch, cli, composite, fileio, kernels, slr
-from enspulse.bloch import ControlSequence
+from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -124,11 +124,19 @@ def reachable(graph, start):
 
 def test_one_kernel_function_chooses_the_polynomial_route():
     # a band error and the map of its pulse, or a spinor and a Bloch pass over
-    # one grid, cannot come from different engines, and the public spinor pass
-    # stays the tile loop that the benchmark's tracer and the oracles time
-    graph = reference_graph(kernels, bloch, slr)
-    choosers = [name for name, refs in graph.items() if "kernels._polynomial_pass" in refs]
-    assert choosers == ["kernels.offset_pass"]
+    # one grid, cannot come from different engines, and the benchmark's tracer
+    # sees every pass in the one function that plans it
+    graph = reference_graph(kernels, bloch, slr, composite)
+    assert not hasattr(kernels, "offset_pass") and "kernels.offset_pass" not in graph
+    assert all(
+        "fallback" not in inspect.signature(f).parameters
+        for f in vars(kernels).values()
+        if inspect.isfunction(f) and f.__module__ == kernels.__name__
+    )
+    passes = {"kernels._polynomial_pass", "kernels._tiled_pass"}
+    planners = [name for name, refs in graph.items() if passes & refs]
+    assert planners == ["kernels.spinor_propagate"]
+    assert passes <= graph["kernels.spinor_propagate"]
     tree = ast.parse(Path(kernels.__file__).read_text())
     rule = [
         f.name
@@ -136,13 +144,48 @@ def test_one_kernel_function_chooses_the_polynomial_route():
         if isinstance(f, ast.FunctionDef)
         and any(isinstance(n, ast.Name) and n.id == "_POINTS_PER_STEP" for n in ast.walk(f))
     ]
-    assert rule == ["offset_pass"]
-    assert "kernels.offset_pass" in graph["bloch.propagate"]
-    assert "kernels.offset_pass" in graph["slr._design_band_error"]
+    assert rule == ["spinor_propagate"]
+    # every propagation reaches a pass through spinor_propagate and no other way
+    cut = {name: refs - {"kernels.spinor_propagate"} for name, refs in graph.items()}
+    for caller in (
+        "bloch.propagate",
+        "bloch.net_su2",
+        "bloch.net_rotation",
+        "slr._design_band_error",
+        "composite.compensate_epsilon_small_flip",
+        "kernels.rotation_propagate",
+    ):
+        assert "kernels.spinor_propagate" in reachable(graph, caller), caller
+        assert not passes & reachable(cut, caller), caller
     # the Bloch kind: the control exchange and adjoint of rotation_propagate
-    assert "kernels.offset_pass" in graph["kernels.rotation_propagate"]
     assert "kernels.bloch_propagate" in graph["bloch.propagate"]
-    assert not {"kernels.offset_pass", "kernels._polynomial_pass"} & reachable(graph, "kernels.spinor_propagate")
+
+
+@pytest.mark.parametrize(
+    "case, traced",
+    [("spinor", "spinor_propagate"), ("band-error", "spinor_propagate"), ("bloch", "bloch_propagate")],
+)
+def test_a_routed_pass_is_one_traced_kernel_call(monkeypatch, case, traced):
+    # the benchmark's tracer wraps these two public names by setattr: a pass
+    # that takes the polynomial route is one call of one of them, and a Bloch
+    # pass is not counted a second time as a spinor pass
+    calls = []
+    for name in ("spinor_propagate", "bloch_propagate", "_polynomial_pass"):
+        original = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    pulse = ControlSequence(1e-4, np.random.default_rng(3).uniform(-6000.0, 6000.0, (16, 2)))
+    if case == "band-error":
+        # 129 offsets over 16 steps meet the rule
+        slr._design_band_error(pulse, "x", np.pi / 2, 2e4, pulse.dt)
+    else:
+        grid = DispersionGrid(axes={"omega": np.linspace(-3e4, 3e4, 320), "epsilon": np.array([0.9])})
+        start = (
+            EnsembleState.uniform_spinor(grid, 1.0, 0.0)
+            if case == "spinor"
+            else EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0))
+        )
+        bloch.propagate(pulse, grid, start, model="hard_pulse")
+    assert calls == [traced, "_polynomial_pass"]
 
 
 def test_pulse_file_renders_its_samples_in_one_call(tmp_path, monkeypatch):
