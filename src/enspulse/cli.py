@@ -334,6 +334,9 @@ def _cmd_analyze_lie(args) -> int:
 
 
 def _cmd_analyze_linear(args) -> int:
+    if not 0 <= args.tol < np.inf:  # NaN too
+        raise SchemaError(f"--tol must be nonnegative and finite, got {args.tol}")
+    _require_positive(step=args.step)
     doc = fileio._load_json(args.samples)
     entries = doc.get("samples") if isinstance(doc, dict) else None
     if not entries or not isinstance(entries, list):
@@ -430,7 +433,7 @@ def _args_design_composite(p):
     p.add_argument("--grid-points", type=int, default=21, dest="grid_points")
     p.add_argument("--basis", default="1,3,5")
     p.add_argument("--subdivisions", type=int, default=1)
-    p.add_argument("--tol", type=float, default=5e-2)
+    p.add_argument("--tol", type=float, default=composite.DEFAULT_TOL)
     p.add_argument("--out", required=True)
 
 
@@ -440,7 +443,7 @@ def _args_design_zz(p):
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--basis", default="1,3")
     p.add_argument("--subdivisions", type=int, default=1)
-    p.add_argument("--tol", type=float, default=5e-2)
+    p.add_argument("--tol", type=float, default=composite.DEFAULT_TOL)
     p.add_argument("--out", required=True)
 
 

@@ -3,11 +3,11 @@
 Nested group commutators synthesize effective generators that carry higher
 powers of the dispersion parameters; least-squares coefficients on those
 powers then flatten (or shape) the parameter dependence of the net
-rotation.  One realizer (:func:`_realize`) and one compile loop
-(:func:`_compile_words`) serve every backend.  A backend is a pair of
-functions: ``leaf(label, amount)`` returns the pieces whose net propagator
-is ``exp(amount * G_label)``, and ``inverse(pieces)`` returns the exact
-inverse of a piece list.
+rotation.  One realizer (:func:`_realize`) and one compile step
+(:func:`_compile`: closure gate, fit gate, realization) serve every
+backend.  A backend is a pair of functions: ``leaf(label, amount)``
+returns the pieces whose net propagator is ``exp(amount * G_label)``, and
+``inverse(pieces)`` returns the exact inverse of a piece list.
 
 * rf leaves — one piecewise-constant control sample per segment (one or two
   rf-scale parameters, or phase-shifted copies of a small-flip block);
@@ -19,11 +19,12 @@ inverse of a piece list.
   instantaneous local rotations (coupling-strength compensation); inverse
   :func:`_inv_segments`.
 
-One list of ``(word, exponents)`` pairs per backend decides what is fitted
-(:func:`fit_coefficients` on its exponents), realized and predicted: every
-compiled object records the predicted generator as a
-:class:`~enspulse.liealg.DispersionPolyElement` on those monomials, so fit
-error and commutator-approximation error can be separated exactly.
+One exponent list per backend decides what is gated, fitted
+(:func:`fit_coefficients`), realized (one word per exponent map, from the
+backend's word builder) and predicted: every compiled object records the
+predicted generator as a :class:`~enspulse.liealg.DispersionPolyElement`
+on those monomials, so fit error and commutator-approximation error can be
+separated exactly.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ SO3 = so3_generators()
 DEFAULT_DT = 1e-3  # segment duration for compiled rf sequences (s)
 SMALL_FLIP_BAND = 0.25  # half-width of the small-flip linearity band, in units of 1/dt
 SMALL_FLIP_LINEARITY_TOL = 0.05  # allowed nonlinearity, relative to half the block flip
+DEFAULT_TOL = 5e-2  # max fit residual (rad) a compiler accepts unless told otherwise
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +184,38 @@ def _realize(word: BracketWord, amount: float, leaf, inverse) -> list:
     return inverse(seq) if amount < 0.0 else seq
 
 
-def _compile_words(coefficients, words, elements, direction, subdivisions, leaf, inverse):
-    """Realize sum_i c_i * monomial_i * direction, one bracket word per term.
+def _compile(
+    elements, axis, direction, exponents, word_of, target, params, tol, subdivisions,
+    leaf, inverse, what, share=1.0,
+):
+    """Gate, fit and realize ``target`` as sum_i c_i * monomial_i * direction.
 
-    ``words`` pairs each word with the exponents of the monomial it must
-    carry; the same list gave the fit its monomials and here decides the
-    realized blocks and the predicted terms.  Each word's single-monomial
+    In order: ``subdivisions`` must be at least 1; the closure of
+    ``elements`` must put every exponent map on ``direction`` (axis name
+    ``axis``) before ``word_of(exponents)`` builds any word; the fit of
+    ``target`` over the ``params`` grids must meet ``tol`` (else
+    :class:`InfeasibleError` led by ``what``).  Each word's single-monomial
     element is measured, never assumed, so sign bookkeeping cannot drift;
-    its block at ``tau = c / scale / subdivisions`` is realized once and
-    repeated ``subdivisions`` times.  Returns the pieces, the predicted
-    ``(exponents, coefficient)`` terms and the commutator budget.
+    its block at ``tau = c / scale / subdivisions``, with ``c`` the
+    coefficient times ``share``, is realized once and repeated
+    ``subdivisions`` times.  Returns the fit, the pieces, the predicted
+    ``(exponents, c * direction)`` terms and the commutator budget.
     """
+    if subdivisions < 1:
+        raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
+    _require_reachable(elements, axis, direction, exponents)
+    fit = _require_fit(fit_coefficients(target, exponents, params, tol), what)
     pieces: list = []
     terms = []
     budget = 0.0
-    for c, (word, exponents) in zip(coefficients, words):
-        scale = _monomial_scale(word.element(elements), exponents, direction)
+    for c, e in zip(share * fit.coefficients, exponents):
+        word = word_of(e)
+        scale = _monomial_scale(word.element(elements), e, direction.entries)
         tau = c / scale / subdivisions
         pieces.extend(_realize(word, tau, leaf, inverse) * subdivisions)
         budget += subdivisions * abs(tau) ** 1.5
-        terms.append((exponents, c * direction))
-    return pieces, terms, budget
+        terms.append((e, c * direction.entries))
+    return fit, pieces, terms, budget
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +336,7 @@ class RobustRotationSpec:
     angles: np.ndarray  # target rotation angle per grid point (rad)
     grid: np.ndarray  # parameter samples (rf scale eps)
     basis: tuple[int, ...] = (1, 3)
-    tol: float = 5e-2
+    tol: float = DEFAULT_TOL
     subdivisions: int = 1
 
     def __post_init__(self):
@@ -333,8 +346,6 @@ class RobustRotationSpec:
         self.grid = np.asarray(self.grid, dtype=float)
         if len(self.basis) == 0:
             raise ValueError("basis must be nonempty")
-        if self.subdivisions < 1:
-            raise ValueError("subdivisions must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +363,15 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
     if spec.axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     partner = "y" if spec.axis == "x" else "x"
-    exponents = [{"eps": e} for e in spec.basis]
-    _require_reachable(RF_ELEMENTS, spec.axis, SO3[spec.axis], exponents)
-    words = [(word_for_power(spec.axis, partner, e["eps"]), e) for e in exponents]
-    fit = _require_fit(
-        fit_coefficients(spec.angles, exponents, {"eps": spec.grid}, tol=spec.tol),
-        f"target not approximable on basis {spec.basis}",
+    fit, samples, terms, budget = _compile(
+        RF_ELEMENTS, spec.axis, SO3[spec.axis], [{"eps": e} for e in spec.basis],
+        lambda e: word_for_power(spec.axis, partner, e["eps"]),
+        spec.angles, {"eps": spec.grid}, spec.tol, spec.subdivisions,
+        _rf_leaf(RF_CHANNELS, dt), _inv_rf, f"target not approximable on basis {spec.basis}",
     )
-    samples, terms, budget = _compile_words(
-        fit.coefficients, words, RF_ELEMENTS, SO3[spec.axis].entries, spec.subdivisions,
-        _rf_leaf(RF_CHANNELS, dt), _inv_rf,
-    )
-    seq = ControlSequence(dt, np.array(samples) if samples else np.zeros((0, 2)))
     return _compiled(
-        seq, terms, fit, basis=list(spec.basis), commutator_budget=budget, segments=len(samples)
+        ControlSequence(dt, np.array(samples)), terms, fit,
+        basis=list(spec.basis), commutator_budget=budget, segments=len(samples),
     )
 
 
@@ -375,7 +381,7 @@ def compile_euler_angles(
     gamma: np.ndarray,
     grid: np.ndarray,
     basis: tuple[int, ...] = (1, 3),
-    tol: float = 5e-2,
+    tol: float = DEFAULT_TOL,
     subdivisions: int = 1,
     dt: float = DEFAULT_DT,
 ) -> list[CompiledSequence]:
@@ -408,10 +414,8 @@ def compensate_epsilon_small_flip(
     pi realizes negative amounts, a quarter-turn phase realizes the partner
     direction for the bracket words, and scaling the block's controls
     realizes fractional amounts.  The block must respond linearly in eps
-    (small-flip regime).
+    (small-flip regime), and the fit must meet :data:`DEFAULT_TOL`.
     """
-    exponents = [{"eps": e} for e in basis]
-    _require_reachable(RF_ELEMENTS, "x", SO3["x"], exponents)
     # small-flip linearity check on the block's hard-pulse response over the
     # band at eps 1 and at the grid's ends, from one kernel pass
     gridarr = np.asarray(grid, dtype=float)
@@ -435,9 +439,6 @@ def compensate_epsilon_small_flip(
             f"block response deviates from linear in eps by {dev:.3e}; not a small-flip block"
         )
 
-    words = [(word_for_power("x", "y", e["eps"]), e) for e in exponents]
-    fit = fit_coefficients(target_angle, exponents, {"eps": gridarr})
-
     def leaf(label: str, amount: float) -> list[np.ndarray]:
         phase = 0.0 if label == "x" else np.pi / 2
         if amount < 0:
@@ -452,8 +453,11 @@ def compensate_epsilon_small_flip(
             out.extend(shifted.scaled(frac / block_flip).samples)
         return out
 
-    samples, _, _ = _compile_words(
-        fit.coefficients, words, RF_ELEMENTS, SO3["x"].entries, subdivisions, leaf, _inv_rf
+    _, samples, _, _ = _compile(
+        RF_ELEMENTS, "x", SO3["x"], [{"eps": e} for e in basis],
+        lambda e: word_for_power("x", "y", e["eps"]), target_angle, {"eps": gridarr},
+        DEFAULT_TOL, subdivisions, leaf, _inv_rf,
+        f"small-flip target not approximable on basis {basis}",
     )
     return ControlSequence(block.dt, np.array(samples))
 
@@ -503,7 +507,7 @@ def compile_two_param(
     eps2_grid: np.ndarray,
     orders: Sequence[tuple[int, int]] = ((0, 0), (1, 0), (0, 1), (1, 1)),
     axis: str = "z",
-    tol: float = 5e-2,
+    tol: float = DEFAULT_TOL,
     subdivisions: int = 1,
     dt: float = DEFAULT_DT,
 ) -> CompiledSequence:
@@ -518,20 +522,19 @@ def compile_two_param(
     if np.any(e1 == 0) or np.any(e2 == 0):
         raise ValueError("parameter ranges must exclude zero")
     g1, g2 = np.meshgrid(e1, e2, indexing="ij")
-    exponents = [{"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1} for k, l in orders]
-    _require_reachable(TWO_PARAM_ELEMENTS, axis, SO3[axis], exponents)
-    words = [(two_param_word(k, l, axis), e) for (k, l), e in zip(orders, exponents)]
-    params = {"eps1": g1.ravel(), "eps2": g2.ravel()}
-    fit = _require_fit(
-        fit_coefficients(target_angle, exponents, params, tol),
-        "two-parameter target not approximable",
+    # eps1 carries 2k + 1 on z and 2k on y, eps2 carries 2l + 1: halving
+    # each power recovers the word's orders
+    fit, samples, terms, _ = _compile(
+        TWO_PARAM_ELEMENTS, axis, SO3[axis],
+        [{"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1} for k, l in orders],
+        lambda e: two_param_word(e["eps1"] // 2, e["eps2"] // 2, axis),
+        target_angle, {"eps1": g1.ravel(), "eps2": g2.ravel()}, tol, subdivisions,
+        _rf_leaf(TWO_PARAM_CHANNELS, dt), _inv_rf, "two-parameter target not approximable",
     )
-    samples, terms, _ = _compile_words(
-        fit.coefficients, words, TWO_PARAM_ELEMENTS, SO3[axis].entries, subdivisions,
-        _rf_leaf(TWO_PARAM_CHANNELS, dt), _inv_rf,
+    return _compiled(
+        ControlSequence(dt, np.array(samples)), terms, fit,
+        orders=[list(o) for o in orders], segments=len(samples),
     )
-    seq = ControlSequence(dt, np.array(samples) if samples else np.zeros((0, 2)))
-    return _compiled(seq, terms, fit, orders=[list(o) for o in orders], segments=len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +604,7 @@ def compile_omega_robust(
     powers: Sequence[int] = (0, 1, 2),
     axis: str = "x",
     single_quadrature: bool = False,
-    tol: float = 5e-2,
+    tol: float = DEFAULT_TOL,
     subdivisions: int = 1,
 ) -> CompiledSequence:
     """Synthesize exp(f(omega) O_axis) from drift periods and hard rotations.
@@ -615,18 +618,14 @@ def compile_omega_robust(
         raise ValueError("axis must be 'x' or 'y'")
     table = {k: v for k, v in OMEGA_ELEMENTS.items() if not (single_quadrature and k == "ry")}
     asked = [{"omega": int(p)} for p in powers]
-    powers = tuple(e["omega"] for e, ok in zip(asked, _reachable(table, SO3[axis], asked)) if ok)
-    if not powers:
+    exponents = [e for e, ok in zip(asked, _reachable(table, SO3[axis], asked)) if ok]
+    if not exponents:
         raise InfeasibleError(f"axis {axis} carries no requested offset powers with one quadrature")
-
-    words = [(omega_word(axis, p), {"omega": p}) for p in powers]
-    fit = _require_fit(
-        fit_coefficients(target, [e for _, e in words], {"omega": omega_grid}, tol),
+    powers = tuple(e["omega"] for e in exponents)
+    fit, segments, terms, _ = _compile(
+        table, axis, SO3[axis], exponents, lambda e: omega_word(axis, e["omega"]),
+        target, {"omega": omega_grid}, tol, subdivisions, _omega_leaf, _inv_segments,
         f"offset target not approximable on powers {powers}",
-    )
-    segments, terms, _ = _compile_words(
-        fit.coefficients, words, OMEGA_ELEMENTS, SO3[axis].entries, subdivisions,
-        _omega_leaf, _inv_segments,
     )
     return _compiled(
         segments, terms, fit,
@@ -698,24 +697,19 @@ def compile_j_robust_zz(
     delta: float,
     basis: tuple[int, ...] = (1, 3),
     nsamples: int = 21,
-    tol: float = 5e-2,
+    tol: float = DEFAULT_TOL,
     subdivisions: int = 1,
 ) -> CompiledSequence:
     """Coupling-strength-robust ZZ evolution exp(-i theta sz sz) over
     J in j0*[1-delta, 1+delta]."""
-    exponents = [{"J": e} for e in basis]
-    _require_reachable(COUPLING_ELEMENTS, "zz", _B["b2"], exponents)
-    words = [(word_for_power("b2", "b1", e["J"]), e) for e in exponents]
-    grid = coupling_grid(j0, delta, nsamples)
-    fit = _require_fit(
-        fit_coefficients(theta, exponents, {"J": grid}, tol),
-        f"coupling target not approximable on basis {basis}",
-    )
     # exp(-i f(J) sz sz) = exp((f(J)/2) B2): the words carry the halved
     # coefficients (halving the direction instead flips signed zeros)
-    segments, terms, _ = _compile_words(
-        0.5 * fit.coefficients, words, COUPLING_ELEMENTS, _B["b2"].entries, subdivisions,
-        _coupling_leaf, _inv_segments,
+    fit, segments, terms, _ = _compile(
+        COUPLING_ELEMENTS, "zz", _B["b2"], [{"J": e} for e in basis],
+        lambda e: word_for_power("b2", "b1", e["J"]),
+        theta, {"J": coupling_grid(j0, delta, nsamples)}, tol, subdivisions,
+        _coupling_leaf, _inv_segments, f"coupling target not approximable on basis {basis}",
+        share=0.5,
     )
     coupling_time = sum(s.duration for s in segments if s.kind == "coupling")
     return _compiled(

@@ -154,6 +154,8 @@ def ensemble_necessary_conditions(
     """
     if len(samples) < 2:
         raise ValueError("need at least two ensemble samples")
+    if not 0 <= tol < np.inf:  # NaN too
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     forms = [companion_transform(s) for s in samples]
     coincident = []
     for i in range(len(samples)):
@@ -193,6 +195,8 @@ def reachability_residual(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one step")
+    if not 0 < dt < np.inf:  # NaN too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if len(targets) != len(samples):
         raise ValueError("one target per sample required")
     # imported here: scipy.linalg costs more import time than the rest of

@@ -645,9 +645,7 @@ def design_broadband(
 
     profile, fit, steps, inversion = block
     block_pulse = steps_to_pulse(steps, dt, a_max)
-    pulse = block_pulse
-    for _ in range(m - 1):
-        pulse = pulse.concat(block_pulse)
+    pulse = ControlSequence(dt, np.tile(block_pulse.samples, (m, 1)), a_max)
 
     band_error = _design_band_error(pulse, axis, angle, band, dt)
     return BroadbandDesign(

@@ -748,6 +748,36 @@ def test_analyze_linear_rejects_malformed_targets(tmp_path, targets_doc):
     assert main([*argv, "--reachability-targets", str(tpath)]) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "nan"), ("--tol", "-1e-8"), ("--tol", "inf"),
+     ("--step", "nan"), ("--step", "0"), ("--step", "-0.1"), ("--step", "inf")],
+)
+def test_analyze_linear_rejects_bad_tol_and_step_by_name(tmp_path, capsys, flag, value):
+    # a similar pair and a singular drift fail the conditions at any sane tol
+    samples = {
+        "samples": [
+            {"s": 1.0, "A": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0]},
+            {"s": 2.0, "A": [[2.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]},
+            {"s": 3.0, "A": [[0.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]},
+        ]
+    }
+    spath = tmp_path / "samples.json"
+    spath.write_text(json.dumps(samples))
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps({"targets": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}))
+    out = tmp_path / "report.json"
+    argv = ["analyze-linear", "--samples", str(spath), "--reachability-targets", str(tpath),
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["passed"] is False
+    out.unlink()
+    capsys.readouterr()
+    assert main([*argv, f"{flag}={value}"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, pulse_file, grid_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = hard-pulse\ninitial = 0,0,1\n")

@@ -668,3 +668,39 @@ def test_every_compiler_rejects_an_unreachable_power(compile_unreachable, messag
     # the closure of each backend's own element table decides, before any fit
     with pytest.raises(InfeasibleError, match=message):
         compile_unreachable()
+
+
+# ---------------------------------------------------------------------------
+# one compile step: subdivisions, then reachability, then the fit
+# ---------------------------------------------------------------------------
+
+
+def robust_rotation_subdivided(m):
+    # the spec is a mutable record: the compiler checks the count it is given
+    spec = RobustRotationSpec("x", 1.0, REACH_GRID, (1, 3))
+    spec.subdivisions = m
+    return compile_robust_rotation(spec)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize(
+    "compile_subdivided",
+    [
+        robust_rotation_subdivided,
+        lambda m: compensate_epsilon_small_flip(small_block(), 0.5, REACH_GRID, subdivisions=m),
+        lambda m: compile_two_param(0.7, REACH_GRID, REACH_GRID, subdivisions=m),
+        lambda m: compile_omega_robust(np.full(REACH_GRID.shape, 0.3), REACH_GRID, subdivisions=m),
+        lambda m: compile_j_robust_zz(0.7, 1.0, 0.1, subdivisions=m),
+    ],
+    ids=["rf", "small-flip", "two-param", "omega", "zz"],
+)
+def test_every_compiler_rejects_a_subdivision_count_below_one(compile_subdivided, m):
+    with pytest.raises(ValueError, match=f"subdivisions must be >= 1, got {m}"):
+        compile_subdivided(m)
+
+
+def test_small_flip_gates_its_fit():
+    # one odd power cannot hold a constant quarter turn over a 3:1 rf-scale
+    # range; the fit's max residual is far above the default tolerance
+    with pytest.raises(InfeasibleError, match="small-flip target not approximable on basis \\(1,\\)"):
+        compensate_epsilon_small_flip(small_block(), np.pi / 2, np.linspace(0.5, 1.5, 11), basis=(1,))

@@ -130,6 +130,14 @@ def test_conditions_need_two_samples():
         )
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-8, float("inf")])
+def test_conditions_reject_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # a NaN or negative tol passed everything and an infinite one flagged everything
+    samples = [LinearSystemSample(s, np.diag([s, 2 * s]), np.ones(2)) for s in (1.0, 1.5)]
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        ensemble_necessary_conditions(samples, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # reachability residual
 # ---------------------------------------------------------------------------
@@ -193,6 +201,13 @@ def test_residual_monotone_in_horizon():
     targets = [np.array([1.0]), np.array([1.0])]
     res = [reachability_residual(samples, targets, n, dt=0.1) for n in (1, 2, 4, 8)]
     assert all(res[i] >= res[i + 1] - 1e-12 for i in range(3))
+
+
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.1, float("inf")])
+def test_residual_rejects_a_step_that_is_not_positive_and_finite(dt):
+    samples = [LinearSystemSample(s, np.zeros((1, 1)), np.array([s])) for s in (0.9, 1.1)]
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        reachability_residual(samples, [np.array([1.0])] * 2, horizon=4, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,16 @@ def test_subdivision_search_factors_the_fit_once(monkeypatch):
     assert np.array_equal(d.polys.p, alone.polys.p) and np.array_equal(d.polys.q, alone.polys.q)
 
 
+def test_block_train_is_bitwise_the_concat_chain_of_its_block():
+    # the m-block train is tiled in one call, not joined by m - 1 concats
+    d = design_broadband("x", np.pi / 2, 2000.0, 64, 1e-4, a_max=800.0)
+    block = steps_to_pulse(inverse_recursion_full(d.polys)[0], 1e-4, 800.0)
+    chain = block.concat(block).concat(block).concat(block)
+    assert d.blocks == 4
+    assert np.array_equal(d.pulse.samples, chain.samples)
+    assert (d.pulse.dt, d.pulse.a_max) == (chain.dt, chain.a_max)
+
+
 @pytest.mark.parametrize("a_max, blocks", [(None, 1), (800.0, 4)])
 def test_band_error_is_the_hard_pulse_simulation_of_the_written_pulse(a_max, blocks):
     band, dt = 2000.0, 1e-4

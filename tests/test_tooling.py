@@ -2,7 +2,8 @@
 module exports names through ``__all__``; those names must exist.  The
 kernel takes every angle through one tangent, a pulse file is rendered in a
 few calls, not one per number, and analyze-lie's family presets are the
-compilers' own element tables.  One kernel function, the public spinor pass,
+compilers' own element tables.  One compile step gates, fits and realizes
+for every bracket compiler.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
 tracer's kernel spans see each pass once."""
 
@@ -159,6 +160,24 @@ def test_one_kernel_function_chooses_the_polynomial_route():
         assert not passes & reachable(cut, caller), caller
     # the Bloch kind: the control exchange and adjoint of rotation_propagate
     assert "kernels.bloch_propagate" in graph["bloch.propagate"]
+
+
+def test_one_compile_step_gates_fits_and_realizes_for_every_compiler():
+    # a compiler declares its table, exponents, words, target and leaves; the
+    # closure gate, the fit gate and the realization live in one place
+    graph = reference_graph(composite)
+    assert not hasattr(composite, "_compile_words") and "composite._compile_words" not in graph
+    for gate in ("_require_reachable", "_require_fit", "fit_coefficients"):
+        callers = [name for name, refs in graph.items() if f"composite.{gate}" in refs]
+        assert callers == ["composite._compile"], gate
+    for compiler in (
+        "compile_robust_rotation",
+        "compensate_epsilon_small_flip",
+        "compile_two_param",
+        "compile_omega_robust",
+        "compile_j_robust_zz",
+    ):
+        assert "composite._compile" in graph[f"composite.{compiler}"], compiler
 
 
 @pytest.mark.parametrize(
