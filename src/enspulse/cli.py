@@ -70,10 +70,11 @@ def _require_positive(**kwargs):
             )
 
 
-def _finite_float(text: str) -> float:
+def _angle(text: str) -> float:
+    """A target angle: a finite, nonzero number."""
     value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if not np.isfinite(value) or value == 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and nonzero, got {text!r}")
     return value
 
 
@@ -428,7 +429,7 @@ def _args_design_pattern(p):
 
 def _args_design_composite(p):
     p.add_argument("--axis", choices=("x", "y"), default="x")
-    p.add_argument("--angle", type=_finite_float, required=True)
+    p.add_argument("--angle", type=_angle, required=True)
     p.add_argument("--eps-range", default="0.9,1.1", dest="eps_range")
     p.add_argument("--grid-points", type=int, default=21, dest="grid_points")
     p.add_argument("--basis", default="1,3,5")
@@ -438,7 +439,7 @@ def _args_design_composite(p):
 
 
 def _args_design_zz(p):
-    p.add_argument("--theta", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--j0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--basis", default="1,3")

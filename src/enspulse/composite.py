@@ -190,7 +190,8 @@ def _compile(
 ):
     """Gate, fit and realize ``target`` as sum_i c_i * monomial_i * direction.
 
-    In order: ``subdivisions`` must be at least 1; the closure of
+    In order: ``subdivisions`` must be at least 1; the target angle must
+    not be zero at every grid point; the closure of
     ``elements`` must put every exponent map on ``direction`` (axis name
     ``axis``) before ``word_of(exponents)`` builds any word; the fit of
     ``target`` over the ``params`` grids must meet ``tol`` (else
@@ -203,6 +204,8 @@ def _compile(
     """
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
+    if not np.any(target):
+        raise ValueError("target angle is zero at every grid point: there is nothing to compile")
     _require_reachable(elements, axis, direction, exponents)
     fit = _require_fit(fit_coefficients(target, exponents, params, tol), what)
     pieces: list = []

@@ -19,12 +19,14 @@ from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, Fidel
 from enspulse.cli import build_parser, main
 from enspulse.errors import SchemaError
 from enspulse.fileio import (
+    _layout,
     _write_csv,
     emit_fidelity_csv,
     emit_state_csv,
     load_grid,
     load_pulse,
     parse_fidelity_csv,
+    render_json,
     save_grid,
     save_pulse,
 )
@@ -303,6 +305,12 @@ def test_grid_csv_rows_match_a_per_row_oracle(tmp_path, sizes):
     emit_state_csv(state, str(path))
     header = list(grid.names) + ["x", "y", "z"]
     assert written_lines(path) == per_row_csv(header, grid, list(state.values.T))
+    # a column that is mostly signed zeros, as a design's profile columns are
+    small = rng.normal(size=grid.size) * 1e-3
+    signed = np.where(rng.random(grid.size) < 0.7, np.copysign(0.0, small), small)
+    header = list(grid.names) + ["a", "b"]
+    _write_csv(str(path), header, list(grid.axes.values()), [signed, -signed])
+    assert written_lines(path) == per_row_csv(header, grid, [signed, -signed])
 
 
 def test_simulate_writes_state_csv(tmp_path, pulse_file, grid_file):
@@ -607,6 +615,10 @@ _ZZ = ["design-zz", "--j0", "1.0", "--delta", "0.1"]
         pytest.param(["design-composite", "--angle", "inf"], "--angle", id="angle-inf"),
         pytest.param(_ZZ + ["--theta", "nan"], "--theta", id="theta-nan"),
         pytest.param(_ZZ + ["--theta=-inf"], "--theta", id="theta-inf"),
+        # a zero target compiles to nothing; it is refused before any file
+        pytest.param(["design-composite", "--angle", "0"], "--angle", id="angle-zero"),
+        pytest.param(["design-composite", "--angle=-0.0"], "--angle", id="angle-negative-zero"),
+        pytest.param(_ZZ + ["--theta", "0"], "--theta", id="theta-zero"),
     ],
 )
 def test_bad_composite_flags_exit_2_before_writing(tmp_path, capsys, argv, flag):
@@ -909,6 +921,31 @@ def test_render_json_formats_float_arrays_as_their_lists(arr, indent):
 
     # the list path renders number by number: it is the oracle
     assert render_json(arr, indent) == render_json(arr.tolist(), indent)
+
+
+def one_template_render(arr, indent):
+    """The former float-array path of render_json: one "%.17g" template over
+    every value, split into the parts of the list layout."""
+    row = "%.17g" if arr.ndim == 1 else "[" + ", ".join(["%.17g"] * arr.shape[1]) + "]"
+    parts = ("\n".join([row] * arr.shape[0]) % tuple(arr.ravel().tolist())).split("\n")
+    if arr.ndim == 1 or arr.shape[1] <= 3 or max(map(len, parts)) - 2 <= 100:
+        return _layout(parts, "  " * indent)
+    return render_json(arr.tolist(), indent)
+
+
+PULSE_ROWS = np.random.default_rng(5).uniform(-2000.0, 2000.0, (14592, 2))
+
+
+@settings(max_examples=100)
+@given(arr=hnp.arrays(np.float64, ARRAY_SHAPES, elements=ARRAY_FLOATS), indent=st.integers(0, 2))
+# a pulse longer than one block of rows, its first column alone, and rows
+# that break across lines
+@example(arr=PULSE_ROWS, indent=0)
+@example(arr=PULSE_ROWS[:, 0].copy(), indent=1)
+@example(arr=np.full((3, 5), -0.1), indent=1)
+def test_render_json_matches_the_one_template_rendering(arr, indent):
+    if arr.size:
+        assert render_json(arr, indent) == one_template_render(arr, indent)
 
 
 def test_render_json_inlines_a_list_of_up_to_100_characters():

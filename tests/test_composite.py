@@ -699,6 +699,24 @@ def test_every_compiler_rejects_a_subdivision_count_below_one(compile_subdivided
         compile_subdivided(m)
 
 
+@pytest.mark.parametrize(
+    "compile_zero",
+    [
+        lambda: compile_robust_rotation(RobustRotationSpec("x", 0.0, REACH_GRID, (1, 3))),
+        lambda: compensate_epsilon_small_flip(small_block(), 0.0, REACH_GRID),
+        lambda: compile_two_param(0.0, REACH_GRID, REACH_GRID),
+        lambda: compile_omega_robust(np.zeros(REACH_GRID.shape), REACH_GRID),
+        lambda: compile_j_robust_zz(-0.0, 1.0, 0.1),
+    ],
+    ids=["rf", "small-flip", "two-param", "omega", "zz"],
+)
+def test_every_compiler_rejects_a_zero_target_by_name(compile_zero):
+    # nothing to compile: the words would carry no rotation, and the small-flip
+    # leaf emits no samples at all
+    with pytest.raises(ValueError, match="target angle is zero at every grid point"):
+        compile_zero()
+
+
 def test_small_flip_gates_its_fit():
     # one odd power cannot hold a constant quarter turn over a 3:1 rf-scale
     # range; the fit's max residual is far above the default tolerance

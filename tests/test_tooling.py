@@ -5,13 +5,16 @@ few calls, not one per number, and analyze-lie's family presets are the
 compilers' own element tables.  One compile step gates, fits and realizes
 for every bracket compiler.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
-tracer's kernel spans see each pass once."""
+tracer's kernel spans see each pass once.  Every float array the file layer
+writes goes through one formatter, whose tables an import leaves unbuilt."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -221,6 +224,53 @@ def test_pulse_file_renders_its_samples_in_one_call(tmp_path, monkeypatch):
     samples = np.random.default_rng(7).uniform(-2000.0, 2000.0, (14592, 2))
     fileio.save_pulse(str(tmp_path / "pulse.json"), ControlSequence(1e-4, samples))
     assert len(calls) <= 10
+
+
+def test_every_float_array_is_written_through_one_formatter():
+    # CSV tables and a pulse's samples reach the vectorized formatter; a
+    # single float is formatted by _fmt alone, which only render_json's
+    # scalar path and the formatter's fallback call
+    graph = reference_graph(fileio)
+    for writer in ("fileio._write_csv", "fileio.render_json"):
+        assert "fileio._words17" in reachable(graph, writer), writer
+    assert sorted(name for name, refs in graph.items() if "fileio._fmt" in refs) == [
+        "fileio._words17",
+        "fileio.render_json",
+    ]
+    # no other function builds a "%.17g" template: the one 17-digit format
+    # string outside the docstrings is _fmt's
+    tree = ast.parse(Path(fileio.__file__).read_text())
+    documented = [
+        node.body[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef))
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    ]
+    fmt = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_fmt")
+
+    def templates(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "17g" in node.value
+            and not any(node is doc for doc in documented)
+        ]
+
+    assert templates(tree) == templates(fmt) and len(templates(fmt)) == 1
+
+
+def test_cli_import_leaves_the_formatter_tables_unbuilt():
+    # the formatter's tables are built on first use, so start-up pays nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, enspulse.cli, enspulse.fileio as f; sys.exit(f._tables.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert result.returncode == 0
 
 
 @pytest.mark.parametrize(
