@@ -138,6 +138,9 @@ class DispersionGrid:
             vals = np.asarray(self.axes[name], dtype=float).ravel()
             if vals.size == 0:
                 raise ValueError(f"axis {name!r} is empty")
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise ValueError(f"axis {name!r} must be finite, got {vals[~finite][0]}")
             if vals.size > 1 and not np.all(np.diff(vals) > 0):
                 raise ValueError(f"axis {name!r} must be strictly increasing")
             clean[name] = vals

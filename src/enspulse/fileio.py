@@ -362,23 +362,27 @@ def atomic_write_text(path: str, text: str):
 
     The file is created as ``open`` creates one, with mode ``0o666`` less
     the umask, under a fresh name in ``path``'s directory, and is removed
-    if the write fails.
+    if the write fails.  A path that cannot be written (a missing directory,
+    a directory, no permission) raises :class:`SchemaError` naming it.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(directory, ".enspulse-" + os.urandom(6).hex())
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+    tmp = None
     try:
+        while tmp is None:
+            name = os.path.join(directory, ".enspulse-" + os.urandom(6).hex())
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            tmp = name
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise SchemaError(f"{path}: {exc.strerror}") from exc
         raise
 
 

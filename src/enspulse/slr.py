@@ -703,7 +703,9 @@ def band_selective_profile(
     if not (0.0 <= flip <= np.pi):
         raise ValueError("flip must lie in [0, pi]")
     lo, hi = select
-    if not (-band <= lo < hi <= band):
+    if not lo < hi:
+        raise ValueError(f"selection interval must be increasing (lo < hi), got ({lo}, {hi})")
+    if not (-band <= lo and hi <= band):
         raise ValueError("selection interval must sit inside the band")
     stop_hi = 0.995 * np.pi / dt
     min_trans = 4.0 / (n * dt)

@@ -800,6 +800,14 @@ def test_grid_validation():
         DispersionGrid(axes={"bogus": np.array([1.0])})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["omega", "epsilon", "theta"])
+def test_grid_rejects_an_axis_value_that_is_not_finite(axis, bad):
+    for values in ([bad], [0.5, bad], [bad, bad]):
+        with pytest.raises(ValueError, match=f"axis '{axis}' must be finite"):
+            DispersionGrid(axes={"omega": np.array([0.0]), axis: np.array(values)})
+
+
 def test_grid_mismatch_rejected():
     g1 = DispersionGrid.from_ranges(omega=(-10, 10, 3))
     g2 = DispersionGrid.from_ranges(omega=(-10, 10, 4))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from enspulse import slr
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
 from enspulse.cli import build_parser, main
+from enspulse.composite import DEFAULT_TOL
 from enspulse.errors import SchemaError
 from enspulse.fileio import (
     _layout,
@@ -557,6 +559,113 @@ def test_slr_designs_leave_scipy_unloaded(tmp_path, argv):
     )
     assert result.returncode == 0
     assert (tmp_path / "pulse.json").exists()
+
+
+def _fresh(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; its stdout lines, and last the
+    ``enspulse`` modules it then holds, space-separated."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = code + "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('enspulse')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def _loaded_after(code: str) -> set:
+    return set(_fresh(code)[-1].split())
+
+
+START_UP = {f"enspulse{m}" for m in ("", ".cli", ".bloch", ".kernels", ".fileio", ".errors")}
+LAZY = {f"enspulse.{m}" for m in ("slr", "composite", "liealg", "linear")}
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import enspulse") == {"enspulse"}
+
+
+def test_cli_start_up_and_the_map_commands_load_no_design_or_analysis_module(
+    tmp_path, pulse_file, grid_file
+):
+    assert _loaded_after("import enspulse.cli") == START_UP
+    inputs = ["--pulse", pulse_file[0], "--grid", grid_file[0]]
+    runs = [
+        ["simulate", *inputs, "--out", str(tmp_path / "state.csv")],
+        ["fidelity-map", *inputs, "--target", "1,0,0", "--out", str(tmp_path / "map.csv")],
+        ["demo-phase", "--pulse", pulse_file[0]],
+    ]
+    code = "from enspulse.cli import main\n" + "".join(f"assert main({a!r}) == 0\n" for a in runs)
+    assert _loaded_after(code) == START_UP
+
+
+def test_design_slr_loads_slr_and_no_other_lazy_module(tmp_path):
+    argv = [*SLR_QUARTER_TURN, "--steps", "32", "--out", str(tmp_path / "pulse.json")]
+    loaded = _loaded_after(f"from enspulse.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & LAZY == {"enspulse.slr"}
+    assert (tmp_path / "pulse.json").exists()
+
+
+def test_help_lists_every_command_and_the_tol_default_from_a_fresh_start():
+    # the composite parsers import their default from the compiler on demand
+    runs = [["--help"], ["design-composite", "--help"], ["design-zz", "--help"]]
+    code = "from enspulse.cli import main\n" + "".join(
+        f"assert main({a!r}) == 0\nprint('=====')\n" for a in runs
+    )
+    top, *commands, _ = "\n".join(_fresh(code)).split("=====")
+    assert all(f"\n    {name} " in top for name in COMMANDS)
+    assert "{" + ",".join(COMMANDS) + "}" in top
+    for text in commands:
+        assert f"--tol TOL largest fit residual (rad) accepted (default: {DEFAULT_TOL})" in " ".join(
+            text.split()
+        )
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "design-slr"])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_it(
+    tmp_path, pulse_file, grid_file, capsys, command, where
+):
+    if where == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "out.json"
+    argv = {
+        "simulate": ["simulate", "--pulse", pulse_file[0], "--grid", grid_file[0]],
+        "design-slr": [*SLR_QUARTER_TURN, "--steps", "32"],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    # no artifact and no temporary .enspulse-* file is left behind
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("thetas", ["nan", "inf", "-inf", "0,inf", "nan,1", "inf,inf"])
+def test_demo_phase_rejects_a_theta_that_is_not_finite(pulse_file, capsys, thetas):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["demo-phase", "--pulse", pulse_file[0], f"--thetas={thetas}"]) == 2
+    assert caught == []
+    assert "axis 'theta' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "select, message",
+    [("2500,-2500", "must be increasing (lo < hi)"), ("-2500,6000", "must sit inside the band")],
+)
+def test_design_pattern_names_what_is_wrong_with_the_selection(tmp_path, capsys, select, message):
+    argv = ["design-pattern", "--band", "5000", f"--select={select}", "--flip", "1.5", "--steps", "64"]
+    assert main([*argv, "--out", str(tmp_path / "p.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_design_composite_writes_diagnostics(tmp_path):

@@ -746,6 +746,18 @@ def test_pattern_rejects_narrow_transition():
         band_selective_profile(BAND, (-2500.0, 2500.0), np.pi, 64, DT, transition=100.0)
 
 
+@pytest.mark.parametrize("select", [(2500.0, -2500.0), (1000.0, 1000.0), (6000.0, 1000.0)])
+def test_pattern_rejects_a_reversed_selection_as_not_increasing(select):
+    with pytest.raises(ValueError, match=r"must be increasing \(lo < hi\)"):
+        band_selective_profile(BAND, select, np.pi, 64, DT)
+
+
+@pytest.mark.parametrize("select", [(-6000.0, 2500.0), (-2500.0, 5000.5), (-6000.0, 6000.0)])
+def test_pattern_rejects_a_selection_outside_the_band(select):
+    with pytest.raises(ValueError, match="must sit inside the band"):
+        band_selective_profile(BAND, select, np.pi, 64, DT)
+
+
 def test_pattern_rejects_bad_flip():
     with pytest.raises(ValueError):
         band_selective_profile(BAND, (-2500.0, 2500.0), 3.5, 64, DT)

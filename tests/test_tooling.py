@@ -6,7 +6,9 @@ compilers' own element tables.  One compile step gates, fits and realizes
 for every bracket compiler.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
 tracer's kernel spans see each pass once.  Every float array the file layer
-writes goes through one formatter, whose tables an import leaves unbuilt."""
+writes goes through one formatter, whose tables an import leaves unbuilt.
+The package's re-exported names, loaded on first use, are their submodules'
+very objects."""
 
 import ast
 import importlib
@@ -64,6 +66,57 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", [])
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+# every name the package re-exports, by the submodule that defines it
+PUBLIC_API = {
+    "bloch": (
+        "ControlSequence", "DispersionGrid", "EnsembleState", "FidelityMap", "SU2Element",
+        "TargetSpec", "ensemble_distance", "fidelity_map", "net_rotation", "net_su2",
+        "phase_frame_check", "propagate", "step_propagator",
+    ),
+    "errors": (
+        "CompletionError", "DegenerateExtractionError", "EnspulseError", "InfeasibleError",
+        "SchemaError",
+    ),
+    "liealg": (
+        "ClosureReport", "DispersionMonomial", "DispersionPolyElement", "GeneratorMatrix",
+        "PolyVectorField", "SampledElement", "approximable", "bracket", "bracket_poly",
+        "lie_closure", "reachable_functions", "vf_bracket",
+    ),
+    "slr": (
+        "HardPulseStep", "SpinorPolynomials", "TargetProfile", "complete_polynomial",
+        "design_broadband", "design_pattern", "forward_recursion", "inverse_recursion",
+        "target_to_polys",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module_name, name", [(m, n) for m, names in PUBLIC_API.items() for n in names]
+)
+def test_public_name_is_its_submodules_object(module_name, name):
+    assert name in enspulse.__all__ and name in dir(enspulse)
+    submodule = importlib.import_module(f"enspulse.{module_name}")
+    assert getattr(enspulse, name) is getattr(submodule, name)
+
+
+def test_star_import_brings_exactly_the_public_names():
+    public = {name for names in PUBLIC_API.values() for name in names}
+    assert sorted(enspulse.__all__) == sorted(public)
+    namespace = {}
+    exec("from enspulse import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
+    assert all(namespace[name] is getattr(enspulse, name) for name in public)
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+        enspulse.bogus
+    # a submodule's own name that the package does not re-export stays out
+    assert not hasattr(enspulse, "rotation_target")
+    with pytest.raises(ImportError):
+        exec("from enspulse import bogus", {})
 
 
 def numpy_calls(node, names):
