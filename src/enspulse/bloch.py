@@ -370,6 +370,12 @@ def propagate(
     if model not in ("exact", "hard_pulse"):
         raise ValueError(f"unknown propagation model {model!r}")
     hard = model == "hard_pulse"
+    # the single-spin plant has no coupling: a J axis would repeat its points
+    for name in grid.names:
+        if name not in ("omega", "epsilon", "theta"):
+            raise ValueError(
+                f"axis {name!r} does not act on a single spin; propagation takes omega, epsilon and theta"
+            )
     u, v, dt = _pulse_arrays(pulse)
     omega = grid.coordinate("omega", 0.0)
     eps = grid.coordinate("epsilon", 1.0)

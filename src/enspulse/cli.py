@@ -281,10 +281,19 @@ def _cmd_design_zz(args) -> int:
     return 0
 
 
+def _unit_bloch(flag: str, text: str) -> list[float]:
+    """The Bloch vector given to ``flag``: three numbers whose norm is 1."""
+    vec = _parse_floats(text, 3)
+    dev = abs(float(np.linalg.norm(vec)) - 1.0)
+    if not dev <= EnsembleState.NORM_TOL:  # NaN too
+        raise SchemaError(f"{flag} must be a unit Bloch vector, its norm is off by {dev:.3e}")
+    return vec
+
+
 def _cmd_simulate(args) -> int:
+    initial = _unit_bloch("--initial", args.initial)
     pulse = fileio.load_pulse(args.pulse)
     grid = fileio.load_grid(args.grid)
-    initial = _parse_floats(args.initial, 3)
     model = args.model.replace("-", "_")
     state = propagate(pulse, grid, EnsembleState.uniform_bloch(grid, initial), model=model)
     fileio.emit_state_csv(state, args.out)
@@ -292,13 +301,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fidelity_map(args) -> int:
-    target = TargetSpec.constant_bloch(_parse_floats(args.target, 3))
-    dev = abs(float(np.linalg.norm(target.constant)) - 1.0)
-    if not dev <= EnsembleState.NORM_TOL:  # NaN too
-        raise SchemaError(f"--target must be a unit Bloch vector, its norm is off by {dev:.3e}")
+    target = TargetSpec.constant_bloch(_unit_bloch("--target", args.target))
+    start = _unit_bloch("--initial", args.initial)
     pulse = fileio.load_pulse(args.pulse)
     grid = fileio.load_grid(args.grid)
-    initial = EnsembleState.uniform_bloch(grid, _parse_floats(args.initial, 3))
+    initial = EnsembleState.uniform_bloch(grid, start)
     model = args.model.replace("-", "_")
     fmap = fidelity_map(pulse, grid, target, initial, model=model)
     fileio.emit_fidelity_csv(fmap, args.out)

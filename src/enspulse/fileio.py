@@ -382,7 +382,7 @@ def atomic_write_text(path: str, text: str):
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise SchemaError(f"{path}: {exc.strerror}") from exc
+            raise SchemaError(f"{path!r}: {exc.strerror}") from exc
         raise
 
 
@@ -391,9 +391,9 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc
+        raise SchemaError(f"{path!r}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc
     except OSError as exc:
-        raise SchemaError(f"{path}: {exc.strerror}") from exc
+        raise SchemaError(f"{path!r}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

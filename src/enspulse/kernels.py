@@ -47,15 +47,33 @@ of two slow ones.
 The pass builds each part of a step element over the values it depends on,
 and writes its real and imaginary parts in place:
 
-* per point, once per chunk of points: ``hz = omega*dt/2``, ``hz**2``, the
-  hard-pulse free precession and the rf phase's factor ``e^(-i theta)``;
-* per step and distinct eps of the chunk: the hard-pulse rf rotation
-  (:func:`hard_step`), gathered to the points unless one eps covers the
-  chunk;
+* per point, once per pass: ``hz = omega*dt/2``, ``hz**2``, the hard-pulse
+  free precession and the rf phase's factor ``e^(-i theta)``;
+* per step and distinct eps of a chunk of points: the hard-pulse rf
+  rotation (:func:`hard_step`), gathered to the points unless one eps
+  covers the chunk;
 * per step and point: the exact element, times the rf phase's factor.
 
 The rf phase turns the controls, so it leaves ``|h|`` unchanged and only
 multiplies each element's ``b`` by ``e^(-i theta)``.
+
+The tile loop (:func:`_tile_part`) allocates nothing per step: each step's
+element and each state update go into a workspace of float and complex
+buffers through ufunc ``out=`` arguments, in the same operations and order
+as fresh arrays would take them, so the results are bitwise those of the
+allocating loop.  The one exception numpy makes is kept out: it rounds a
+one-element complex product written over one of its factors differently,
+so no complex product is written in place that was not before.  The
+calling thread allocates every workspace.  A wide pass, of at least
+``2 * _SPLIT`` points on a process that may run on more than one CPU,
+splits its points into contiguous parts, one per CPU up to one per
+``_SPLIT`` points (:func:`_parts`); the calling thread runs the first and a
+worker thread each other one, and every worker has ended when the pass
+returns or raises, with a worker's exception raised again on the calling
+thread.  Part and chunk edges fall on multiples of ``_CHUNK``, so every
+point is tiled, and rounded, as in an unsplit pass.  Workers enter neither
+:func:`spinor_propagate` nor :func:`bloch_propagate`, so a tracer that wraps
+those two names sees each pass on the calling thread alone.
 
 Conventions
 -----------
@@ -79,6 +97,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -98,38 +118,60 @@ __all__ = [
 ]
 
 
-def su2_apply(a, b, x, y):
+def su2_apply(a, b, x, y, out=None):
     """Apply the SU(2) element ``[[a, -conj(b)], [b, conj(a)]]`` to the pair (x, y).
 
     Every product of steps in this package, over grid points or over
     polynomial coefficients, is made of this one update.  Applied to the
     first column ``(x, y)`` of another element, it gives the first column of
-    their product, so it composes elements as well.
+    their product, so it composes elements as well.  ``out``, three complex
+    arrays of the result's shape, takes the pair in its first two and the
+    call's scratch in the third; without it the pair is fresh.
     """
-    return a * x - np.conj(b) * y, b * x + np.conj(a) * y
+    if out is None:
+        return a * x - np.conj(b) * y, b * x + np.conj(a) * y
+    p, q, t = out
+    # the same operations into the buffers, and no complex product written over
+    # one of its factors: numpy rounds a one-element product in place
+    # differently from the same product written elsewhere
+    np.multiply(a, x, out=p)
+    p -= np.multiply(np.conjugate(b, out=q), y, out=t)
+    np.multiply(np.conjugate(a, out=q), y, out=t)
+    np.multiply(b, x, out=q)
+    q += t
+    return p, q
 
 
-def _half_angle(h):
+def _half_angle(h, out=None):
     """``(cos h, sin(h)/h)`` of ``h >= 0`` from the one tangent ``t = tan(h/2)``:
-    cos h = (1 - t^2)/(1 + t^2) and sin h = 2t/(1 + t^2)."""
+    cos h = (1 - t^2)/(1 + t^2) and sin h = 2t/(1 + t^2).
+
+    ``out``, three float arrays of h's shape, takes cos h, sin(h)/h and the
+    call's scratch, and h, then a float array, is overwritten; without it
+    every value is fresh and h is left as it is.
+    """
     # h + 1e-300 is h for every h above 1e-284; at h = 0 it makes t/h exactly
     # 1/2, so sin(h)/h keeps its limit 1 there
-    h = h + 1e-300
-    t = np.tan(0.5 * h)
-    t2 = t * t
-    k = 2.0 / (1.0 + t2)  # 1 + cos h
-    # in place on arrays, so a tile holds few temporaries at once
-    t2 *= k  # 1 - cos h
+    c, t, k = (None, None, None) if out is None else out
+    h = np.add(h, 1e-300, out=None if out is None else h)
+    t = np.tan(np.multiply(h, 0.5, out=t), out=t)
+    c = np.multiply(t, t, out=c)
+    k = np.divide(2.0, np.add(c, 1.0, out=k), out=k)  # 1 + cos h
+    c *= k  # 1 - cos h
     t *= k  # sin h
     t /= h
-    return 1.0 - t2, t
+    return np.subtract(1.0, c, out=None if out is None else c), t
 
 
-def _transverse(sinc, hx, hy):
-    """``sinc * (hy - i hx)``, written into its real and imaginary parts."""
-    b = np.empty(np.shape(sinc), dtype=np.complex128)
-    b.real = sinc * hy
-    b.imag = -sinc * hx
+def _transverse(sinc, hx, hy, out=None):
+    """``sinc * (hy - i hx)``, written into its real and imaginary parts.
+
+    ``out``, a complex and a float array of sinc's shape, takes the value and
+    ``-sinc``; without it the value is fresh.
+    """
+    b, nsinc = (np.empty(np.shape(sinc), dtype=np.complex128), None) if out is None else out
+    np.multiply(sinc, hy, out=b.real)
+    np.multiply(np.negative(sinc, out=nsinc), hx, out=b.imag)
     return b
 
 
@@ -164,13 +206,25 @@ def rf_vector(half_flip, phase):
     return half_flip * c, half_flip * (sinc * phase)
 
 
-def _exact_pair(hx, hy, hz, hz2):
-    # the rotation exp(-i (hx sx + hy sy + hz sz)) of one step at one point
-    c, sinc = _half_angle(np.sqrt(hx * hx + hy * hy + hz2))
-    b = _transverse(sinc, hx, hy)
-    a = np.empty_like(b)
-    a.real = c
-    a.imag = -sinc * hz
+def _exact_pair(hx, hy, hz, hz2, out=None):
+    """Cayley-Klein pair of one step's rotation ``exp(-i (hx sx + hy sy + hz sz))``.
+
+    The values are arrays.  ``out`` is ``((a, b), (r, f, c, s))``: complex
+    arrays that take the pair and float arrays for the call's scratch, all of
+    the pair's shape; without it the pair is fresh.
+    """
+    if out is None:
+        shape = np.broadcast(hx, hy, hz, hz2).shape
+        out = np.empty((2, *shape), dtype=np.complex128), np.empty((4, *shape))
+    (a, b), (r, f, c, s) = out
+    np.multiply(hx, hx, out=r)
+    np.multiply(hy, hy, out=f)
+    r += f
+    r += hz2
+    _half_angle(np.sqrt(r, out=r), out=(c, s, f))
+    _transverse(s, hx, hy, out=(b, f))
+    np.copyto(a.real, c)
+    np.multiply(f, hz, out=a.imag)  # f holds -sinc
     return a, b
 
 
@@ -209,13 +263,20 @@ def _product(a, b):
     return a[0], b[0]
 
 
-# A complex array of 4096 elements is 64 KiB, below glibc's mmap threshold, so
-# the temporaries of a tile come from the heap instead of being faulted in anew
-# on every call.  Larger tiles are faster in a warm process but page-fault in a
-# fresh one: 2^14-element tiles made a one-off 512-step pass over 4096 points
-# 1.5-1.9x slower than the per-step loop.
+# Unsplit passes take points in chunks of _CHUNK and steps in tiles of _TILE
+# elements: a chunk of 4096 points is one step a tile, and a narrower chunk
+# takes _TILE // chunk steps a tile, so that a narrow grid pays numpy's
+# per-call cost once per several steps.  Unsplit passes keep 4096-point chunks
+# so that their workspace stays small (about 0.5 MB) and every pass below the
+# split is cut as it always was.  A split pass runs its parts on as many
+# threads, and numpy hands the GIL over at every call: at 4096-point calls,
+# about 3 us each, two threads queue on the GIL, while 16 384-point calls are
+# long enough to overlap, so a part takes chunks of _SPLIT points.  128 steps
+# x 65 536 points on a 2-vCPU host, medians of 15: one thread 181 ms, two
+# threads at 4096-point calls 313 ms, at 16 384-point calls 143 ms.
 _CHUNK = 4096
 _TILE = 4096
+_SPLIT = 16384
 
 
 # A run of a repeated block replaces the tile loop over its copies by one block
@@ -373,45 +434,149 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
 def _tiled_pass(u, v, dt, omega, eps, theta, alpha, beta, hard_pulse):
     """Apply the steps ``(u, v)`` to the pairs ``(alpha, beta)``, in place.
 
-    Points go in chunks of at most ``_CHUNK`` and steps in blocks of
-    ``_TILE // chunk`` steps.  Each tile's step pairs are built in one call,
-    composed pairwise (:func:`_product`) and applied to the running state, so
-    no (nsteps, npoints) table is ever built.  Arrays as converted by
+    The points split into parts (:func:`_parts`), each taken in chunks, and
+    steps go in blocks of ``_TILE // chunk`` steps, at least one.  Each tile's
+    step pairs are built in one call, composed pairwise (:func:`_product`)
+    and applied to the running state, so no (nsteps, npoints) table is ever
+    built.  What depends on the point alone, the offset's half angle, the rf
+    phase's turn and the hard-pulse free precession, is built here over all
+    points, and each part's workspace is allocated here; the first part runs
+    on this thread and the others on one worker thread each, all ended
+    before this returns or raises.  Arrays as converted by
     :func:`spinor_propagate`, its one caller, so that a traced
     ``spinor_propagate`` counts each pass once, whichever route it takes.
     """
-    u, v = u[:, None], v[:, None]
     hdt = 0.5 * dt
-    for p in range(0, len(omega), _CHUNK):
-        pts = slice(p, p + _CHUNK)
-        ep = eps[pts]
-        hz = hdt * omega[pts]
-        hz2 = hz * hz
-        turn = None if theta is None else _turn(theta[pts])
-        block = _TILE // len(ep)
-        if hard_pulse:
-            # the free precession over a step is the exact step with the rf
-            # off; b takes the rf phase's turn with it
-            za = _exact_pair(0.0, 0.0, hz, hz2)[0]
-            zb = za if turn is None else za * turn
+    hz = hdt * omega
+    hz2 = hz * hz
+    # b takes the rf phase's turn; a hard pulse's element is its rf rotation
+    # times the free precession over the step, the exact step with the rf off
+    zb = None if theta is None else _turn(theta)
+    za = None
+    if hard_pulse:
+        za = _exact_pair(0.0, 0.0, hz, hz2)[0]
+        zb = za if zb is None else za * zb
+    jobs = []
+    for part in _parts(len(omega)):
+        chunks, width, most = [], 0, 0
+        for pts in part:
             # the rf rotation depends on the step and eps alone
-            ep, index = _distinct(ep)
-        x, y = alpha[pts], beta[pts]
+            ep, index = _distinct(eps[pts]) if hard_pulse else (eps[pts], None)
+            chunks.append((pts, ep, index))
+            m = pts.stop - pts.start
+            width, most = max(width, min(len(u), max(1, _TILE // m)) * m), max(most, m)
+        # a tile's six float and two complex buffers, then three complex ones
+        # of a chunk's points; one array each, so that at 4096 elements each
+        # stays below glibc's mmap threshold and a pass takes them from the
+        # heap instead of faulting in fresh pages, which cost a narrow pass
+        # more than its arithmetic
+        work = [np.empty(width) for _ in range(6)], [
+            np.empty(n, dtype=np.complex128) for n in (width, width, most, most, most)
+        ]
+        jobs.append((chunks, work))
+    args = (u[:, None], v[:, None], hdt, hz, hz2, za, zb, alpha, beta)
+    if len(jobs) == 1:
+        _tile_part(*args, *jobs[0])
+        return
+    errors = []
+
+    def run(job):
+        try:
+            _tile_part(*args, *job)
+        except BaseException as exc:  # raised again on this thread
+            errors.append(exc)
+
+    workers = []
+    try:
+        for job in jobs[1:]:
+            workers.append(threading.Thread(target=run, args=(job,)))
+            workers[-1].start()
+        _tile_part(*args, *jobs[0])
+    finally:
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _parts(npoints):
+    """The chunks of a pass's points, slices in contiguous parts, one a thread.
+
+    A pass of at least ``2 * _SPLIT`` points, on a process that may use more
+    than one CPU, splits into ``min(cpus, npoints // _SPLIT)`` parts of about
+    equal size, each cut into chunks of ``_SPLIT``; any other pass is one
+    part cut into chunks of ``_CHUNK``.  Part and chunk edges fall on
+    multiples of ``_CHUNK``, and the grid's last partial ``_CHUNK`` is a
+    chunk of its own, as in an unsplit pass.
+    """
+    nparts = min(_cpus(), npoints // _SPLIT) if npoints >= 2 * _SPLIT else 1
+    size = _SPLIT if nparts > 1 else _CHUNK
+    tail = npoints - npoints % _CHUNK
+    edges = [part * (tail // _CHUNK) // nparts * _CHUNK for part in range(nparts)] + [npoints]
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        cuts = [*range(lo, min(hi, tail), size), min(hi, tail), hi]
+        parts.append([slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
+    return parts
+
+
+def _tile_part(u, v, hdt, hz, hz2, za, zb, alpha, beta, chunks, work):
+    """The tile loop over ``chunks``, ``(points, eps, index)`` as
+    :func:`_distinct` gives them, written into the buffers of ``work``.
+
+    Each step's element and each state update is written in place, so the
+    loop allocates nothing but the rf rotations of :func:`hard_step`, over
+    the distinct eps, and the products of tiles of more than one step.  The
+    state goes back and forth between ``(alpha, beta)`` and two buffers.
+    """
+    fw, cw = work
+    for pts, ep, index in chunks:
+        m = pts.stop - pts.start
+        block = max(1, _TILE // m)
+        state = x, y = alpha[pts], beta[pts]
+        t, nx, ny = (row[:m] for row in cw[2:])
+        hzp, hz2p = hz[pts], hz2[pts]
+        zap = None if za is None else za[pts]
+        zbp = None if zb is None else zb[pts]
+        rows = 0
         for k in range(0, len(u), block):
+            uk, vk = u[k : k + block], v[k : k + block]
+            if len(uk) != rows:  # the first tile, and a shorter last one
+                rows = len(uk)
+                hx, hy = (row[: rows * len(ep)].reshape(rows, len(ep)) for row in fw[:2])
+                scratch = [row[: rows * m].reshape(rows, m) for row in fw[2:]]
+                a, b = (row[: rows * m].reshape(rows, m) for row in cw[:2])
             # eps * u before the scale by dt/2, so a grid's eps and a pulse
             # scaled by it give the same rotation
-            hx, hy = ep * u[k : k + block] * hdt, ep * v[k : k + block] * hdt
-            if hard_pulse:
-                c, b = hard_step(hx, hy)
+            np.multiply(ep, uk, out=hx)
+            hx *= hdt
+            np.multiply(ep, vk, out=hy)
+            hy *= hdt
+            if zap is not None:
+                rc, rs = hard_step(hx, hy)
                 if index is not None:
-                    c, b = c.take(index, axis=1), b.take(index, axis=1)
-                a, b = c * za, b * zb
+                    # gathered into a, which b is built from before a itself
+                    rs = rs.take(index, axis=1, out=a, mode="clip")
+                    rc = rc.take(index, axis=1, out=scratch[0], mode="clip")
+                np.multiply(rs, zbp, out=b)
+                np.multiply(rc, zap, out=a)
             else:
-                a, b = _exact_pair(hx, hy, hz, hz2)
-                if turn is not None:
-                    b *= turn
-            x, y = su2_apply(*_product(a, b), x, y)
-        alpha[pts], beta[pts] = x, y
+                _exact_pair(hx, hy, hzp, hz2p, out=((a, b), scratch))
+                if zbp is not None:
+                    b *= zbp
+            su2_apply(*_product(a, b), x, y, out=(nx, ny, t))
+            x, y, nx, ny = nx, ny, x, y
+        if x is not state[0]:
+            state[0][:], state[1][:] = x, y
 
 
 # The Bloch paths reach the spinor pass through this name, so that wrapping the

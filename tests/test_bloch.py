@@ -5,6 +5,8 @@ direct ordered 2x2 matrix product, and brute-force summation for grid
 distances.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -371,6 +373,95 @@ def test_hard_pass_with_one_eps_builds_each_rf_rotation_once_per_step(monkeypatc
     # two chunks, one step per tile: one rotation per step and chunk
     assert len(shapes) == 2 * 256
     assert {shape[-1] for shape in shapes} == {1}
+
+
+def split_pass(rng, hard_pulse, with_theta):
+    """A pass that splits four ways: a partial last chunk, narrow tiles of
+    five steps there, and three rf scales repeated over the points, so that
+    a one-scale hard pass does not take the polynomial route."""
+    npoints = 4 * kernels._SPLIT + 300
+    args = list(random_pass(rng, 5, npoints, with_theta, hard_pulse))
+    args[4] = rng.choice(args[4][:3], npoints)
+    return args
+
+
+@pytest.mark.parametrize("with_theta", [False, True])
+@pytest.mark.parametrize("hard_pulse", [False, True])
+def test_split_pass_is_bitwise_the_one_cpu_pass(monkeypatch, hard_pulse, with_theta):
+    args = split_pass(np.random.default_rng(21 + 2 * hard_pulse + with_theta), hard_pulse, with_theta)
+    threads = []
+    original = kernels._tile_part
+    monkeypatch.setattr(kernels, "_tile_part", lambda *a: threads.append(threading.get_ident()) or original(*a))
+    monkeypatch.setattr(kernels, "_cpus", lambda: 4)
+    # more threads than this host may have cores, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = kernels.spinor_propagate(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    # four parts: one on this thread, three on workers
+    assert len(threads) == 4 and threads.count(threading.get_ident()) == 1
+    monkeypatch.setattr(kernels, "_cpus", lambda: 1)
+    threads.clear()
+    serial = kernels.spinor_propagate(*args)
+    assert threads == [threading.get_ident()]
+    assert np.array_equal(split[0], serial[0]) and np.array_equal(split[1], serial[1])
+
+
+def test_a_pass_below_two_split_chunks_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(kernels, "_cpus", lambda: 8)
+    started = []
+    original = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or original(self))
+    args = random_pass(np.random.default_rng(4), 3, 2 * kernels._SPLIT - 1, False, False)
+    kernels.spinor_propagate(*args)
+    assert started == []
+    # one point more splits the pass in two: one worker beside this thread
+    args = random_pass(np.random.default_rng(4), 3, 2 * kernels._SPLIT, False, False)
+    kernels.spinor_propagate(*args)
+    assert len(started) == 1
+
+
+def test_an_error_in_a_worker_reaches_the_caller_and_no_thread_outlives_the_pass(monkeypatch):
+    main = threading.get_ident()
+    original = kernels._tile_part
+
+    def failing(*args):
+        if threading.get_ident() != main:
+            raise FloatingPointError("raised in a worker's part")
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_tile_part", failing)
+    monkeypatch.setattr(kernels, "_cpus", lambda: 4)
+    before = threading.active_count()
+    args = random_pass(np.random.default_rng(5), 3, 3 * kernels._SPLIT + 7, True, False)
+    with pytest.raises(FloatingPointError, match="worker's part"):
+        kernels.spinor_propagate(*args)
+    assert threading.active_count() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(cpus=st.integers(1, 16), npoints=st.integers(0, 40 * kernels._SPLIT))
+def test_parts_never_outnumber_the_cpus_and_tile_each_point_as_unsplit(cpus, npoints):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_cpus", lambda: cpus)
+        parts = kernels._parts(npoints)
+    assert 1 <= len(parts) <= cpus
+    split = len(parts) > 1
+    assert not split or npoints >= 2 * kernels._SPLIT
+    tail = npoints - npoints % kernels._CHUNK
+    at = 0
+    for part in parts:
+        assert at % kernels._CHUNK == 0
+        for pts in part:
+            width = pts.stop - pts.start
+            assert pts.start == at and 0 < width <= (kernels._SPLIT if split else kernels._CHUNK)
+            # every chunk but the grid's partial last one is one step a tile,
+            # and that one is the unsplit pass's last chunk
+            assert width >= kernels._CHUNK or (pts.start, pts.stop) == (tail, npoints)
+            at = pts.stop
+    assert at == npoints
 
 
 control_row = st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0))
@@ -742,6 +833,16 @@ def test_state_with_nan_is_rejected(kind, values):
     grid = DispersionGrid.from_ranges(omega=(0, 0, 1))
     with pytest.raises(ValueError, match="normalization"):
         EnsembleState(grid, kind, np.array(values))
+
+
+@pytest.mark.parametrize("axes", [{"J": [0.9, 1.0, 1.1]}, {"omega": [0.0, 10.0], "J": [1.0]}])
+def test_propagation_rejects_an_axis_the_single_spin_does_not_have(axes):
+    grid = DispersionGrid(axes={name: np.array(vals) for name, vals in axes.items()})
+    pulse = ControlSequence(1e-4, np.full((3, 2), 500.0))
+    with pytest.raises(ValueError, match="axis 'J' does not act on a single spin"):
+        propagate(pulse, grid, EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="axis 'J'"):
+        fidelity_map(pulse, grid, TargetSpec.constant_bloch((1.0, 0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

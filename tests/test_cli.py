@@ -365,8 +365,50 @@ def test_nan_initial_state_is_rejected(tmp_path, pulse_file, grid_file, capsys, 
     if command == "fidelity-map":
         argv += ["--target", "1,0,0"]
     assert main(argv) == 2
-    assert "normalization" in capsys.readouterr().err
+    assert "--initial must be a unit Bloch vector, its norm is off by nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "initial, dev", [("0,0,2", "1.000e+00"), ("0,0,0", "1.000e+00"), ("0.6,0,0", "4.000e-01"), ("0,nan,1", "nan")]
+)
+@pytest.mark.parametrize("command", ["simulate", "fidelity-map"])
+def test_initial_that_is_not_a_unit_vector_is_named_with_its_norm_deviation(
+    tmp_path, pulse_file, grid_file, capsys, command, initial, dev
+):
+    out = tmp_path / "out.csv"
+    argv = [command, "--pulse", pulse_file[0], "--grid", grid_file[0], f"--initial={initial}", "--out", str(out)]
+    if command == "fidelity-map":
+        argv += ["--target", "1,0,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --initial must be a unit Bloch vector, its norm is off by {dev}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["grid.json", "pulse.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fidelity-map"])
+def test_single_spin_commands_reject_a_coupling_axis(tmp_path, pulse_file, capsys, command):
+    grid = tmp_path / "j.json"
+    grid.write_text('{"axes": {"J": {"min": 0.9, "max": 1.1, "n": 3}}}')
+    out = tmp_path / "out.csv"
+    argv = [command, "--pulse", pulse_file[0], "--grid", str(grid), "--out", str(out)]
+    if command == "fidelity-map":
+        argv += ["--target", "1,0,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: axis 'J' does not act on a single spin")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--pulse", "--grid"])
+def test_an_empty_path_is_quoted_in_the_message(tmp_path, pulse_file, grid_file, capsys, flag):
+    paths = {"--pulse": pulse_file[0], "--grid": grid_file[0], "--out": str(tmp_path / "out.csv")}
+    paths[flag] = ""
+    argv = ["simulate"] + [word for item in paths.items() for word in item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: '': No such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["grid.json", "pulse.json"]
 
 
 def test_cli_outputs_are_byte_identical(tmp_path, pulse_file, grid_file):
@@ -643,7 +685,7 @@ def test_an_out_path_that_cannot_be_written_exits_2_naming_it(
     before = sorted(tmp_path.rglob("*"))
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert err.startswith(f"error: {str(out)!r}: ") and "Traceback" not in err
     # no artifact and no temporary .enspulse-* file is left behind
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -5,7 +5,8 @@ few calls, not one per number, and analyze-lie's family presets are the
 compilers' own element tables.  One compile step gates, fits and realizes
 for every bracket compiler.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
-tracer's kernel spans see each pass once.  Every float array the file layer
+tracer's kernel spans see each pass once, and a pass split over threads
+enters those names on the calling thread alone.  Every float array the file layer
 writes goes through one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
 very objects."""
@@ -18,6 +19,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +263,34 @@ def test_a_routed_pass_is_one_traced_kernel_call(monkeypatch, case, traced):
         )
         bloch.propagate(pulse, grid, start, model="hard_pulse")
     assert calls == [traced, "_polynomial_pass"]
+
+
+@pytest.mark.parametrize("kind", ["spinor", "bloch"])
+def test_worker_threads_never_enter_a_traced_kernel_name(monkeypatch, kind):
+    # the tracer's span stack is not thread-safe: a split pass must enter the
+    # two names it wraps on the calling thread alone
+    calls = []
+    for name in ("spinor_propagate", "bloch_propagate"):
+        original = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *a, f=original, n=name: calls.append((n, threading.get_ident())) or f(*a)
+        )
+    parts = []
+    original = kernels._tile_part
+    monkeypatch.setattr(kernels, "_tile_part", lambda *a: parts.append(threading.get_ident()) or original(*a))
+    monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+    grid = DispersionGrid(
+        axes={"omega": np.linspace(-3e4, 3e4, 2 * kernels._SPLIT // 16), "epsilon": np.linspace(0.9, 1.1, 16)}
+    )
+    pulse = ControlSequence(1e-4, np.random.default_rng(8).uniform(-6000.0, 6000.0, (4, 2)))
+    start = {
+        "spinor": EnsembleState.uniform_spinor(grid, 1.0, 0.0),
+        "bloch": EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0)),
+    }[kind]
+    bloch.propagate(pulse, grid, start)
+    main = threading.get_ident()
+    assert calls == [(f"{kind}_propagate", main)]
+    assert len(parts) == 2 and main in parts and len(set(parts)) == 2
 
 
 def test_pulse_file_renders_its_samples_in_one_call(tmp_path, monkeypatch):
