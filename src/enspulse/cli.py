@@ -258,7 +258,7 @@ def _cmd_design_composite(args) -> int:
 
 def _cmd_design_zz(args) -> int:
     from . import composite
-    from .liealg import pauli
+    from .liealg import expm_skew, pauli
 
     _require_positive(j0=args.j0, tol=args.tol, subdivisions=args.subdivisions)
     out = composite.compile_j_robust_zz(
@@ -270,11 +270,9 @@ def _cmd_design_zz(args) -> int:
         subdivisions=args.subdivisions,
     )
     fileio.save_segments(args.out, out.sequence, extra={"target_zz_angle": args.theta})
-    from scipy.linalg import expm
-
     jgrid = composite.coupling_grid(args.j0, args.delta)
-    target = expm(-1j * args.theta * np.kron(pauli("z"), pauli("z")))
-    fids = composite.gate_fidelity(expm(out.predicted.evaluate({"J": jgrid})), target)
+    target = expm_skew(-1j * args.theta * np.kron(pauli("z"), pauli("z")))
+    fids = composite.gate_fidelity(expm_skew(out.predicted.evaluate({"J": jgrid})), target)
     fmap = FidelityMap(DispersionGrid(axes={"J": jgrid}), fids)
     _write_verification(args.out, fmap, out.diagnostics)
     print(f"fit_max {_fmt(out.diagnostics['fit_max'])} min_fidelity {_fmt(fmap.min)}")
@@ -390,6 +388,8 @@ def _cmd_analyze_linear(args) -> int:
         raise SchemaError(f"{args.samples}: needs a nonempty 'samples' list")
     samples = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{args.samples}: sample {i}: must be a JSON object")
         try:
             samples.append(LinearSystemSample(entry.get("s", i), entry["A"], entry["b"]))
         except (KeyError, TypeError, ValueError) as exc:

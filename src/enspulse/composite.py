@@ -30,6 +30,7 @@ separated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .liealg import (
     approximable,
     bracket_poly,
     evaluate_monomials,
+    expm_skew,
     lie_closure,
     pauli,
     reachable_functions,
@@ -473,7 +475,8 @@ TWO_PARAM_ELEMENTS = {
     "x1": DispersionPolyElement.single({"eps1": 1}, SO3["x"]),
     "y2": DispersionPolyElement.single({"eps2": 1}, SO3["y"]),
 }
-TWO_PARAM_CHANNELS = {"x1": 0, "y2": 1}  # u drives eps1*Ox, v drives eps2*Oy
+# each leaf drives its axis's channel of the plant: v drives eps1*Ox, u eps2*Oy
+TWO_PARAM_CHANNELS = {label: RF_CHANNELS[label[0]] for label in TWO_PARAM_ELEMENTS}
 
 
 def two_param_word(k: int, l: int, axis: str = "z") -> BracketWord:
@@ -638,20 +641,16 @@ def compile_omega_robust(
 
 def simulate_strong_rf(segments: list[Segment], omega: float) -> np.ndarray:
     """Exact SO(3) product of drift and instantaneous-rotation segments."""
-    out = np.eye(3)
-    for seg in segments:
+    gens = np.zeros((len(segments), 3, 3))
+    for g, seg in zip(gens, segments):
         if seg.kind == "drift":
-            ang = omega * seg.duration
-            gen = SO3["z"].entries
+            g[:] = omega * seg.duration * SO3["z"].entries.real
         elif seg.kind == "rot":
-            ang = seg.angle
-            gen = SO3[seg.axis].entries
+            g[:] = seg.angle * SO3[seg.axis].entries.real
         else:
             raise ValueError(f"segment kind {seg.kind!r} is not a strong-rf segment")
-        c, s = np.cos(ang), np.sin(ang)
-        rot = np.eye(3) + s * gen + (1 - c) * (gen @ gen)
-        out = rot.real @ out
-    return out
+    # the time-ordered product, last segment leftmost
+    return reduce(np.matmul, expm_skew(gens)[::-1], np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -739,43 +738,30 @@ def reduce_coupling_tensor(
     return CompiledSequence(segments, predicted, {"gamma": gamma, "t": t})
 
 
-_PAULI = {a: pauli(a) for a in ("x", "y", "z", "i")}
-
-
-def _local_unitary(qubit: int, axis: str, angle: float) -> np.ndarray:
-    u = np.cos(0.5 * angle) * _PAULI["i"] - 1j * np.sin(0.5 * angle) * _PAULI[axis]
-    if qubit == 1:
-        return np.kron(u, _PAULI["i"])
-    return np.kron(_PAULI["i"], u)
-
-
-def _involution_rot(m: np.ndarray, angle: float) -> np.ndarray:
-    # exp(-i angle M) for M with M^2 = I
-    return np.cos(angle) * np.eye(4) - 1j * np.sin(angle) * m
+_ZZ, _XX, _YY = (np.kron(pauli(a), pauli(a)) for a in "zxy")
+# sigma_axis on one qubit: qubit 1 is the left tensor factor, qubit 0 the right
+_LOCAL = {
+    (q, a): np.kron(pauli(a), pauli("i")) if q == 1 else np.kron(pauli("i"), pauli(a))
+    for q in (0, 1)
+    for a in "xyz"
+}
 
 
 def simulate_two_qubit(segments: list[Segment], j: float) -> np.ndarray:
     """Exact 4x4 unitary of a coupling/local/tensor segment list."""
-    zz = np.kron(_PAULI["z"], _PAULI["z"])
-    xx = np.kron(_PAULI["x"], _PAULI["x"])
-    yy = np.kron(_PAULI["y"], _PAULI["y"])
-    out = np.eye(4, dtype=complex)
-    for seg in segments:
+    gens = np.zeros((len(segments), 4, 4), dtype=complex)
+    for g, seg in zip(gens, segments):
         if seg.kind == "coupling":
-            u = _involution_rot(zz, j * seg.duration)
+            g[:] = -1j * j * seg.duration * _ZZ
         elif seg.kind == "local":
-            u = _local_unitary(seg.qubit, seg.axis, seg.angle)
+            g[:] = -0.5j * seg.angle * _LOCAL[seg.qubit, seg.axis]
         elif seg.kind == "tensor":
-            a, b, g = seg.tensor
-            u = (
-                _involution_rot(xx, a * seg.duration)
-                @ _involution_rot(yy, b * seg.duration)
-                @ _involution_rot(zz, g * seg.duration)
-            )
+            a, b, c = seg.tensor
+            # the three terms commute, so one exponential is their product
+            g[:] = -1j * seg.duration * (a * _XX + b * _YY + c * _ZZ)
         else:
             raise ValueError(f"segment kind {seg.kind!r} is not a two-qubit segment")
-        out = u @ out
-    return out
+    return reduce(np.matmul, expm_skew(gens)[::-1], np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +784,6 @@ def generator_level_rotation_fidelity(
     compiled: CompiledSequence, target_angles: np.ndarray, axis: str, grid: np.ndarray, param: str = "eps"
 ) -> np.ndarray:
     """Fidelity of exp(predicted generator) against the target per grid point."""
-    from scipy.linalg import expm
-
     angles = np.broadcast_to(np.asarray(target_angles, dtype=float), np.shape(grid)).ravel()
-    achieved = expm(compiled.predicted.evaluate({param: np.ravel(grid)}).real)
-    return rotation_fidelity(achieved, expm(angles[:, None, None] * SO3[axis].entries.real))
+    achieved = expm_skew(compiled.predicted.evaluate({param: np.ravel(grid)}).real)
+    return rotation_fidelity(achieved, expm_skew(angles[:, None, None] * SO3[axis].entries.real))

@@ -206,16 +206,13 @@ def rf_vector(half_flip, phase):
     return half_flip * c, half_flip * (sinc * phase)
 
 
-def _exact_pair(hx, hy, hz, hz2, out=None):
+def _exact_pair(hx, hy, hz, hz2, out):
     """Cayley-Klein pair of one step's rotation ``exp(-i (hx sx + hy sy + hz sz))``.
 
     The values are arrays.  ``out`` is ``((a, b), (r, f, c, s))``: complex
     arrays that take the pair and float arrays for the call's scratch, all of
-    the pair's shape; without it the pair is fresh.
+    the pair's shape.
     """
-    if out is None:
-        shape = np.broadcast(hx, hy, hz, hz2).shape
-        out = np.empty((2, *shape), dtype=np.complex128), np.empty((4, *shape))
     (a, b), (r, f, c, s) = out
     np.multiply(hx, hx, out=r)
     np.multiply(hy, hy, out=f)
@@ -450,11 +447,12 @@ def _tiled_pass(u, v, dt, omega, eps, theta, alpha, beta, hard_pulse):
     hz = hdt * omega
     hz2 = hz * hz
     # b takes the rf phase's turn; a hard pulse's element is its rf rotation
-    # times the free precession over the step, the exact step with the rf off
+    # times the free precession over the step, the exact step with the rf
+    # off, whose a is e^(-i hz) and whose b is 0
     zb = None if theta is None else _turn(theta)
     za = None
     if hard_pulse:
-        za = _exact_pair(0.0, 0.0, hz, hz2)[0]
+        za = _turn(hz)
         zb = za if zb is None else za * zb
     jobs = []
     for part in _parts(len(omega)):

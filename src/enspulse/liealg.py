@@ -50,6 +50,7 @@ __all__ = [
     "evaluate_monomials",
     "so3_generators",
     "pauli",
+    "expm_skew",
     "two_qubit_coupling_generators",
 ]
 
@@ -103,6 +104,19 @@ def pauli(name: str) -> np.ndarray:
     if name == "i":
         return np.eye(2, dtype=np.complex128)
     raise ValueError(f"unknown Pauli label {name!r}")
+
+
+def expm_skew(g) -> np.ndarray:
+    """``exp(G)`` of a skew-Hermitian ``G``, or of each matrix of a stack ``(..., d, d)``.
+
+    With the Hermitian ``iG = V diag(lam) V^H`` from one batched ``eigh``,
+    ``exp(G) = V diag(e^(-i lam)) V^H``: unitary to roundoff, and the
+    reliable route for normal matrices.  Real input gives a real result.
+    """
+    g = np.asarray(g)
+    lam, vec = np.linalg.eigh(1j * g)
+    out = (vec * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
+    return out.real if np.isrealobj(g) else out
 
 
 def two_qubit_coupling_generators() -> dict[str, GeneratorMatrix]:

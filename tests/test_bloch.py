@@ -324,7 +324,7 @@ def per_point_hard_pass(u, v, dt, omega, eps, alpha0, beta0):
     for p in range(0, len(omega), kernels._CHUNK):
         pts = slice(p, p + kernels._CHUNK)
         ep, hz = eps[pts], hdt * omega[pts]
-        zhalf = kernels._exact_pair(0.0, 0.0, hz, hz * hz)[0]
+        zhalf = kernels._turn(hz)
         block = kernels._TILE // len(ep)
         x, y = alpha[pts], beta[pts]
         for k in range(0, len(u), block):

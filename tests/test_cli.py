@@ -587,11 +587,14 @@ def test_cli_import_leaves_scipy_unloaded():
     [
         ["design-slr", "--angle", "1.5707963267948966", "--band", "2000", "--steps", "64", "--dt", "1e-4"],
         ["design-pattern", "--band", "5000", "--select=-2500,2500", "--flip", "1.5707963267948966", "--steps", "64"],
+        ["design-composite", "--angle", "1.5707963267948966", "--eps-range", "0.9,1.1", "--basis", "1,3,5"],
+        ["design-zz", "--theta", "0.7853981633974483", "--j0", "1.0", "--delta", "0.1"],
     ],
 )
 def test_slr_designs_leave_scipy_unloaded(tmp_path, argv):
-    # the fit solves its Toeplitz system without scipy.linalg, whose import
-    # would cost a fresh process about a third of a second
+    # the slr fit solves its Toeplitz system and the bracket compilers'
+    # claims exponentiate their generators without scipy.linalg, whose import
+    # would cost a fresh process about a quarter of a second
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     full = argv + ["--out", str(tmp_path / "pulse.json")]
@@ -909,6 +912,16 @@ def test_analyze_linear_rejects_malformed_targets(tmp_path, targets_doc):
     assert main([*argv, "--reachability-targets", str(tpath)]) == 2
     tpath.write_text(json.dumps({"targets": [[1.0], [1.0]]}))
     assert main([*argv, "--reachability-targets", str(tpath)]) == 0
+
+
+@pytest.mark.parametrize("entry", [3.0, [[1.0]], "A", None], ids=["number", "list", "string", "null"])
+def test_analyze_linear_rejects_a_sample_that_is_not_an_object(tmp_path, capsys, entry):
+    spath = tmp_path / "samples.json"
+    spath.write_text(json.dumps({"samples": [{"s": 1.0, "A": [[1.0]], "b": [1.0]}, entry]}))
+    out = tmp_path / "report.json"
+    assert main(["analyze-linear", "--samples", str(spath), "--out", str(out)]) == 2
+    assert "sample 1: must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Bracket-word compilation tests.
 
 Oracles: scipy.linalg.expm for exact exponentials, direct 4x4 matrix
-products for the two-qubit identities, and dense normal equations for fits.
+products for the two-qubit identities, dense normal equations for fits, and
+closed-form segment rotations (Rodrigues' formula, involution exponentials
+and local SU(2) factors) for the segment simulators.
 """
 
 import numpy as np
@@ -32,6 +34,7 @@ from enspulse.composite import (
     COUPLING_ELEMENTS,
     RF_CHANNELS,
     TWO_PARAM_ELEMENTS,
+    Segment,
     _coupling_leaf,
     _inv_rf,
     _inv_segments,
@@ -327,6 +330,24 @@ def test_two_param_y_axis_generator_level():
     assert min(fids) >= 0.999
 
 
+def rotation_vector(r):
+    """Axis times angle of a rotation near the identity, from its skew part."""
+    return np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2
+
+
+@pytest.mark.parametrize("axis, orders", [("z", ((0, 0),)), ("y", ((1, 0),))])
+def test_two_param_sequence_rotates_about_its_target_axis(axis, orders):
+    # the plant at eps1 = eps2 = 1 is the one-parameter plant, whose v drives
+    # Ox and whose u drives Oy: the leaves must use those channels, or the
+    # sequence realizes the target's mirror image
+    angle = 0.01
+    out = compile_two_param(angle, np.array([1.0]), np.array([1.0]), orders=orders, axis=axis)
+    got = rotation_vector(net_rotation(out.sequence, omega=0.0, epsilon=1.0))
+    want = angle * np.array([axis == "x", axis == "y", axis == "z"], dtype=float)
+    # the commutator realization misses by O(angle^1.5)
+    assert np.linalg.norm(got - want) <= 3 * angle**1.5
+
+
 def test_two_param_y_axis_default_orders_infeasible():
     # the default orders include (0, 1): eps2^3 on Oy without eps1
     grid1 = np.linspace(0.9, 1.1, 9)
@@ -529,6 +550,100 @@ def test_zz_robust_simulation_converges_to_prediction():
         )
     assert worst[0] > worst[1] > worst[2]
     assert worst[2] <= 0.03
+
+
+# ---------------------------------------------------------------------------
+# the segment simulators against closed-form segment rotations
+# ---------------------------------------------------------------------------
+
+PAULI = {a: pauli(a) for a in "xyzi"}
+
+
+def rodrigues_strong_rf(segments, omega):
+    """Ordered product of each segment's exp(ang G) = I + sin(ang) G + (1 - cos(ang)) G^2."""
+    out = np.eye(3)
+    for seg in segments:
+        ang, axis = (omega * seg.duration, "z") if seg.kind == "drift" else (seg.angle, seg.axis)
+        g = SO3[axis].entries.real
+        out = (np.eye(3) + np.sin(ang) * g + (1 - np.cos(ang)) * (g @ g)) @ out
+    return out
+
+
+def involution_rot(m, angle):
+    """exp(-i angle M) for M with M^2 = I."""
+    return np.cos(angle) * np.eye(4) - 1j * np.sin(angle) * m
+
+
+def closed_form_two_qubit(segments, j):
+    """Ordered product of each segment's unitary: involution exponentials for
+    the couplings and the tensor's three commuting terms, and cos - i sin
+    SU(2) factors for the local rotations."""
+    zz, xx, yy = (np.kron(PAULI[a], PAULI[a]) for a in "zxy")
+    out = np.eye(4, dtype=complex)
+    for seg in segments:
+        if seg.kind == "coupling":
+            u = involution_rot(zz, j * seg.duration)
+        elif seg.kind == "local":
+            half = 0.5 * seg.angle
+            one = np.cos(half) * PAULI["i"] - 1j * np.sin(half) * PAULI[seg.axis]
+            u = np.kron(one, PAULI["i"]) if seg.qubit == 1 else np.kron(PAULI["i"], one)
+        else:
+            a, b, g = seg.tensor
+            t = seg.duration
+            u = involution_rot(xx, a * t) @ involution_rot(yy, b * t) @ involution_rot(zz, g * t)
+        out = u @ out
+    return out
+
+
+SPANS = st.floats(0.0, 3.0, allow_nan=False)
+ANGLES = st.floats(-4.0, 4.0, allow_nan=False)
+AXES = st.sampled_from("xyz")
+STRONG_RF_SEGMENTS = st.lists(
+    st.one_of(
+        st.builds(Segment, st.just("drift"), duration=SPANS),
+        st.builds(Segment, st.just("rot"), axis=AXES, angle=ANGLES),
+    ),
+    max_size=30,
+)
+TWO_QUBIT_SEGMENTS = st.lists(
+    st.one_of(
+        st.builds(Segment, st.just("coupling"), duration=SPANS),
+        st.builds(
+            Segment, st.just("local"), qubit=st.sampled_from((0, 1)), axis=AXES, angle=ANGLES
+        ),
+        st.builds(
+            Segment, st.just("tensor"), duration=SPANS,
+            tensor=st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 3),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@given(STRONG_RF_SEGMENTS, st.floats(-2.0, 2.0, allow_nan=False))
+def test_strong_rf_simulation_matches_rodrigues_on_random_segments(segments, omega):
+    want = rodrigues_strong_rf(segments, omega)
+    assert np.abs(simulate_strong_rf(segments, omega) - want).max() <= 1e-12
+
+
+@given(TWO_QUBIT_SEGMENTS, st.floats(0.0, 2.0, allow_nan=False))
+def test_two_qubit_simulation_matches_closed_forms_on_random_segments(segments, j):
+    want = closed_form_two_qubit(segments, j)
+    assert np.abs(simulate_two_qubit(segments, j) - want).max() <= 1e-12
+
+
+def test_segment_simulations_match_closed_forms_on_compiled_sequences():
+    grid = np.linspace(-0.2, 0.2, 5)
+    omega = compile_omega_robust(np.full(grid.shape, 0.8), grid, powers=(0, 1, 2), subdivisions=8)
+    for w in grid:
+        got = simulate_strong_rf(omega.sequence, w)
+        assert np.abs(got - rodrigues_strong_rf(omega.sequence, w)).max() <= 1e-12
+    zz = compile_j_robust_zz(np.pi / 4, 1.0, 0.1, basis=(1, 3), subdivisions=8)
+    echo = reduce_coupling_tensor(0.3, 0.2, 0.5, 1.0)
+    for j in (0.9, 1.0, 1.1):
+        for seq in (zz.sequence, echo.sequence):
+            got = simulate_two_qubit(seq, j)
+            assert np.abs(got - closed_form_two_qubit(seq, j)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 Derived expectations are computed by independent oracles kept inside this
 file: direct matrix products, finite-difference Jacobians and dense
-normal-equation least squares.
+normal-equation least squares; scipy's ``expm`` for the generator
+exponential.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from enspulse.liealg import (
     DispersionPolyElement,
@@ -20,6 +23,7 @@ from enspulse.liealg import (
     bracket,
     bracket_poly,
     evaluate_monomials,
+    expm_skew,
     lie_closure,
     pauli,
     reachable_functions,
@@ -34,6 +38,45 @@ SO3 = so3_generators()
 def rand_skew_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return m - m.conj().T
+
+
+# ---------------------------------------------------------------------------
+# generator exponential
+# ---------------------------------------------------------------------------
+
+# entries up to 2 reach every rotation angle of so(3); past about 4, scipy's
+# real expm itself drifts from orthogonal by 1e-13 and stops being an oracle
+ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+def scipy_expm_stack(g):
+    return np.array([expm(m) for m in g.reshape(-1, *g.shape[-2:])]).reshape(g.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=arrays(np.float64, (5, 3, 3), elements=ENTRIES))
+def test_expm_skew_matches_scipy_on_real_3x3_stacks(a):
+    g = a - np.swapaxes(a, -1, -2)
+    got = expm_skew(g)
+    assert got.dtype == np.float64
+    assert np.abs(got - scipy_expm_stack(g)).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=arrays(np.float64, (2, 3, 4, 4), elements=ENTRIES),
+       im=arrays(np.float64, (2, 3, 4, 4), elements=ENTRIES))
+def test_expm_skew_matches_scipy_on_complex_4x4_stacks(re, im):
+    a = re + 1j * im
+    g = a - np.conj(np.swapaxes(a, -1, -2))
+    got = expm_skew(g)
+    assert got.shape == g.shape
+    assert np.abs(got - scipy_expm_stack(g)).max() <= 1e-13
+
+
+def test_expm_skew_of_one_matrix_and_of_zero():
+    g = 0.7 * SO3["x"].entries.real
+    assert np.abs(expm_skew(g) - expm(g)).max() <= 1e-15
+    assert np.array_equal(expm_skew(np.zeros((4, 4), dtype=complex)), np.eye(4))
 
 
 # ---------------------------------------------------------------------------

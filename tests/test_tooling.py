@@ -9,7 +9,8 @@ tracer's kernel spans see each pass once, and a pass split over threads
 enters those names on the calling thread alone.  Every float array the file layer
 writes goes through one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
-very objects."""
+very objects.  Generators are exponentiated by one numpy function, so scipy
+is imported by one function alone."""
 
 import ast
 import importlib
@@ -218,6 +219,39 @@ def test_one_kernel_function_chooses_the_polynomial_route():
         assert not passes & reachable(cut, caller), caller
     # the Bloch kind: the control exchange and adjoint of rotation_propagate
     assert "kernels.bloch_propagate" in graph["bloch.propagate"]
+
+
+def scipy_imports(path):
+    """``(module, function)`` of every import of scipy in the file at ``path``;
+    the function is None for a module-level import."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append((path.stem, func))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_scipy_is_imported_by_the_reachability_residual_alone():
+    # skew-Hermitian generators go through liealg.expm_skew; only the
+    # reachability residual's augmented block matrix, which is not normal,
+    # needs scipy's general expm
+    package = Path(enspulse.__file__).parent
+    found = [hit for path in sorted(package.glob("*.py")) for hit in scipy_imports(path)]
+    assert found == [("linear", "reachability_residual")]
 
 
 def test_one_compile_step_gates_fits_and_realizes_for_every_compiler():
