@@ -178,12 +178,6 @@ class DispersionGrid:
         mesh = np.meshgrid(*self.axes.values(), indexing="ij")
         return {name: m.ravel() for name, m in zip(self.axes, mesh)}
 
-    def coordinate(self, name: str, default: float) -> np.ndarray:
-        pts = self.points()
-        if name in pts:
-            return pts[name]
-        return np.full(self.size, default)
-
 
 @dataclass(frozen=True)
 class SU2Element:
@@ -377,9 +371,10 @@ def propagate(
                 f"axis {name!r} does not act on a single spin; propagation takes omega, epsilon and theta"
             )
     u, v, dt = _pulse_arrays(pulse)
-    omega = grid.coordinate("omega", 0.0)
-    eps = grid.coordinate("epsilon", 1.0)
-    theta = grid.points().get("theta")
+    pts = grid.points()
+    omega = pts["omega"] if "omega" in pts else np.zeros(grid.size)
+    eps = pts["epsilon"] if "epsilon" in pts else np.ones(grid.size)
+    theta = pts.get("theta")
 
     if initial.kind == "bloch":
         out = kernels.bloch_propagate(u, v, dt, omega, eps, theta, initial.values, hard)

@@ -7,8 +7,8 @@ and P, Q polynomials of order n-1 in ``z^-1``.  The recursions serve the
 design algebra only: spectral factorization completes a fitted Q into a
 unimodular pair, the backward recursion (one :func:`.kernels.slr_peel` per
 degree) turns it into steps, and the forward recursion maps steps to (P, Q).
-A written pulse is simulated only by the kernel's hard-pulse step loop, so
-``band_error`` and a design's fidelity map come from one engine.
+A written pulse is simulated only by the kernel's hard-pulse pass, and a
+broadband design's ``band_error`` and fidelity map come from one such pass.
 
 Every product with the exponential matrix ``exp(1j * outer(omega dt, k))``
 of a sample grid (the fit's Gram row and right-hand side, evaluations of P
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .bloch import ControlSequence
+from .bloch import ControlSequence, DispersionGrid, FidelityMap
 from .errors import CompletionError, DegenerateExtractionError, InfeasibleError
 
 __all__ = [
@@ -382,11 +382,15 @@ def spinor_band_error(
     error are all counted.
     """
     pv, qv = poly.evaluate(profile.omega, dt)
-    return _aligned_distance(pv, qv, profile.f_alpha, profile.f_beta)
+    return _aligned_distance(_overlap(pv, qv, profile.f_alpha, profile.f_beta))
 
 
-def _aligned_distance(pv, qv, f_alpha, f_beta) -> float:
-    overlap = np.abs(np.conj(f_alpha) * pv + np.conj(f_beta) * qv)
+def _overlap(pv, qv, f_alpha, f_beta) -> np.ndarray:
+    """|<f|(p, q)>| per sample: the overlap up to a common phase."""
+    return np.abs(np.conj(f_alpha) * pv + np.conj(f_beta) * qv)
+
+
+def _aligned_distance(overlap: np.ndarray) -> float:
     return float(np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0)).max())
 
 
@@ -491,7 +495,7 @@ class _GramFit:
             polys = complete_polynomial(self._fit_q(prof.f_beta * ph), margin=margin)
         pv, qv = _circle_products(self.theta, np.stack([polys.p, polys.q]))
         fit_resid = float(np.abs(qv - prof.f_beta).max())
-        band_error = _aligned_distance(pv, qv, prof.f_alpha, prof.f_beta)
+        band_error = _aligned_distance(_overlap(pv, qv, prof.f_alpha, prof.f_beta))
         return PolyFit(polys, band_error, fit_resid)
 
 
@@ -522,9 +526,7 @@ def target_to_polys(
 # ---------------------------------------------------------------------------
 
 
-def broadband_profile(
-    axis: str, angle: float, band: float, n: int, dt: float, transition: float | None = None
-) -> TargetProfile:
+def broadband_profile(axis: str, angle: float, band: float, n: int, dt: float) -> TargetProfile:
     """Flat rotation target over [-band, band] with zero response far away.
 
     The out-of-band zero keeps the fitted filter genuinely band-limited (and
@@ -535,10 +537,9 @@ def broadband_profile(
         raise ValueError("axis must be 'x' or 'y'")
     beta_unit = _beta_unit(axis, angle)
     stop_hi = 0.995 * np.pi / dt
-    if transition is None:
-        # use a quarter of the free spectral room, floored at the resolvable
-        # width; over-sharp transitions just buy ripple
-        transition = max(4.0 / (n * dt), 0.25 * (stop_hi - band))
+    # the ramp takes a quarter of the free spectral room, floored at the
+    # resolvable width; over-sharp transitions just buy ripple
+    transition = max(4.0 / (n * dt), 0.25 * (stop_hi - band))
     stop_lo = band + transition
     if stop_lo >= stop_hi:
         raise ValueError("band plus transition exceeds the unaliased range")
@@ -576,38 +577,31 @@ class BroadbandDesign:
     profile: TargetProfile
     fit_residual: float
     inversion: dict  # inverse_recursion_full diagnostics of the block
+    fidelity: FidelityMap  # the written pulse against the full-angle target
 
 
 def design_broadband(
-    axis: str,
-    angle: float,
-    band: float,
-    n: int,
-    dt: float | None = None,
-    a_max: float | None = None,
-    margin: float = 1e-6,
-    transition: float | None = None,
+    axis: str, angle: float, band: float, n: int, dt: float, a_max: float | None = None
 ) -> BroadbandDesign:
     """Design a rotation about x or y that is flat over [-band, band].
 
     Unbounded: one block for the full angle.  With ``a_max``, the angle is
     split into the smallest number m of equal sub-angles whose extracted
     per-step amplitudes respect the bound, and the m identical blocks are
-    concatenated.
+    concatenated.  One kernel pass over the written pulse
+    (:func:`_design_band_error`) gives the band error and the fidelity map.
     """
     if not (0.0 < angle < 2.0 * np.pi):
         raise ValueError("angle must lie in (0, 2*pi)")
-    if dt is None:
-        dt = 0.5 / band
 
-    profile = broadband_profile(axis, angle, band, n, dt, transition)
-    # the profile's grid depends on n, dt, band and transition, not on the
-    # angle, so every candidate block count fits through one factorization
+    profile = broadband_profile(axis, angle, band, n, dt)
+    # the profile's grid depends on n, dt and band, not on the angle, so
+    # every candidate block count fits through one factorization
     gram = _GramFit(profile.omega, profile.weights, n, dt)
 
     def block_for(m: int):
-        prof = profile if m == 1 else broadband_profile(axis, angle / m, band, n, dt, transition)
-        fit = gram.fit(prof, margin, absorb_alpha_phase=True)
+        prof = profile if m == 1 else broadband_profile(axis, angle / m, band, n, dt)
+        fit = gram.fit(prof, margin=1e-6, absorb_alpha_phase=True)
         steps, inversion = inverse_recursion_full(fit.polys)
         return prof, fit, steps, inversion
 
@@ -647,23 +641,28 @@ def design_broadband(
     block_pulse = steps_to_pulse(steps, dt, a_max)
     pulse = ControlSequence(dt, np.tile(block_pulse.samples, (m, 1)), a_max)
 
-    band_error = _design_band_error(pulse, axis, angle, band, dt)
+    band_error, fidelity = _design_band_error(pulse, axis, angle, band, dt)
     return BroadbandDesign(
-        pulse, fit.polys, band_error, m, angle / m, profile, fit.fit_residual, inversion
+        pulse, fit.polys, band_error, m, angle / m, profile, fit.fit_residual, inversion, fidelity
     )
 
 
 def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
-    """Phase-aligned distance of the achieved spinor to the rotation target.
+    """Phase-aligned distance of the achieved spinor to the rotation target
+    over ``npoints`` offsets, and the fidelity |<target|psi>|^2 of that same
+    pass on every other offset.
 
     The whole written pulse (possibly several concatenated blocks) is
-    simulated from (1, 0) by the hard-pulse kernel; the beta target carries
-    the half-train delay, as in :func:`spinor_band_error`.
+    simulated from (1, 0) by one hard-pulse kernel pass; the beta target
+    carries the half-train delay, as in :func:`spinor_band_error`.
     """
     omega = np.linspace(-band, band, npoints)
     ones = np.ones(npoints)
     alpha, beta = kernels.spinor_propagate(pulse.u, pulse.v, dt, omega, ones, None, ones, 0 * ones, True)
-    return _aligned_distance(alpha, beta, *rotation_target(axis, angle, omega, pulse.nsteps, dt))
+    overlap = _overlap(alpha, beta, *rotation_target(axis, angle, omega, pulse.nsteps, dt))
+    # the even offsets of 129 are bitwise np.linspace(-band, band, 65)
+    grid = DispersionGrid(axes={"omega": omega[::2]})
+    return _aligned_distance(overlap), FidelityMap(grid, overlap[::2] ** 2)
 
 
 def rotation_target(axis, angle, omega, n, dt):

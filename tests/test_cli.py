@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,7 +19,7 @@ from enspulse import slr
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
 from enspulse.cli import build_parser, main
 from enspulse.composite import DEFAULT_TOL
-from enspulse.errors import SchemaError
+from enspulse.errors import InfeasibleError, SchemaError
 from enspulse.fileio import (
     _layout,
     _write_csv,
@@ -501,6 +501,38 @@ def test_design_slr_min_fidelity_simulates_the_written_pulse(tmp_path, a_max):
     assert diag["min_fidelity"] == pytest.approx(simulated.min(), abs=1e-12)
     assert parse_fidelity_csv(diag["fidelity_map"]).min == diag["min_fidelity"]
     assert diag["min_fidelity"] >= (1 - diag["band_error"] ** 2 / 2) ** 2 - 1e-12
+
+
+@settings(max_examples=25)
+@given(
+    axis=st.sampled_from(["x", "y"]),
+    angle=st.floats(0.05, 2 * np.pi - 0.05),
+    n=st.integers(8, 96),
+    band=st.floats(500.0, 5000.0),
+    bound=st.none() | st.floats(0.3, 1.2),
+)
+def test_broadband_map_is_its_band_error_pass_on_the_even_offsets(axis, angle, n, band, bound):
+    # the band error and the map come from one pass: the map's offsets are
+    # every other one of the check's 129, so each mapped fidelity F bounds
+    # band_error >= sqrt(2 - 2 sqrt(F))
+    dt = 0.5 / band
+    try:
+        design = slr.design_broadband(axis, angle, band, n, dt)
+        if bound is not None:
+            # a fraction of the unbounded peak: one block to a few
+            a_max = bound * design.pulse.amplitudes.max()
+            design = slr.design_broadband(axis, angle, band, n, dt, a_max=a_max)
+    except InfeasibleError:
+        assume(False)  # the command exits 3
+    assume(design.blocks <= 4)
+    omega = design.fidelity.grid.axes["omega"]
+    assert omega.tobytes() == np.linspace(-band, band, 65).tobytes()
+    a, b = hard_pulse_spinors(design.pulse, omega)
+    ta, tb = rotation_target(axis, angle, omega, design.pulse.nsteps, dt)
+    simulated = np.abs(np.conj(ta) * a + np.conj(tb) * b) ** 2
+    assert np.abs(design.fidelity.values - simulated).max() <= 1e-12
+    floor = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(design.fidelity.values), 0.0))
+    assert np.all(design.band_error >= floor)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])

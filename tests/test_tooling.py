@@ -6,8 +6,9 @@ compilers' own element tables.  One compile step gates, fits and realizes
 for every bracket compiler.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
 tracer's kernel spans see each pass once, and a pass split over threads
-enters those names on the calling thread alone.  Every float array the file layer
-writes goes through one formatter, whose tables an import leaves unbuilt.
+enters those names on the calling thread alone; a design command makes at
+most one such pass.  Every float array the file layer writes goes through
+one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
 very objects.  Generators are exponentiated by one numpy function, so scipy
 is imported by one function alone."""
@@ -297,6 +298,30 @@ def test_a_routed_pass_is_one_traced_kernel_call(monkeypatch, case, traced):
         )
         bloch.propagate(pulse, grid, start, model="hard_pulse")
     assert calls == [traced, "_polynomial_pass"]
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["design-slr", "--axis", "x", "--angle", "1.5707963267948966", "--band", "2000",
+          "--steps", "64", "--dt", "1e-4"], 1),
+        (["design-pattern", "--band", "5000", "--select=-2500,2500", "--flip", "3.14159",
+          "--steps", "128"], 1),
+        (["design-composite", "--angle", "1.5707963267948966", "--eps-range", "0.9,1.1",
+          "--basis", "1,3,5"], 0),
+        (["design-zz", "--theta", "0.7853981633974483", "--j0", "1.0", "--delta", "0.1"], 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_each_design_command_simulates_its_written_pulse_at_most_once(tmp_path, monkeypatch, argv, passes):
+    # the README cases: design-slr's band error, map and min_fidelity come from
+    # the designer's one pass; the bracket designs claim without the kernel
+    calls = []
+    for name in ("spinor_propagate", "bloch_propagate"):
+        original = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == passes
 
 
 @pytest.mark.parametrize("kind", ["spinor", "bloch"])
