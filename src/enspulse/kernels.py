@@ -6,13 +6,12 @@ applies :func:`su2_apply`, the element ``[[a, -conj(b)], [b, conj(a)]]``
 acting on a pair: in :func:`spinor_propagate`, which builds the step elements
 of a tile of steps and grid points at once, composes them pairwise and
 applies the tile's product to the running state, and over polynomial
-coefficients in :func:`slr_forward` and :func:`slr_peel`; every hard-pulse rf
-rotation over arrays is :func:`hard_step`.  A single step, such as the one
-:func:`slr_peel` removes per degree, takes :func:`step_pair`, the same pair
-from ``math`` in Python scalars: the peel reads the step's half flip and
-phase off the tangent ``w = i S / C`` of its coefficients and builds the
-rotation from them without numpy's per-call cost.  Bloch vectors and SO(3)
-rotations are the adjoint image (:func:`adjoint`) of a spinor pass.
+coefficients, in place, in :func:`slr_forward` and :func:`slr_peel`; every
+hard-pulse rf rotation over arrays is :func:`hard_step`.  A single step, such
+as the one :func:`slr_peel` removes per degree, takes :func:`step_pair`, the
+same pair from ``math`` in Python scalars, without numpy's per-call cost.
+Bloch vectors and SO(3) rotations are the adjoint image (:func:`adjoint`) of
+a spinor pass.
 
 Written pulses are mostly runs of one block repeated many times: a composite
 repeats each bracket word's block once per subdivision, and a multi-block SLR
@@ -61,9 +60,9 @@ The tile loop (:func:`_tile_part`) allocates nothing per step: each step's
 element and each state update go into a workspace of float and complex
 buffers through ufunc ``out=`` arguments, in the same operations and order
 as fresh arrays would take them, so the results are bitwise those of the
-allocating loop.  The one exception numpy makes is kept out: it rounds a
-one-element complex product written over one of its factors differently,
-so no complex product is written in place that was not before.  The
+allocating loop.  The one exception numpy makes is kept out: it can round a
+complex product written over one of its factors differently, so no complex
+product is written in place that was not before.  The
 calling thread allocates every workspace.  A wide pass, of at least
 ``2 * _SPLIT`` points on a process that may run on more than one CPU,
 splits its points into contiguous parts, one per CPU up to one per
@@ -721,11 +720,16 @@ def slr_peel(pw, qw, length):
     half = math.atan(abs(w))
     th = cmath.phase(w) if w else 0.0
     c, s = step_pair(half, th)
-    p_new, q_new = su2_apply(c, -s, pw[:length], qw[:length])
-    # the reduced pair has length - 1 coefficients; what lies beyond is unused
-    pw[: length - 1] = p_new[: length - 1]
-    qw[: length - 1] = q_new[1:length]
-    return 2.0 * half, th, p_new[length - 1], abs(q_new[0])
+    x, y = pw[:length], qw[:length]
+    # su2_apply(c, -s, x, y) in place and bitwise: only the real c multiplies in place
+    bx, cby = -s * x, (-s).conjugate() * y
+    x *= c
+    x -= cby
+    y *= c
+    y += bx
+    low = abs(y[0])
+    qw[: length - 1] = qw[1:length]  # the reduced pair; what lies beyond is unused
+    return 2.0 * half, th, x[length - 1], low
 
 
 def slr_inverse(p, q):

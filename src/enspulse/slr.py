@@ -14,7 +14,11 @@ Every product with the exponential matrix ``exp(1j * outer(omega dt, k))``
 of a sample grid (the fit's Gram row and right-hand side, evaluations of P
 and Q) goes through :func:`_circle_products`: a Bluestein chirp-z over one
 FFT convolution on an arithmetic grid, which is every grid this package
-builds, and Horner's rule on any other.  No m x n matrix is built.
+builds, and Horner's rule on any other.  No m x n matrix is built.  A fit
+builds its grid's two chirp plans (:func:`_chirp_plan`: the sums and the
+evaluations) once and keeps them for as long as its design runs; the
+completion checks its pair on its own FFT grid, and the backward recursion
+peels steps in place.
 
 Completion convention: P is the minimum-phase spectral factor of
 ``1 - |Q|^2`` on the unit circle (all zeros of P inside the open disk,
@@ -116,32 +120,31 @@ class SpinorPolynomials:
 _TWO_PI = 8.0 * np.arctan(np.longdouble(1.0))
 
 
-def _circle_products(theta: np.ndarray, x: np.ndarray, n: int | None = None) -> np.ndarray:
+def _circle_products(
+    theta: np.ndarray, x: np.ndarray, n: int | None = None, plan: _ChirpPlan | None = None
+) -> np.ndarray:
     """Products with ``a = exp(1j * outer(theta, arange(n)))``, never built.
 
     With ``n`` None, ``x[..., k]`` are coefficients and the result holds the
     evaluations ``a @ c`` at every angle; with ``n`` given, ``x[..., j]`` are
     samples on the grid and the result holds the n sums ``a.T @ x``.  An
     arithmetic grid (every grid this package builds) takes a Bluestein
-    chirp-z over one FFT convolution; any other grid takes Horner's rule or
-    a power loop.  Neither holds more than O(m + n) entries per row of x.
+    chirp-z over one FFT convolution, set up by ``plan`` (the grid's
+    :func:`_chirp_plan` for this direction) or, without it, afresh; any
+    other grid takes Horner's rule or a power loop.  Neither holds more than
+    O(m + n) entries per row of x.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=np.complex128)
-    m = theta.size
-    size = m if n is None else n
+    size = theta.size if n is None else n
     if size == 0 or x.shape[-1] == 0:
         return np.zeros(x.shape[:-1] + (size,), dtype=np.complex128)
-    step = (theta[-1] - theta[0]) / max(m - 1, 1)
-    # linspace grids and their products by dt sit within about 2.6 ulp of
-    # the progression; the chirp then differs from the dense product by at
-    # most that deviation times n
-    dev = np.abs(theta - (theta[0] + step * np.arange(m))).max()
-    if dev <= 4.0 * np.finfo(float).eps * np.abs(theta).max():
-        if n is None:
-            return _chirp(x * _cis(theta[0], np.arange(x.shape[-1])), step, m)
-        return _chirp(x, step, n) * _cis(theta[0], np.arange(n))
-    return _horner_products(theta, x, n)
+    plan = plan or _chirp_plan(theta, x.shape[-1] if n is None else n, sums=n is not None)
+    if plan is None:
+        return _horner_products(theta, x, n)
+    if n is None:
+        return _chirp(x * plan.start, plan)
+    return _chirp(x, plan) * plan.start
 
 
 def _horner_products(theta: np.ndarray, x: np.ndarray, n: int | None) -> np.ndarray:
@@ -162,18 +165,47 @@ def _horner_products(theta: np.ndarray, x: np.ndarray, n: int | None) -> np.ndar
     return out
 
 
-def _chirp(u: np.ndarray, step: float, size: int) -> np.ndarray:
-    """``sum_p u[..., p] exp(1j step p r)`` for r < size, by Bluestein's
-    identity ``p r = (p^2 + r^2 - (r - p)^2) / 2``: a chirp product, one
-    circular convolution with the conjugate chirp, and a chirp product."""
-    p = u.shape[-1]
+@dataclass(frozen=True)
+class _ChirpPlan:
+    """The set-up of :func:`_chirp` on one grid in one direction: the chirp
+    ``w``, the FFT of its conjugate kernel, the ``size`` of the result and
+    the start phases ``exp(1j theta[0] k)`` of the n coefficients."""
+
+    w: np.ndarray
+    kernel_f: np.ndarray
+    size: int
+    start: np.ndarray
+
+
+def _chirp_plan(theta: np.ndarray, n: int, sums: bool) -> _ChirpPlan | None:
+    """The chirp-z plan of ``theta``'s m-point grid with n coefficients: for
+    the n sums over the grid (``sums``) or for the m evaluations.  None when
+    the grid is not arithmetic, which leaves it to Horner's rule."""
+    m = theta.size
+    step = (theta[-1] - theta[0]) / max(m - 1, 1)
+    # linspace grids and their products by dt sit within about 2.6 ulp of
+    # the progression; the chirp then differs from the dense product by at
+    # most that deviation times n
+    dev = np.abs(theta - (theta[0] + step * np.arange(m))).max()
+    if not dev <= 4.0 * np.finfo(float).eps * np.abs(theta).max():
+        return None
+    p, size = (m, n) if sums else (n, m)
     nfft = 1 << (p + size - 2).bit_length()  # a power of two >= p + size - 1
     t = np.arange(max(p, size), dtype=np.int64)
     w = _cis(0.5 * step, t * t)
     kernel = np.zeros(nfft, dtype=np.complex128)
     kernel[:size] = np.conj(w[:size])
     kernel[nfft - p + 1 :] = np.conj(w[p - 1 : 0 : -1])
-    conv = np.fft.ifft(np.fft.fft(u * w[:p], nfft) * np.fft.fft(kernel))
+    return _ChirpPlan(w, np.fft.fft(kernel), size, _cis(theta[0], np.arange(n)))
+
+
+def _chirp(u: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
+    """``sum_p u[..., p] exp(1j step p r)`` for r < ``plan.size``, with the
+    step of the plan's grid, by Bluestein's identity ``p r = (p^2 + r^2 -
+    (r - p)^2) / 2``: a chirp product, one circular convolution with the
+    conjugate chirp, and a chirp product."""
+    w, size = plan.w, plan.size
+    conv = np.fft.ifft(np.fft.fft(u * w[: u.shape[-1]], plan.kernel_f.size) * plan.kernel_f)
     return conv[..., :size] * w[:size]
 
 
@@ -262,7 +294,7 @@ def inverse_recursion_full(poly: SpinorPolynomials):
     conditions) and the deviation of the fully reduced pair from (1, 0).
     """
     res = unimodularity_residual(poly, max(256, 4 * poly.n))
-    if res > UNIMOD_TOL:
+    if not res <= UNIMOD_TOL:  # a NaN residual fails too
         raise ValueError(
             f"polynomials violate the norm constraint by {res:.2e} (tol {UNIMOD_TOL:.0e})"
         )
@@ -321,12 +353,18 @@ def complete_polynomial(q: np.ndarray, margin: float = 1e-6) -> SpinorPolynomial
     that ceiling first (margin 0 with |Q| > 1 is rejected); the margin
     keeps the log of ``1 - |Q|^2`` finite.  P is the homomorphic (cepstral)
     minimum-phase factor: the cepstrum of ``0.5 log(1 - |Q|^2)`` folded
-    onto its causal half and exponentiated, all on one FFT grid.
+    onto its causal half and exponentiated, all on one FFT grid of
+    ``nfft = max(4096, 16 n)`` points.  The pair is checked on that same
+    grid: ``| |P|^2 - (1 - |Q|^2) |`` must stay within COMPLETION_TOL at all
+    nfft points, which are the 16 n circle points for n >= 256 and hold them
+    for every n dividing 256.
     """
     q = np.asarray(q, dtype=np.complex128).ravel()
     n = q.size
     if n == 0:
         raise ValueError("q must be nonempty")
+    if not np.isfinite(q).all():
+        raise ValueError("q holds a non-finite coefficient")
     nfft = max(4096, 16 * n)
     qf = np.fft.fft(q, nfft)
     qmax = float(np.abs(qf).max())
@@ -353,11 +391,10 @@ def complete_polynomial(q: np.ndarray, margin: float = 1e-6) -> SpinorPolynomial
     # a phase rotation alone leaves a roundoff imaginary part on p[0]
     p = p * np.exp(-1j * np.angle(p[0]))
     p[0] = abs(p[0])
-    out = SpinorPolynomials(p, q)
-    res = unimodularity_residual(out, 16 * n)
-    if res > COMPLETION_TOL:
+    res = float(np.abs(np.abs(np.fft.fft(p, nfft)) ** 2 - mag2).max())
+    if not res <= COMPLETION_TOL:
         raise CompletionError(f"completion residual {res:.2e} exceeds {COMPLETION_TOL:.0e}")
-    return out
+    return SpinorPolynomials(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +489,11 @@ class _GramFit:
 
     Every product with the grid's m x n exponential matrix goes through
     :func:`_circle_products` (a chirp-z on the arithmetic grids this package
-    builds, Horner elsewhere), so no m x n array is ever made.  The factored
-    inverse of the weighted Gram matrix (:func:`_durbin`) depends on the
-    grid, the weights, n and dt alone, so a design that fits several targets
-    on one grid factors it once.
+    builds, Horner elsewhere), so no m x n array is ever made.  The grid's
+    chirp plans, one for the sums (its Gram row and right-hand sides) and
+    one for the evaluations, and the factored inverse of the weighted Gram
+    matrix (:func:`_durbin`) depend on the grid, the weights, n and dt alone:
+    a design that fits several targets on one grid builds them once.
     """
 
     def __init__(self, omega: np.ndarray, weights: np.ndarray | None, n: int, dt: float):
@@ -469,9 +507,11 @@ class _GramFit:
         self.theta = omega * dt
         self.n = n
         self.wt = np.ones(omega.size) if weights is None else weights
+        self.sums = _chirp_plan(self.theta, n, sums=True)
+        self.evals = _chirp_plan(self.theta, n, sums=False)
         # the weighted Gram matrix of integer-frequency exponentials is Hermitian
         # Toeplitz: G[j, k] = r[k - j] with r = a^T w and r[-m] = conj(r[m])
-        r = _circle_products(self.theta, self.wt, n)
+        r = _circle_products(self.theta, self.wt, n, self.sums)
         # arc-sampled fits have near-null directions whose "help" is
         # microscopic but whose coefficients are not; a Tikhonov shift of
         # GRAM_SHIFT times a Gershgorin bound on the largest eigenvalue keeps
@@ -482,7 +522,7 @@ class _GramFit:
     def _fit_q(self, f_beta):
         # the right-hand side a^H x is conj(c) with c = a^T conj(x), and
         # G^-1 = b^T diag(1/e) conj(b), so conj(b) conj(c) = conj(b c)
-        c = _circle_products(self.theta, np.conj(self.wt * f_beta), self.n)
+        c = _circle_products(self.theta, np.conj(self.wt * f_beta), self.n, self.sums)
         return self.pred.T @ (np.conj(self.pred @ c) / self.err)
 
     def fit(self, prof: TargetProfile, margin: float, absorb_alpha_phase: bool) -> PolyFit:
@@ -490,10 +530,10 @@ class _GramFit:
         error is measured on the grid."""
         polys = complete_polynomial(self._fit_q(prof.f_beta), margin=margin)
         if absorb_alpha_phase:
-            pv = _circle_products(self.theta, polys.p)
+            pv = _circle_products(self.theta, polys.p, plan=self.evals)
             ph = np.exp(1j * (np.angle(pv) - np.angle(prof.f_alpha)))
             polys = complete_polynomial(self._fit_q(prof.f_beta * ph), margin=margin)
-        pv, qv = _circle_products(self.theta, np.stack([polys.p, polys.q]))
+        pv, qv = _circle_products(self.theta, np.stack([polys.p, polys.q]), plan=self.evals)
         fit_resid = float(np.abs(qv - prof.f_beta).max())
         band_error = _aligned_distance(_overlap(pv, qv, prof.f_alpha, prof.f_beta))
         return PolyFit(polys, band_error, fit_resid)

@@ -725,6 +725,20 @@ def test_an_out_path_that_cannot_be_written_exits_2_naming_it(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 17.9 GiB for an array", ""])
+def test_an_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, message):
+    # design-slr --steps 100000000 asks for a 2.4e9-point profile grid; the
+    # designer here raises at once, so nothing is allocated for real
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(slr, "design_broadband", refuse)
+    assert main([*SLR_QUARTER_TURN, "--steps", "100000000", "--out", str(tmp_path / "p.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message or 'out of memory'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("thetas", ["nan", "inf", "-inf", "0,inf", "nan,1", "inf,inf"])
 def test_demo_phase_rejects_a_theta_that_is_not_finite(pulse_file, capsys, thetas):
     with warnings.catch_warnings(record=True) as caught:

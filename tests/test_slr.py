@@ -6,6 +6,8 @@ order, and a root-based minimum-phase factor (the roots of 1 - Q Q~ inside
 the unit disk, multiplied out in Leja order) for the cepstral completion.
 """
 
+import cmath
+import math
 import tracemalloc
 from unittest import mock
 
@@ -325,6 +327,76 @@ def test_inverse_rejects_non_unimodular():
         inverse_recursion(SpinorPolynomials(np.array([0.9, 0.0]), np.array([0.0, 0.0])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_rejects_a_non_finite_pair(bad):
+    # a NaN residual once passed the norm gate, and the pair gave NaN steps
+    with pytest.raises(ValueError, match="norm constraint"):
+        inverse_recursion_full(SpinorPolynomials(np.array([1.0, bad]), np.array([0.0, 0.0])))
+
+
+def su2_peel(pw, qw, length):
+    """:func:`kernels.slr_peel` with its step applied by ``su2_apply`` on fresh
+    arrays, and the reduced pair copied back: the in-place peel's oracle."""
+    p0, q0 = complex(pw[0]), complex(qw[0])
+    if length >= 2 and abs(qw[length - 1]) > abs(p0):
+        w = -1j * (complex(pw[length - 1]) / complex(qw[length - 1])).conjugate()
+    elif abs(p0) >= 1e-14:
+        w = 1j * (q0 / p0)
+    elif abs(q0) > 1e-14:
+        return np.nan, 0.0, 0.0, 0.0
+    else:
+        w = 0j
+    half = math.atan(abs(w))
+    th = cmath.phase(w) if w else 0.0
+    c, s = kernels.step_pair(half, th)
+    p_new, q_new = kernels.su2_apply(c, -s, pw[:length], qw[:length])
+    pw[: length - 1] = p_new[: length - 1]
+    qw[: length - 1] = q_new[1:length]
+    return 2.0 * half, th, p_new[length - 1], abs(q_new[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.integers(1, 70),
+    tail=st.integers(0, 3),
+    branch=st.sampled_from(["lead", "constant", "zero", "degenerate"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=1, tail=0, branch="constant", seed=0)
+@example(length=1, tail=2, branch="degenerate", seed=1)
+@example(length=2, tail=0, branch="lead", seed=2)
+@example(length=5, tail=1, branch="zero", seed=3)
+def test_in_place_peel_is_bitwise_the_su2_apply_form(length, tail, branch, seed):
+    # every extraction branch: the leading-coefficient rule, the constant
+    # rule, the zero step and the degenerate pair, which is left as it is
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, 2, length + tail))
+    pw, qw = re + 1j * im
+    if branch == "lead" and length >= 2:
+        pw[0] *= 1e-3
+        qw[length - 1] = 1e3 * abs(pw[0]) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    elif branch == "constant":
+        qw[length - 1] *= 1e-3 * abs(pw[0]) / abs(qw[length - 1])
+    elif branch in ("zero", "degenerate"):
+        pw[0] = 1e-15 * rng.standard_normal() if branch == "degenerate" else 0.0
+        qw[0] = rng.standard_normal() + 1j if branch == "degenerate" else 1e-15j
+        if length >= 2:
+            qw[length - 1] = 0.0
+    want_p, want_q = pw.copy(), qw.copy()
+    want = su2_peel(want_p, want_q, length)
+    before_p, before_q = pw.copy(), qw.copy()
+    got = kernels.slr_peel(pw, qw, length)
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    if np.isnan(want[0]):
+        assert branch == "degenerate"
+        assert pw.tobytes() == before_p.tobytes() and qw.tobytes() == before_q.tobytes()
+        return
+    # the reduced pair, and nothing past the peeled length, match bitwise
+    for got_w, want_w in ((pw, want_p), (qw, want_q)):
+        assert got_w[: length - 1].tobytes() == want_w[: length - 1].tobytes()
+        assert got_w[length:].tobytes() == want_w[length:].tobytes()
+
+
 def test_inverse_degenerate_pi_flip():
     # a full pi flip zeroes P while Q stays finite
     poly = SpinorPolynomials(np.array([0.0]), np.array([-1j]))
@@ -370,6 +442,61 @@ def test_complete_rejects_unit_peak_without_margin():
     # |Q| = 1 at z = 1: the log of 1 - |Q|^2 diverges there
     with pytest.raises(CompletionError):
         complete_polynomial(np.array([0.5, 0.5]), margin=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])
+def test_complete_rejects_a_non_finite_q_by_name(bad):
+    # a NaN q once completed to an all-NaN P: its residual passed the gate
+    with pytest.raises(ValueError, match="non-finite"):
+        complete_polynomial(np.array([0.1, bad, 0.2]))
+
+
+def fft_grid_residual(pair):
+    """``| |P|^2 + |Q|^2 - 1 |`` over the completion's own FFT grid of
+    ``max(4096, 16 n)`` points."""
+    pf, qf = np.fft.fft(np.stack([pair.p, pair.q]), max(4096, 16 * pair.n))
+    return float(np.abs(np.abs(pf) ** 2 + np.abs(qf) ** 2 - 1.0).max())
+
+
+def random_q(rng, n, peak):
+    """n random Q coefficients scaled to ``peak`` on the completion's grid."""
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return q * (peak / np.abs(np.fft.fft(q, max(4096, 16 * n))).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), peak=st.floats(0.05, 0.8), seed=st.integers(0, 2**32 - 1))
+@example(n=300, peak=0.8, seed=0)
+@example(n=256, peak=0.8, seed=1)
+@example(n=77, peak=0.8, seed=2)
+def test_completion_residual_on_its_fft_grid_is_the_16n_circle_residual(n, peak, seed):
+    # nfft = max(4096, 16 n) points hold the 16 n circle points when n
+    # divides 256 or n >= 256, and sample more densely otherwise
+    out = complete_polynomial(random_q(np.random.default_rng(seed), n, peak))
+    assert abs(fft_grid_residual(out) - unimodularity_residual(out, 16 * n)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), gap_exp=st.floats(-12.0, -1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=233, gap_exp=-1.83, seed=0)
+@example(n=64, gap_exp=-9.0, seed=1)
+def test_completion_gate_raises_where_the_16n_circle_check_did(n, gap_exp, seed):
+    # peaks up to 1 - 1e-12 alias the cepstrum, so residuals span the gate;
+    # away from the threshold the FFT-grid gate agrees with the old 16 n check
+    q = random_q(np.random.default_rng(seed), n, 1.0 - 10.0**gap_exp)
+    with mock.patch.object(slr, "COMPLETION_TOL", np.inf):
+        out = complete_polynomial(q, margin=1e-15)
+    old = unimodularity_residual(out, 16 * n)
+    assume(not 0.5 <= old / slr.COMPLETION_TOL <= 2.0)
+    for tol in (slr.COMPLETION_TOL, 2.0 * old, 0.5 * old):
+        if tol == slr.COMPLETION_TOL or old > 1e-12:
+            with mock.patch.object(slr, "COMPLETION_TOL", tol):
+                if old > tol:
+                    with pytest.raises(CompletionError):
+                        complete_polynomial(q, margin=1e-15)
+                else:
+                    again = complete_polynomial(q, margin=1e-15)
+                    assert again.p.tobytes() == out.p.tobytes()
 
 
 def _leja_order(roots):

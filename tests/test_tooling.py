@@ -7,7 +7,8 @@ for every bracket compiler.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
 tracer's kernel spans see each pass once, and a pass split over threads
 enters those names on the calling thread alone; a design command makes at
-most one such pass.  Every float array the file layer writes goes through
+most one such pass, and an SLR design builds its fit grid's chirp plans once
+per direction.  Every float array the file layer writes goes through
 one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
 very objects.  Generators are exponentiated by one numpy function, so scipy
@@ -322,6 +323,38 @@ def test_each_design_command_simulates_its_written_pulse_at_most_once(tmp_path, 
         monkeypatch.setattr(kernels, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
     assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
     assert len(calls) == passes
+
+
+def test_a_design_builds_its_fit_grids_chirp_plans_once_per_direction(tmp_path, monkeypatch):
+    # the README design-slr at --a-max 800 fits block counts 1, 2, 4 and 3 on
+    # one 24 n + 1 point grid: one plan for its sums, one for its evaluations,
+    # and every product on that grid goes through them
+    fit_grid = 24 * 64 + 1
+    built, products = [], []
+    plan = slr._chirp_plan
+    products_on = slr._circle_products
+
+    def counted_plan(theta, n, sums):
+        out = plan(theta, n, sums)
+        if theta.size == fit_grid:
+            built.append((sums, out))
+        return out
+
+    def counted_products(theta, x, n=None, plan=None):
+        if np.size(theta) == fit_grid:
+            products.append(plan)
+        return products_on(theta, x, n, plan)
+
+    monkeypatch.setattr(slr, "_chirp_plan", counted_plan)
+    monkeypatch.setattr(slr, "_circle_products", counted_products)
+    argv = ["design-slr", "--axis", "x", "--angle", "1.5707963267948966", "--band", "2000",
+            "--steps", "64", "--dt", "1e-4", "--a-max", "800"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert sorted(sums for sums, _ in built) == [False, True]
+    plans = [p for _, p in built]
+    assert all(p is not None for p in plans)
+    # the Gram row, two right-hand sides and two evaluations per block count
+    assert len(products) == 1 + 4 * 4 and all(any(p is q for q in plans) for p in products)
 
 
 @pytest.mark.parametrize("kind", ["spinor", "bloch"])
