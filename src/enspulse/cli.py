@@ -189,7 +189,7 @@ def _cmd_design_pattern(args) -> int:
     )
     design = slr.design_pattern(profile, args.steps, dt, margin=args.margin)
     fileio.save_pulse(args.out, design.pulse)
-    pv, qv = design.polys.evaluate(profile.omega, dt)
+    pv, qv = design.values
     fileio.emit_profile_csv(
         args.out + ".profile.csv", profile.omega, pv, qv, profile.f_alpha, profile.f_beta
     )

@@ -11,7 +11,8 @@ hard-pulse rf rotation over arrays is :func:`hard_step`.  A single step, such
 as the one :func:`slr_peel` removes per degree, takes :func:`step_pair`, the
 same pair from ``math`` in Python scalars, without numpy's per-call cost.
 Bloch vectors and SO(3) rotations are the adjoint image (:func:`adjoint`) of
-a spinor pass.
+a spinor pass; a Bloch pass applies the image's rows to its vectors without
+building the (npoints, 3, 3) table.
 
 Written pulses are mostly runs of one block repeated many times: a composite
 repeats each bracket word's block once per subdivision, and a multi-block SLR
@@ -46,11 +47,14 @@ of two slow ones.
 The pass builds each part of a step element over the values it depends on,
 and writes its real and imaginary parts in place:
 
-* per point, once per pass: ``hz = omega*dt/2``, ``hz**2``, the hard-pulse
-  free precession and the rf phase's factor ``e^(-i theta)``;
-* per step and distinct eps of a chunk of points: the hard-pulse rf
-  rotation (:func:`hard_step`), gathered to the points unless one eps
-  covers the chunk;
+* per point, once per pass: ``-hz = -omega*dt/2`` and ``hz**2`` (the
+  exact element takes ``-hx`` and ``-hz``, so the pass also negates u
+  once), the hard-pulse free precession and the rf phase's factor
+  ``e^(-i theta)``;
+* per batch of steps and distinct eps of a chunk of points: the hard-pulse
+  rf rotations, about ``_TILE`` of them in one :func:`hard_step` call,
+  sliced per tile and gathered to the points unless one eps covers the
+  chunk;
 * per step and point: the exact element, times the rf phase's factor.
 
 The rf phase turns the controls, so it leaves ``|h|`` unchanged and only
@@ -66,7 +70,8 @@ product is written in place that was not before.  The
 calling thread allocates every workspace.  A wide pass, of at least
 ``2 * _SPLIT`` points on a process that may run on more than one CPU,
 splits its points into contiguous parts, one per CPU up to one per
-``_SPLIT`` points (:func:`_parts`); the calling thread runs the first and a
+``_SPLIT`` points, each cut into chunks of ``_SPLIT_CHUNK`` points
+(:func:`_parts`); the calling thread runs the first and a
 worker thread each other one, and every worker has ended when the pass
 returns or raises, with a worker's exception raised again on the calling
 thread.  Part and chunk edges fall on multiples of ``_CHUNK``, so every
@@ -145,32 +150,30 @@ def _half_angle(h, out=None):
     """``(cos h, sin(h)/h)`` of ``h >= 0`` from the one tangent ``t = tan(h/2)``:
     cos h = (1 - t^2)/(1 + t^2) and sin h = 2t/(1 + t^2).
 
-    ``out``, three float arrays of h's shape, takes cos h, sin(h)/h and the
+    ``out``, four float arrays of h's shape, takes cos h, sin(h)/h and the
     call's scratch, and h, then a float array, is overwritten; without it
-    every value is fresh and h is left as it is.
+    every value is fresh and h is left as it is.  cos h is written once, so
+    its array may be a strided view, such as the real part of a complex one.
     """
     # h + 1e-300 is h for every h above 1e-284; at h = 0 it makes t/h exactly
     # 1/2, so sin(h)/h keeps its limit 1 there
-    c, t, k = (None, None, None) if out is None else out
+    c, t, k, x = (None,) * 4 if out is None else out
     h = np.add(h, 1e-300, out=None if out is None else h)
     t = np.tan(np.multiply(h, 0.5, out=t), out=t)
-    c = np.multiply(t, t, out=c)
-    k = np.divide(2.0, np.add(c, 1.0, out=k), out=k)  # 1 + cos h
-    c *= k  # 1 - cos h
+    x = np.multiply(t, t, out=x)
+    k = np.divide(2.0, np.add(x, 1.0, out=k), out=k)  # 1 + cos h
+    x *= k  # 1 - cos h
     t *= k  # sin h
     t /= h
-    return np.subtract(1.0, c, out=None if out is None else c), t
+    return np.subtract(1.0, x, out=c), t
 
 
-def _transverse(sinc, hx, hy, out=None):
-    """``sinc * (hy - i hx)``, written into its real and imaginary parts.
-
-    ``out``, a complex and a float array of sinc's shape, takes the value and
-    ``-sinc``; without it the value is fresh.
-    """
-    b, nsinc = (np.empty(np.shape(sinc), dtype=np.complex128), None) if out is None else out
+def _transverse(sinc, nhx, hy, out=None):
+    """``sinc * (hy - i hx)`` from ``nhx = -hx``, written into its real and
+    imaginary parts: into ``out``, a complex array of sinc's shape, or fresh."""
+    b = np.empty(np.shape(sinc), dtype=np.complex128) if out is None else out
     np.multiply(sinc, hy, out=b.real)
-    np.multiply(np.negative(sinc, out=nsinc), hx, out=b.imag)
+    np.multiply(sinc, nhx, out=b.imag)
     return b
 
 
@@ -181,7 +184,7 @@ def hard_step(hx, hy):
     the pair is ``(cos|h|, -i e^(i phase) sin|h|)``.
     """
     c, sinc = _half_angle(np.sqrt(hx * hx + hy * hy))
-    return c, _transverse(sinc, hx, hy)
+    return c, _transverse(sinc, np.negative(hx), hy)
 
 
 def step_pair(half_flip, phase):
@@ -205,22 +208,22 @@ def rf_vector(half_flip, phase):
     return half_flip * c, half_flip * (sinc * phase)
 
 
-def _exact_pair(hx, hy, hz, hz2, out):
-    """Cayley-Klein pair of one step's rotation ``exp(-i (hx sx + hy sy + hz sz))``.
+def _exact_pair(nhx, hy, nhz, hz2, out):
+    """Cayley-Klein pair of one step's rotation ``exp(-i (hx sx + hy sy + hz sz))``,
+    from ``nhx = -hx``, ``hy``, ``nhz = -hz`` and ``hz2 = hz**2``.
 
     The values are arrays.  ``out`` is ``((a, b), (r, f, c, s))``: complex
     arrays that take the pair and float arrays for the call's scratch, all of
-    the pair's shape.
+    the pair's shape.  cos|h| goes straight into ``a.real``.
     """
     (a, b), (r, f, c, s) = out
-    np.multiply(hx, hx, out=r)
+    np.multiply(nhx, nhx, out=r)
     np.multiply(hy, hy, out=f)
     r += f
     r += hz2
-    _half_angle(np.sqrt(r, out=r), out=(c, s, f))
-    _transverse(s, hx, hy, out=(b, f))
-    np.copyto(a.real, c)
-    np.multiply(f, hz, out=a.imag)  # f holds -sinc
+    _half_angle(np.sqrt(r, out=r), out=(a.real, s, f, c))
+    _transverse(s, nhx, hy, out=b)
+    np.multiply(s, nhz, out=a.imag)
     return a, b
 
 
@@ -264,15 +267,18 @@ def _product(a, b):
 # takes _TILE // chunk steps a tile, so that a narrow grid pays numpy's
 # per-call cost once per several steps.  Unsplit passes keep 4096-point chunks
 # so that their workspace stays small (about 0.5 MB) and every pass below the
-# split is cut as it always was.  A split pass runs its parts on as many
-# threads, and numpy hands the GIL over at every call: at 4096-point calls,
-# about 3 us each, two threads queue on the GIL, while 16 384-point calls are
-# long enough to overlap, so a part takes chunks of _SPLIT points.  128 steps
-# x 65 536 points on a 2-vCPU host, medians of 15: one thread 181 ms, two
-# threads at 4096-point calls 313 ms, at 16 384-point calls 143 ms.
+# split is cut as it always was.  A pass splits from 2 * _SPLIT points on, into
+# parts of at least _SPLIT points, run on as many threads, and numpy hands the
+# GIL over at every call: at 4096-point calls, about 3 us each, two threads
+# queue on the GIL, while longer calls overlap, so a part takes chunks of
+# _SPLIT_CHUNK points.  128 steps x 65 536 points on a 2-vCPU host, medians of
+# 15: one thread 181 ms, two threads at 4096-point calls 313 ms, at 16 384-point
+# calls 143 ms; on a later, slower run, one thread 217-270 ms, two threads at
+# 16 384-point calls 167 ms and at 32 768-point calls 155-156 ms.
 _CHUNK = 4096
 _TILE = 4096
 _SPLIT = 16384
+_SPLIT_CHUNK = 32768
 
 
 # A run of a repeated block replaces the tile loop over its copies by one block
@@ -444,34 +450,45 @@ def _tiled_pass(u, v, dt, omega, eps, theta, alpha, beta, hard_pulse):
     """
     hdt = 0.5 * dt
     hz = hdt * omega
-    hz2 = hz * hz
     # b takes the rf phase's turn; a hard pulse's element is its rf rotation
     # times the free precession over the step, the exact step with the rf
     # off, whose a is e^(-i hz) and whose b is 0
     zb = None if theta is None else _turn(theta)
-    za = None
+    za = nhz = hz2 = None
     if hard_pulse:
         za = _turn(hz)
         zb = za if zb is None else za * zb
+    else:
+        # the exact element takes -hx and -hz (_exact_pair): -u scales to -hx
+        hz2 = hz * hz
+        nhz = np.negative(hz, out=hz)
+        u = np.negative(u)
     jobs = []
     for part in _parts(len(omega)):
-        chunks, width, most = [], 0, 0
+        chunks, width, controls, most = [], 0, 0, 0
         for pts in part:
-            # the rf rotation depends on the step and eps alone
-            ep, index = _distinct(eps[pts]) if hard_pulse else (eps[pts], None)
-            chunks.append((pts, ep, index))
             m = pts.stop - pts.start
-            width, most = max(width, min(len(u), max(1, _TILE // m)) * m), max(most, m)
-        # a tile's six float and two complex buffers, then three complex ones
-        # of a chunk's points; one array each, so that at 4096 elements each
-        # stays below glibc's mmap threshold and a pass takes them from the
-        # heap instead of faulting in fresh pages, which cost a narrow pass
-        # more than its arithmetic
-        work = [np.empty(width) for _ in range(6)], [
+            block = max(1, _TILE // m)
+            # a tile's controls; a hard pulse's rf rotation depends on the step
+            # and eps alone, and is built for a batch of about _TILE steps x
+            # distinct eps at once
+            ep, index, batch = eps[pts], None, block
+            if hard_pulse:
+                ep, index = _distinct(ep)
+                batch = block * max(1, _TILE // (block * len(ep)))
+            chunks.append((pts, ep, index, batch))
+            width, most = max(width, min(len(u), block) * m), max(most, m)
+            controls = max(controls, min(len(u), batch) * len(ep))
+        # the controls' two float buffers, a tile's four float and two complex
+        # ones, then three complex ones of a chunk's points; one array each, so
+        # that at 4096 elements each stays below glibc's mmap threshold and a
+        # pass takes them from the heap instead of faulting in fresh pages,
+        # which cost a narrow pass more than its arithmetic
+        work = [np.empty(n) for n in (controls, controls, width, width, width, width)], [
             np.empty(n, dtype=np.complex128) for n in (width, width, most, most, most)
         ]
         jobs.append((chunks, work))
-    args = (u[:, None], v[:, None], hdt, hz, hz2, za, zb, alpha, beta)
+    args = (u[:, None], v[:, None], hdt, nhz, hz2, za, zb, alpha, beta)
     if len(jobs) == 1:
         _tile_part(*args, *jobs[0])
         return
@@ -510,13 +527,13 @@ def _parts(npoints):
 
     A pass of at least ``2 * _SPLIT`` points, on a process that may use more
     than one CPU, splits into ``min(cpus, npoints // _SPLIT)`` parts of about
-    equal size, each cut into chunks of ``_SPLIT``; any other pass is one
-    part cut into chunks of ``_CHUNK``.  Part and chunk edges fall on
+    equal size, each cut into chunks of ``_SPLIT_CHUNK``; any other pass is
+    one part cut into chunks of ``_CHUNK``.  Part and chunk edges fall on
     multiples of ``_CHUNK``, and the grid's last partial ``_CHUNK`` is a
     chunk of its own, as in an unsplit pass.
     """
     nparts = min(_cpus(), npoints // _SPLIT) if npoints >= 2 * _SPLIT else 1
-    size = _SPLIT if nparts > 1 else _CHUNK
+    size = _SPLIT_CHUNK if nparts > 1 else _CHUNK
     tail = npoints - npoints % _CHUNK
     edges = [part * (tail // _CHUNK) // nparts * _CHUNK for part in range(nparts)] + [npoints]
     parts = []
@@ -526,50 +543,57 @@ def _parts(npoints):
     return parts
 
 
-def _tile_part(u, v, hdt, hz, hz2, za, zb, alpha, beta, chunks, work):
-    """The tile loop over ``chunks``, ``(points, eps, index)`` as
-    :func:`_distinct` gives them, written into the buffers of ``work``.
+def _tile_part(u, v, hdt, nhz, hz2, za, zb, alpha, beta, chunks, work):
+    """The tile loop over ``chunks``, ``(points, eps, index, batch)``: the eps
+    and index as :func:`_distinct` gives them for a hard pulse (the points'
+    own eps and None otherwise), and the steps a batch of controls spans.
 
-    Each step's element and each state update is written in place, so the
-    loop allocates nothing but the rf rotations of :func:`hard_step`, over
-    the distinct eps, and the products of tiles of more than one step.  The
-    state goes back and forth between ``(alpha, beta)`` and two buffers.
+    For the exact model ``u`` comes negated and ``nhz`` is ``-hz``, as
+    :func:`_exact_pair` takes them; a hard pulse has neither nhz nor hz2.
+    Each step's element and each state update is written into the buffers
+    of ``work``, so the loop allocates nothing but the rf rotations of
+    :func:`hard_step`, one batch of steps over the distinct eps a call, and
+    the products of tiles of more than one step.  The state goes back and
+    forth between ``(alpha, beta)`` and two buffers.
     """
     fw, cw = work
-    for pts, ep, index in chunks:
+    for pts, ep, index, batch in chunks:
         m = pts.stop - pts.start
         block = max(1, _TILE // m)
         state = x, y = alpha[pts], beta[pts]
         t, nx, ny = (row[:m] for row in cw[2:])
-        hzp, hz2p = hz[pts], hz2[pts]
-        zap = None if za is None else za[pts]
-        zbp = None if zb is None else zb[pts]
-        rows = 0
+        nhzp, hz2p, zap, zbp = (None if z is None else z[pts] for z in (nhz, hz2, za, zb))
+        rows = n = 0
         for k in range(0, len(u), block):
-            uk, vk = u[k : k + block], v[k : k + block]
-            if len(uk) != rows:  # the first tile, and a shorter last one
-                rows = len(uk)
-                hx, hy = (row[: rows * len(ep)].reshape(rows, len(ep)) for row in fw[:2])
+            if min(block, len(u) - k) != rows:  # the first tile, and a shorter last one
+                rows = min(block, len(u) - k)
                 scratch = [row[: rows * m].reshape(rows, m) for row in fw[2:]]
                 a, b = (row[: rows * m].reshape(rows, m) for row in cw[:2])
-            # eps * u before the scale by dt/2, so a grid's eps and a pulse
-            # scaled by it give the same rotation
-            np.multiply(ep, uk, out=hx)
-            hx *= hdt
-            np.multiply(ep, vk, out=hy)
-            hy *= hdt
-            if zap is not None:
-                rc, rs = hard_step(hx, hy)
+            j = k % batch
+            if j == 0:
+                if min(batch, len(u) - k) != n:  # the first batch, and a shorter last one
+                    n = min(batch, len(u) - k)
+                    hx, hy = (row[: n * len(ep)].reshape(n, len(ep)) for row in fw[:2])
+                # eps * u before the scale by dt/2, so a grid's eps and a pulse
+                # scaled by it give the same rotation
+                np.multiply(ep, u[k : k + n], out=hx)
+                hx *= hdt
+                np.multiply(ep, v[k : k + n], out=hy)
+                hy *= hdt
+                if zap is not None:
+                    rcs, rss = hard_step(hx, hy)
+            if zap is None:
+                _exact_pair(hx, hy, nhzp, hz2p, out=((a, b), scratch))
+                if zbp is not None:
+                    b *= zbp
+            else:
+                rc, rs = rcs[j : j + rows], rss[j : j + rows]
                 if index is not None:
                     # gathered into a, which b is built from before a itself
                     rs = rs.take(index, axis=1, out=a, mode="clip")
                     rc = rc.take(index, axis=1, out=scratch[0], mode="clip")
                 np.multiply(rs, zbp, out=b)
                 np.multiply(rc, zap, out=a)
-            else:
-                _exact_pair(hx, hy, hzp, hz2p, out=((a, b), scratch))
-                if zbp is not None:
-                    b *= zbp
             su2_apply(*_product(a, b), x, y, out=(nx, ny, t))
             x, y, nx, ny = nx, ny, x, y
         if x is not state[0]:
@@ -618,22 +642,43 @@ def _polynomial_pass(u, v, dt, omega, eps, alpha0, beta0):
     return su2_apply(a, b, alpha0, beta0)
 
 
+def _adjoint_rows(alpha, beta):
+    """The rows of :func:`adjoint`, each a tuple of its three entries."""
+    a = np.asarray(alpha, dtype=np.complex128)
+    b = np.asarray(beta, dtype=np.complex128)
+    aa, bb = a * a, b * b
+    dif, tot = aa - bb, aa + bb
+    acb, ab = np.conj(a) * b, a * b
+    return (
+        (dif.real, dif.imag, 2.0 * acb.real),
+        (-tot.imag, tot.real, 2.0 * acb.imag),
+        (-2.0 * ab.real, -2.0 * ab.imag, (a * np.conj(a) - b * np.conj(b)).real),
+    )
+
+
 def adjoint(alpha, beta):
     """SO(3) image ``R_ij = tr(s_i U s_j U^H) / 2`` of ``U = [[a, -b*], [b, a*]]``.
 
     Vectorized: ``alpha`` and ``beta`` of any common shape give rotations of
     that shape followed by ``(3, 3)``.
     """
-    a = np.asarray(alpha, dtype=np.complex128)
-    b = np.asarray(beta, dtype=np.complex128)
-    r = np.empty(a.shape + (3, 3))
-    dif, tot = a * a - b * b, a * a + b * b
-    acb, ab = np.conj(a) * b, a * b
-    r[..., 0, 0], r[..., 0, 1], r[..., 0, 2] = dif.real, dif.imag, 2.0 * acb.real
-    r[..., 1, 0], r[..., 1, 1], r[..., 1, 2] = -tot.imag, tot.real, 2.0 * acb.imag
-    r[..., 2, 0], r[..., 2, 1] = -2.0 * ab.real, -2.0 * ab.imag
-    r[..., 2, 2] = (a * np.conj(a) - b * np.conj(b)).real
+    rows = _adjoint_rows(alpha, beta)
+    r = np.empty(np.shape(rows[2][2]) + (3, 3))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            r[..., i, j] = entry
     return r
+
+
+def _rotation_pass(u, v, dt, omega, eps, theta, hard_pulse):
+    """The spinor pass from (1, 0) whose :func:`adjoint` is the Bloch plant's
+    rotation: the controls exchanged and the rf phase negated."""
+    npoints = len(omega)
+    return _spin_steps(
+        v, u, dt, omega, eps, None if theta is None else -np.asarray(theta, dtype=np.float64),
+        np.ones(npoints, dtype=np.complex128), np.zeros(npoints, dtype=np.complex128),
+        hard_pulse,
+    )
 
 
 def rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse=False):
@@ -643,19 +688,25 @@ def rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse=False):
     negated, mapped through :func:`adjoint`.  Arguments as for
     :func:`spinor_propagate`.
     """
-    npoints = len(omega)
-    alpha, beta = _spin_steps(
-        v, u, dt, omega, eps, None if theta is None else -np.asarray(theta, dtype=np.float64),
-        np.ones(npoints, dtype=np.complex128), np.zeros(npoints, dtype=np.complex128),
-        hard_pulse,
-    )
-    return adjoint(alpha, beta)
+    return adjoint(*_rotation_pass(u, v, dt, omega, eps, theta, hard_pulse))
 
 
 def bloch_propagate(u, v, dt, omega, eps, theta, xyz0, hard_pulse=False):
-    """Propagate Bloch vectors (npoints, 3) through all steps of a pulse."""
-    rot = rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse)
-    return np.einsum("nij,nj->ni", rot, np.asarray(xyz0, dtype=np.float64))
+    """Propagate Bloch vectors (npoints, 3) through all steps of a pulse.
+
+    ``R x0`` straight from the rotation's rows (:func:`_adjoint_rows`), so no
+    (npoints, 3, 3) table is built.  Each row is summed as numpy's ``einsum``
+    sums it, ``(R_i0 x + R_i2 z) + R_i1 y`` from +0, so the output is bitwise
+    ``einsum("nij,nj->ni", R, x0)``.
+    """
+    x, y, z = np.asarray(xyz0, dtype=np.float64).T
+    rows = _adjoint_rows(*_rotation_pass(u, v, dt, omega, eps, theta, hard_pulse))
+    out = np.empty((len(omega), 3))
+    for i, (r0, r1, r2) in enumerate(rows):
+        np.add(r0 * x + r2 * z, r1 * y, out=out[:, i])
+    # einsum's +0 changes only a sum of -0s, to +0, so it may come last
+    out += 0.0
+    return out
 
 
 def slr_forward(chalf, shalf):

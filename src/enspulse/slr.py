@@ -293,6 +293,8 @@ def inverse_recursion_full(poly: SpinorPolynomials):
     dropped leading/low-order coefficients (the two degree-reduction
     conditions) and the deviation of the fully reduced pair from (1, 0).
     """
+    if not (np.isfinite(poly.p).all() and np.isfinite(poly.q).all()):
+        raise ValueError("polynomials violate the norm constraint: a coefficient is not finite")
     res = unimodularity_residual(poly, max(256, 4 * poly.n))
     if not res <= UNIMOD_TOL:  # a NaN residual fails too
         raise ValueError(
@@ -407,6 +409,7 @@ class PolyFit:
     polys: SpinorPolynomials
     band_error: float
     fit_residual: float
+    values: tuple | None = None  # (P, Q) on the profile's grid; None if it was resampled
 
 
 def spinor_band_error(
@@ -536,7 +539,7 @@ class _GramFit:
         pv, qv = _circle_products(self.theta, np.stack([polys.p, polys.q]), plan=self.evals)
         fit_resid = float(np.abs(qv - prof.f_beta).max())
         band_error = _aligned_distance(_overlap(pv, qv, prof.f_alpha, prof.f_beta))
-        return PolyFit(polys, band_error, fit_resid)
+        return PolyFit(polys, band_error, fit_resid, (pv, qv))
 
 
 def target_to_polys(
@@ -558,6 +561,7 @@ def target_to_polys(
     fit = _GramFit(prof.omega, prof.weights, n, dt).fit(prof, margin, absorb_alpha_phase)
     if prof is not profile:
         fit.band_error = spinor_band_error(fit.polys, profile, dt)
+        fit.values = None
     return fit
 
 
@@ -723,6 +727,7 @@ class PatternDesign:
     fit_error: float
     profile: TargetProfile
     inversion: dict  # inverse_recursion_full diagnostics
+    values: tuple  # (P, Q) at the profile's offsets
 
 
 def band_selective_profile(
@@ -790,4 +795,6 @@ def design_pattern(
     fit = target_to_polys(profile, n, dt, margin=margin, absorb_alpha_phase=False)
     steps, inversion = inverse_recursion_full(fit.polys)
     pulse = steps_to_pulse(steps, dt)
-    return PatternDesign(pulse, fit.polys, fit.band_error, profile, inversion)
+    # the fit evaluated the pair on the profile's grid unless it resampled it
+    values = fit.polys.evaluate(profile.omega, dt) if fit.values is None else fit.values
+    return PatternDesign(pulse, fit.polys, fit.band_error, profile, inversion, values)

@@ -211,6 +211,33 @@ def test_bloch_propagation_matches_so3_step_product(model, samples, dt, omega, e
             assert np.abs(net - rot).max() < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    npoints=st.sampled_from([1, 7, kernels._CHUNK + 5, 2 * kernels._SPLIT + 3]),
+    hard_pulse=st.booleans(),
+    with_theta=st.booleans(),
+    start=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bloch_output_is_the_rotation_table_applied_by_einsum(npoints, hard_pulse, with_theta, start, seed):
+    # R x0 is formed from the pair without the (npoints, 3, 3) table: bitwise
+    # the table and einsum for a uniform initial vector, the CLI's case, and
+    # within an ulp of a unit vector's components for per-point ones
+    rng = np.random.default_rng(seed)
+    u, v, dt, omega, eps, theta, *_ = random_pass(rng, 5, npoints, with_theta, hard_pulse)
+    rot = kernels.rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse)
+    uniform = np.tile(np.array(start), (npoints, 1))
+    per_point = rng.normal(size=(npoints, 3))
+    per_point /= np.linalg.norm(per_point, axis=1, keepdims=True)
+    for xyz0 in (uniform, per_point):
+        got = kernels.bloch_propagate(u, v, dt, omega, eps, theta, xyz0, hard_pulse)
+        want = np.einsum("nij,nj->ni", rot, xyz0)
+        if xyz0 is uniform:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        else:
+            assert np.abs(got - want).max() <= 2.3e-16
+
+
 def reference_spinor_steps(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse, real=np.float64):
     """The spinor step loop with each model's Cayley-Klein update written out
     in full, one step at a time, as the kernel computed it before it composed
@@ -356,6 +383,31 @@ def test_hard_pass_with_repeated_eps_is_bitwise_the_per_point_build(nsteps, npoi
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    neps=st.sampled_from([64, 512, 1000]),
+    nomega=st.integers(5, 9),
+    eps_fastest=st.booleans(),
+    batches=st.integers(1, 2),
+    edge=st.integers(-1, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hard_pass_over_a_product_grid_is_bitwise_the_per_point_build(
+    neps, nomega, eps_fastest, batches, edge, seed
+):
+    # an (omega, eps) grid as fidelity-map builds it, and step counts on both
+    # sides of an edge of the first chunk's batches of rf rotations
+    rng = np.random.default_rng(seed)
+    w, e = np.meshgrid(rng.uniform(-3000.0, 3000.0, nomega), rng.uniform(0.5, 1.5, neps))
+    omega, eps = (w.ravel(), e.ravel()) if eps_fastest else (w.T.ravel(), e.T.ravel())
+    batch = kernels._TILE // len(np.unique(eps[: kernels._CHUNK]))
+    nsteps = batches * batch + edge
+    u, v, _, _, _, _, alpha0, beta0, _ = random_pass(rng, nsteps, len(omega), False, True)
+    got = kernels.spinor_propagate(u, v, 1e-4, omega, eps, None, alpha0, beta0, True)
+    want = per_point_hard_pass(u, v, 1e-4, omega, eps, alpha0, beta0)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_hard_pass_with_one_eps_builds_each_rf_rotation_once_per_step(monkeypatch):
     shapes = []
     original = kernels.hard_step
@@ -370,8 +422,9 @@ def test_hard_pass_with_one_eps_builds_each_rf_rotation_once_per_step(monkeypatc
     args = list(random_pass(np.random.default_rng(11), 256, 6145, False, True))
     args[4] = np.full(6145, 0.93)
     kernels.spinor_propagate(*args)
-    # two chunks, one step per tile: one rotation per step and chunk
-    assert len(shapes) == 2 * 256
+    # two chunks, each building its steps' rotations in batches: one rotation
+    # row per step and chunk, over the one eps
+    assert sum(shape[0] for shape in shapes) == 2 * 256
     assert {shape[-1] for shape in shapes} == {1}
 
 
@@ -423,6 +476,24 @@ def test_a_pass_below_two_split_chunks_starts_no_thread(monkeypatch):
     assert len(started) == 1
 
 
+def test_a_40000_point_pass_still_starts_a_worker(monkeypatch):
+    # a part's chunks are _SPLIT_CHUNK points wide, but a pass splits from
+    # 2 * _SPLIT points on, so one of 40 000 points runs on two threads
+    npoints = 40_000
+    assert 2 * kernels._SPLIT <= npoints < 2 * kernels._SPLIT_CHUNK
+    monkeypatch.setattr(kernels, "_cpus", lambda: 8)
+    started = []
+    original = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or original(self))
+    args = random_pass(np.random.default_rng(6), 3, npoints, False, False)
+    split = kernels.spinor_propagate(*args)
+    assert len(started) == 1
+    monkeypatch.setattr(kernels, "_cpus", lambda: 1)
+    serial = kernels.spinor_propagate(*args)
+    assert len(started) == 1
+    assert np.array_equal(split[0], serial[0]) and np.array_equal(split[1], serial[1])
+
+
 def test_an_error_in_a_worker_reaches_the_caller_and_no_thread_outlives_the_pass(monkeypatch):
     main = threading.get_ident()
     original = kernels._tile_part
@@ -456,7 +527,7 @@ def test_parts_never_outnumber_the_cpus_and_tile_each_point_as_unsplit(cpus, npo
         assert at % kernels._CHUNK == 0
         for pts in part:
             width = pts.stop - pts.start
-            assert pts.start == at and 0 < width <= (kernels._SPLIT if split else kernels._CHUNK)
+            assert pts.start == at and 0 < width <= (kernels._SPLIT_CHUNK if split else kernels._CHUNK)
             # every chunk but the grid's partial last one is one step a tile,
             # and that one is the unsplit pass's last chunk
             assert width >= kernels._CHUNK or (pts.start, pts.stop) == (tail, npoints)

@@ -848,6 +848,20 @@ def test_pattern_zero_profile():
     assert pat.pulse.amplitudes.max() == 0.0
 
 
+@pytest.mark.parametrize("stride", [1, 4])
+def test_pattern_values_are_the_pair_evaluated_on_the_profile(stride):
+    # stride 4 leaves 6n + 1 samples, which the fit resamples to 8n: there the
+    # design evaluates the pair itself
+    n = 32
+    base = band_selective_profile(BAND, (-2500.0, 2500.0), 1.5, n, DT)
+    prof = TargetProfile(
+        base.omega[::stride], base.f_alpha[::stride], base.f_beta[::stride], weights=base.weights[::stride]
+    )
+    pat = design_pattern(prof, n, DT)
+    pv, qv = pat.polys.evaluate(prof.omega, DT)
+    assert np.array_equal(pat.values[0], pv) and np.array_equal(pat.values[1], qv)
+
+
 def test_pattern_complement_flips_sum_to_pi():
     n, trans = 96, 1500.0
     base = band_selective_profile(BAND, (-2500.0, 2500.0), 2.0, n, DT, transition=trans)
