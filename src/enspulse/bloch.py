@@ -227,7 +227,11 @@ class EnsembleState:
         if self.kind == "bloch":
             if v.shape != (n, 3):
                 raise ValueError(f"bloch values must be ({n}, 3)")
-            v = v.astype(float)
+            # a read-only float array, such as uniform_bloch's broadcast
+            # view, is kept as given; a writable one is copied, so a caller
+            # can change neither the state nor the array it gave
+            if v.dtype != np.float64 or v.flags.writeable:
+                v = v.astype(float)
             dev = np.abs(np.linalg.norm(v, axis=1) - 1.0).max()
         elif self.kind == "spinor":
             if v.shape != (n, 2):
@@ -249,8 +253,11 @@ class EnsembleState:
 
     @classmethod
     def uniform_bloch(cls, grid: DispersionGrid, vec) -> "EnsembleState":
-        v = np.asarray(vec, dtype=float)
-        return cls(grid, "bloch", np.tile(v, (grid.size, 1)))
+        """``vec`` at every point of ``grid``.  The values are a read-only
+        (grid.size, 3) view of one copy of ``vec``, so they take no
+        per-point memory; copy them to change a point's vector."""
+        v = np.array(vec, dtype=float)
+        return cls(grid, "bloch", np.broadcast_to(v, (grid.size,) + v.shape))
 
     @classmethod
     def uniform_spinor(cls, grid: DispersionGrid, alpha, beta) -> "EnsembleState":
@@ -388,11 +395,7 @@ def propagate(
     if initial.kind == "unitary":
         if initial.values.shape[1] != 2:
             raise ValueError("only 2x2 unitaries can be propagated by a ControlSequence")
-        al, be = kernels.spinor_propagate(
-            u, v, dt, omega, eps, theta,
-            np.ones(grid.size, dtype=np.complex128), np.zeros(grid.size, dtype=np.complex128),
-            hard,
-        )
+        al, be = kernels.spinor_propagate(u, v, dt, omega, eps, theta, 1.0, 0.0, hard)
         rows = kernels.su2_apply(al[:, None], be[:, None], initial.values[:, 0], initial.values[:, 1])
         return EnsembleState(grid, "unitary", np.stack(rows, axis=1))
     raise ValueError(f"unknown state kind {initial.kind!r}")

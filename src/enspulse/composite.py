@@ -200,8 +200,9 @@ def _compile(
     :class:`InfeasibleError` led by ``what``).  Each word's single-monomial
     element is measured, never assumed, so sign bookkeeping cannot drift;
     its block at ``tau = c / scale / subdivisions``, with ``c`` the
-    coefficient times ``share``, is realized once and repeated
-    ``subdivisions`` times.  Returns the fit, the pieces, the predicted
+    coefficient times ``share``, is realized once, to be repeated
+    ``subdivisions`` times (:func:`_repeated`, :func:`_rf_samples`).
+    Returns the fit, each word's block, the predicted
     ``(exponents, c * direction)`` terms and the commutator budget.
     """
     if subdivisions < 1:
@@ -210,17 +211,28 @@ def _compile(
         raise ValueError("target angle is zero at every grid point: there is nothing to compile")
     _require_reachable(elements, axis, direction, exponents)
     fit = _require_fit(fit_coefficients(target, exponents, params, tol), what)
-    pieces: list = []
+    blocks = []
     terms = []
     budget = 0.0
     for c, e in zip(share * fit.coefficients, exponents):
         word = word_of(e)
         scale = _monomial_scale(word.element(elements), e, direction.entries)
         tau = c / scale / subdivisions
-        pieces.extend(_realize(word, tau, leaf, inverse) * subdivisions)
+        blocks.append(_realize(word, tau, leaf, inverse))
         budget += subdivisions * abs(tau) ** 1.5
         terms.append((e, c * direction.entries))
-    return fit, pieces, terms, budget
+    return fit, blocks, terms, budget
+
+
+def _repeated(blocks: list, subdivisions: int) -> list:
+    """The pieces of each word's block, ``subdivisions`` times over, in time order."""
+    return [piece for block in blocks for piece in block * subdivisions]
+
+
+def _rf_samples(blocks: list, subdivisions: int) -> np.ndarray:
+    """The ``(n, 2)`` samples of :func:`_repeated` for blocks of rf samples,
+    each block stacked once and tiled."""
+    return np.concatenate([np.tile(block, (subdivisions, 1)) for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +380,15 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
     if spec.axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     partner = "y" if spec.axis == "x" else "x"
-    fit, samples, terms, budget = _compile(
+    fit, blocks, terms, budget = _compile(
         RF_ELEMENTS, spec.axis, SO3[spec.axis], [{"eps": e} for e in spec.basis],
         lambda e: word_for_power(spec.axis, partner, e["eps"]),
         spec.angles, {"eps": spec.grid}, spec.tol, spec.subdivisions,
         _rf_leaf(RF_CHANNELS, dt), _inv_rf, f"target not approximable on basis {spec.basis}",
     )
+    samples = _rf_samples(blocks, spec.subdivisions)
     return _compiled(
-        ControlSequence(dt, np.array(samples)), terms, fit,
+        ControlSequence(dt, samples), terms, fit,
         basis=list(spec.basis), commutator_budget=budget, segments=len(samples),
     )
 
@@ -458,13 +471,13 @@ def compensate_epsilon_small_flip(
             out.extend(shifted.scaled(frac / block_flip).samples)
         return out
 
-    _, samples, _, _ = _compile(
+    _, blocks, _, _ = _compile(
         RF_ELEMENTS, "x", SO3["x"], [{"eps": e} for e in basis],
         lambda e: word_for_power("x", "y", e["eps"]), target_angle, {"eps": gridarr},
         DEFAULT_TOL, subdivisions, leaf, _inv_rf,
         f"small-flip target not approximable on basis {basis}",
     )
-    return ControlSequence(block.dt, np.array(samples))
+    return ControlSequence(block.dt, np.array(_repeated(blocks, subdivisions)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +543,16 @@ def compile_two_param(
     g1, g2 = np.meshgrid(e1, e2, indexing="ij")
     # eps1 carries 2k + 1 on z and 2k on y, eps2 carries 2l + 1: halving
     # each power recovers the word's orders
-    fit, samples, terms, _ = _compile(
+    fit, blocks, terms, _ = _compile(
         TWO_PARAM_ELEMENTS, axis, SO3[axis],
         [{"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1} for k, l in orders],
         lambda e: two_param_word(e["eps1"] // 2, e["eps2"] // 2, axis),
         target_angle, {"eps1": g1.ravel(), "eps2": g2.ravel()}, tol, subdivisions,
         _rf_leaf(TWO_PARAM_CHANNELS, dt), _inv_rf, "two-parameter target not approximable",
     )
+    samples = _rf_samples(blocks, subdivisions)
     return _compiled(
-        ControlSequence(dt, np.array(samples)), terms, fit,
+        ControlSequence(dt, samples), terms, fit,
         orders=[list(o) for o in orders], segments=len(samples),
     )
 
@@ -628,11 +642,12 @@ def compile_omega_robust(
     if not exponents:
         raise InfeasibleError(f"axis {axis} carries no requested offset powers with one quadrature")
     powers = tuple(e["omega"] for e in exponents)
-    fit, segments, terms, _ = _compile(
+    fit, blocks, terms, _ = _compile(
         table, axis, SO3[axis], exponents, lambda e: omega_word(axis, e["omega"]),
         target, {"omega": omega_grid}, tol, subdivisions, _omega_leaf, _inv_segments,
         f"offset target not approximable on powers {powers}",
     )
+    segments = _repeated(blocks, subdivisions)
     return _compiled(
         segments, terms, fit,
         powers=list(powers), segments=len(segments), single_quadrature=single_quadrature,
@@ -706,13 +721,14 @@ def compile_j_robust_zz(
     J in j0*[1-delta, 1+delta]."""
     # exp(-i f(J) sz sz) = exp((f(J)/2) B2): the words carry the halved
     # coefficients (halving the direction instead flips signed zeros)
-    fit, segments, terms, _ = _compile(
+    fit, blocks, terms, _ = _compile(
         COUPLING_ELEMENTS, "zz", _B["b2"], [{"J": e} for e in basis],
         lambda e: word_for_power("b2", "b1", e["J"]),
         theta, {"J": coupling_grid(j0, delta, nsamples)}, tol, subdivisions,
         _coupling_leaf, _inv_segments, f"coupling target not approximable on basis {basis}",
         share=0.5,
     )
+    segments = _repeated(blocks, subdivisions)
     coupling_time = sum(s.duration for s in segments if s.kind == "coupling")
     return _compiled(
         segments, terms, fit, basis=list(basis), segments=len(segments), coupling_time=coupling_time

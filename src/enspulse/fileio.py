@@ -33,9 +33,12 @@ those of ``"%.17g"`` for each number:
 
 The tables are built on first use, from exact integer arithmetic, so that
 importing the module does no work.  CSV tables and a pulse's samples are
-formatted in blocks of about :data:`_BLOCK` numbers, so a block's words and
-temporaries are the only arrays the text needs; the text itself is written
-whole by :func:`atomic_write_text`.
+formatted in blocks of about :data:`_BLOCK` numbers, each block's rows
+gathered from the columns, so a block's table, words and temporaries are the
+only arrays the text needs and the whole table is never built.  A CSV text
+grows as one ``str``, and :func:`atomic_write_text` encodes and writes it in
+slices of :data:`_WRITE` characters, so a table's text is held once, not
+again as bytes.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ AMPLITUDE_UNIT = "rad_per_s"
 # numbers formatted per block of table rows: a block's words and temporaries,
 # about 0.6 MB at this size, live only while its text is made
 _BLOCK = 4096
+# characters encoded and written at a time: a slice and its bytes, 2 MiB of
+# ASCII at most, are all a write holds beside its text
+_WRITE = 1 << 20
 
 
 def _fmt(x: float) -> str:
@@ -281,20 +287,28 @@ def _text(words: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0")
 
 
-def _blocks(table: np.ndarray, ends: bytes):
+def _blocks(columns: list, ends: bytes):
     """Yield ``(rows, words)`` over blocks of about :data:`_BLOCK` numbers of
-    a 2-d ``table``: the block's row numbers and its :func:`_words17`."""
-    per = max(1, _BLOCK // table.shape[1])
-    for start in range(0, len(table), per):
-        rows = np.arange(start, min(start + per, len(table)))
-        yield rows, _words17(table[start : start + per], ends)
+    the table whose ``columns`` are equally long 1-d float arrays: the
+    block's row numbers and its :func:`_words17`.
+
+    Each block's rows are gathered from the columns into a table of the
+    block's size, so the whole table is never built.
+    """
+    n, per = len(columns[0]), max(1, _BLOCK // len(columns))
+    for start in range(0, n, per):
+        rows = np.arange(start, min(start + per, n))
+        table = np.empty((len(rows), len(columns)))
+        for j, column in enumerate(columns):
+            table[:, j] = column[start : start + per]
+        yield rows, _words17(table, ends)
 
 
 def _array_parts(arr: np.ndarray) -> list:
     """Each number of a 1-d float array, or each row of a 2-d one as
     ``[a, b, ...]``, rendered as :func:`_fmt` renders a number."""
     ends = b"\n" if arr.ndim == 1 else b"," * (arr.shape[1] - 1) + b"]"
-    text = b"".join(_text(words) for _, words in _blocks(arr.reshape(len(arr), -1), ends))
+    text = b"".join(_text(words) for _, words in _blocks(list(arr.reshape(len(arr), -1).T), ends))
     if arr.ndim == 2:
         # no number holds a "," or a "]": spell out the separators of each row
         text = b"[" + text.replace(b",", b", ").replace(b"]", b"]\n[")[:-1]
@@ -364,6 +378,9 @@ def atomic_write_text(path: str, text: str):
     the umask, under a fresh name in ``path``'s directory, and is removed
     if the write fails.  A path that cannot be written (a missing directory,
     a directory, no permission) raises :class:`SchemaError` naming it.
+    ``text`` is encoded and written in slices of :data:`_WRITE` characters,
+    so no encoding of the whole text is ever held; a slice edge never splits
+    a character, so the file's bytes are those of the whole text's encoding.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
@@ -376,7 +393,8 @@ def atomic_write_text(path: str, text: str):
                 continue
             tmp = name
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE):
+                fh.write(text[start : start + _WRITE])
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -435,18 +453,21 @@ def load_pulse(path: str) -> ControlSequence:
     if not samples:
         raise SchemaError(f"{path}: samples must be nonempty")
     try:
-        # one pass over every entry: a boolean, string or null is no number
-        numbers = set(map(type, itertools.chain.from_iterable(samples))) <= {int, float}
+        # every row holds two entries, and every entry is a number: a
+        # boolean, string or null is none
+        pairs = set(map(len, samples)) == {2}
+        pairs = pairs and set(map(type, itertools.chain.from_iterable(samples))) <= {int, float}
     except TypeError:  # a row that is not a list
-        numbers = False
-    if not numbers:
+        pairs = False
+    if not pairs:
         raise SchemaError(f"{path}: samples must be [u, v] pairs of JSON numbers")
     for key in ("dt", "a_max"):
         value = doc.get(key)
         if (key == "dt" or key in doc) and type(value) not in (int, float):  # not bool, str or null
             raise SchemaError(f"{path}: {key} must be a JSON number, got {json.dumps(value)}")
     try:
-        return ControlSequence(float(doc["dt"]), np.asarray(samples, dtype=float), doc.get("a_max"))
+        numbers = np.fromiter(itertools.chain.from_iterable(samples), dtype=float, count=2 * len(samples))
+        return ControlSequence(float(doc["dt"]), numbers.reshape(-1, 2), doc.get("a_max"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -522,28 +543,32 @@ def _csv_text(header: list, axes: list, columns: list) -> str:
     """The text :func:`_write_csv` writes.
 
     Rows are formatted one block of about :data:`_BLOCK` numbers of
-    ``columns`` at a time into one growing buffer, which is freed as the
-    text is returned: a large buffer grows in place, where a list of block
-    texts would leave the heap fragmented.  Each value of two or more axes
-    is formatted once and gathered into the rows it labels; a lone axis
-    labels each row once, so it is one more column.
+    ``columns`` at a time (:func:`_blocks`), and each block's text is
+    appended to one ``str``.  CPython appends to a ``str`` in place, growing
+    it without a copy, while the local name holds its only reference, so the
+    text is held once and never beside a second buffer of its bytes.  Under
+    a tracer (``sys.settrace``) the interpreter copies at each append
+    instead: the text is still the same, and the peak is the text twice, as
+    a buffer decoded whole would hold.  Each value of two or more axes is
+    formatted once and gathered into the rows it labels; a lone axis labels
+    each row once, so it is one more column.
     """
     if len(axes) == 1:
         axes, columns = [], [axes[0], *columns]
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    columns = [np.asarray(c, dtype=float) for c in columns]
     labels = [_words17(np.asarray(a, dtype=float)[:, None], b",")[:, 0] for a in axes]
-    ends = b"," * (table.shape[1] - 1) + b"\n"
-    text = bytearray((",".join(header) + "\n").encode())
-    for rows, words in _blocks(table, ends):
+    ends = b"," * (len(columns) - 1) + b"\n"
+    text = ",".join(header) + "\n"
+    for rows, words in _blocks(columns, ends):
         if labels:
-            block = np.empty((len(rows), len(labels) + table.shape[1], 4), dtype=_WORD)
+            block = np.empty((len(rows), len(labels) + len(columns), 4), dtype=_WORD)
             points = np.unravel_index(rows, [len(w) for w in labels])
             for j, (label, index) in enumerate(zip(labels, points)):
                 block[:, j] = np.take(label, index, axis=0)
             block[:, len(labels) :] = words
             words = block
-        text += _text(words)
-    return text.decode()
+        text += _text(words).decode()
+    return text
 
 
 def emit_fidelity_csv(fmap: FidelityMap, path: str):

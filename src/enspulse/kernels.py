@@ -11,8 +11,10 @@ hard-pulse rf rotation over arrays is :func:`hard_step`.  A single step, such
 as the one :func:`slr_peel` removes per degree, takes :func:`step_pair`, the
 same pair from ``math`` in Python scalars, without numpy's per-call cost.
 Bloch vectors and SO(3) rotations are the adjoint image (:func:`adjoint`) of
-a spinor pass; a Bloch pass applies the image's rows to its vectors without
-building the (npoints, 3, 3) table.
+a spinor pass from (1, 0), a start the pass takes as two scalars and writes
+into the state it allocates anyway.  A Bloch pass applies the image's rows
+to its vectors one chunk of ``_CHUNK`` points at a time, so its output stage
+builds neither the (npoints, 3, 3) table nor any per-point temporary.
 
 Written pulses are mostly runs of one block repeated many times: a composite
 repeats each bracket word's block once per subdivision, and a multi-block SLR
@@ -403,7 +405,10 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
     dt : step duration in seconds.
     omega, eps : (npoints,) arrays of offset (rad/s) and rf scale.
     theta : (npoints,) array of rf phase offsets (rad), or None.
-    alpha0, beta0 : (npoints,) complex arrays, the initial spinor.
+    alpha0, beta0 : the initial spinor: (npoints,) complex arrays, or two
+        scalars that start every point, such as the (1, 0) of a rotation.
+        Scalars give bitwise the result of arrays holding them, on both
+        routes, without two per-point arrays to build and copy.
     hard_pulse : split each step into z-precession then rf rotation.
 
     Returns
@@ -418,8 +423,9 @@ def spinor_propagate(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse=Fals
         bits = eps.view(np.int64)
         if (bits == bits[0]).all():
             return _polynomial_pass(u, v, dt, omega, eps[0], alpha0, beta0)
-    alpha = np.array(alpha0, dtype=np.complex128, copy=True)
-    beta = np.array(beta0, dtype=np.complex128, copy=True)
+    alpha = np.empty(len(omega), dtype=np.complex128)
+    beta = np.empty(len(omega), dtype=np.complex128)
+    alpha[:], beta[:] = alpha0, beta0
     theta = None if theta is None else np.asarray(theta, dtype=np.float64)
     for start, period, count in _runs(u, v, len(omega)):
         block = slice(start, start + period)
@@ -479,12 +485,14 @@ def _tiled_pass(u, v, dt, omega, eps, theta, alpha, beta, hard_pulse):
             chunks.append((pts, ep, index, batch))
             width, most = max(width, min(len(u), block) * m), max(most, m)
             controls = max(controls, min(len(u), batch) * len(ep))
-        # the controls' two float buffers, a tile's four float and two complex
-        # ones, then three complex ones of a chunk's points; one array each, so
-        # that at 4096 elements each stays below glibc's mmap threshold and a
-        # pass takes them from the heap instead of faulting in fresh pages,
-        # which cost a narrow pass more than its arithmetic
-        work = [np.empty(n) for n in (controls, controls, width, width, width, width)], [
+        # the controls' two float buffers, a tile's float scratch (four rows
+        # for the exact element, one for a hard pulse's gathered cosine) and
+        # two complex ones, then three complex ones of a chunk's points; one
+        # array each, so that at 4096 elements each stays below glibc's mmap
+        # threshold and a pass takes them from the heap instead of faulting in
+        # fresh pages, which cost a narrow pass more than its arithmetic
+        scratch = (width,) if hard_pulse else (width,) * 4
+        work = [np.empty(n) for n in (controls, controls, *scratch)], [
             np.empty(n, dtype=np.complex128) for n in (width, width, most, most, most)
         ]
         jobs.append((chunks, work))
@@ -673,11 +681,9 @@ def adjoint(alpha, beta):
 def _rotation_pass(u, v, dt, omega, eps, theta, hard_pulse):
     """The spinor pass from (1, 0) whose :func:`adjoint` is the Bloch plant's
     rotation: the controls exchanged and the rf phase negated."""
-    npoints = len(omega)
     return _spin_steps(
         v, u, dt, omega, eps, None if theta is None else -np.asarray(theta, dtype=np.float64),
-        np.ones(npoints, dtype=np.complex128), np.zeros(npoints, dtype=np.complex128),
-        hard_pulse,
+        1.0, 0.0, hard_pulse,
     )
 
 
@@ -694,16 +700,22 @@ def rotation_propagate(u, v, dt, omega, eps, theta, hard_pulse=False):
 def bloch_propagate(u, v, dt, omega, eps, theta, xyz0, hard_pulse=False):
     """Propagate Bloch vectors (npoints, 3) through all steps of a pulse.
 
-    ``R x0`` straight from the rotation's rows (:func:`_adjoint_rows`), so no
-    (npoints, 3, 3) table is built.  Each row is summed as numpy's ``einsum``
-    sums it, ``(R_i0 x + R_i2 z) + R_i1 y`` from +0, so the output is bitwise
+    ``R x0`` straight from the rotation's rows (:func:`_adjoint_rows`), one
+    chunk of ``_CHUNK`` points at a time, so no (npoints, 3, 3) table and no
+    per-point temporary is built; ``xyz0`` may be a broadcast view, such as
+    one vector for every point.  Each row is summed as numpy's ``einsum``
+    sums it, ``(R_i0 x + R_i2 z) + R_i1 y`` from +0, elementwise and so
+    alike in any chunk, and the output is bitwise
     ``einsum("nij,nj->ni", R, x0)``.
     """
-    x, y, z = np.asarray(xyz0, dtype=np.float64).T
-    rows = _adjoint_rows(*_rotation_pass(u, v, dt, omega, eps, theta, hard_pulse))
+    xyz0 = np.asarray(xyz0, dtype=np.float64)
+    alpha, beta = _rotation_pass(u, v, dt, omega, eps, theta, hard_pulse)
     out = np.empty((len(omega), 3))
-    for i, (r0, r1, r2) in enumerate(rows):
-        np.add(r0 * x + r2 * z, r1 * y, out=out[:, i])
+    for start in range(0, len(omega), _CHUNK):
+        pts = slice(start, start + _CHUNK)
+        x, y, z = xyz0[pts].T
+        for i, (r0, r1, r2) in enumerate(_adjoint_rows(alpha[pts], beta[pts])):
+            np.add(r0 * x + r2 * z, r1 * y, out=out[pts, i])
     # einsum's +0 changes only a sum of -0s, to +0, so it may come last
     out += 0.0
     return out

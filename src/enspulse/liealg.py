@@ -406,7 +406,11 @@ class _Span:
 
     ``q`` holds the basis as rows.  A row longer than ``q`` comes from a
     coordinate registry that has grown since (the vector-field monomials):
-    the basis rows are zero on the new coordinates, so ``q`` is padded.
+    the basis rows are zero on the new coordinates, so ``q`` is widened with
+    zero columns.  Norms are formed as :func:`numpy.linalg.norm` forms them,
+    ``sqrt(add.reduce(v * v, axis=1))`` for rows and ``sqrt(row.dot(row))``
+    for one row, so they are its values bit for bit without its per-call
+    dispatch.
     """
 
     def __init__(self, q=None):
@@ -415,7 +419,8 @@ class _Span:
     def _widen(self, v) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))
         if v.shape[1] > self.q.shape[1]:
-            self.q = np.pad(self.q, ((0, 0), (0, v.shape[1] - self.q.shape[1])))
+            zeros = np.zeros((len(self.q), v.shape[1] - self.q.shape[1]))
+            self.q = np.concatenate([self.q, zeros], axis=1)
         return v
 
     def _residual(self, v: np.ndarray) -> np.ndarray:
@@ -428,7 +433,7 @@ class _Span:
         """Coordinates of each row of ``v`` and the norm of what lies outside."""
         v = self._widen(v)
         c = v @ self.q.T
-        return c, np.linalg.norm(v - c @ self.q, axis=1)
+        return c, _row_norms(v - c @ self.q)
 
     def add(self, v, tol: float = SPAN_TOL) -> list[int]:
         """Append, in order, each row of ``v`` that leaves the span.
@@ -437,17 +442,22 @@ class _Span:
         inside when its residual is at most ``tol`` times its norm.
         """
         v = self._widen(v)
-        norms = np.linalg.norm(v, axis=1)
+        norms = _row_norms(v)
         added = []
         while True:
             # classical Gram-Schmidt, projected twice to stay orthogonal
             v = self._residual(self._residual(v))
-            outside = np.flatnonzero(np.linalg.norm(v, axis=1) > tol * norms)
+            outside = np.flatnonzero(_row_norms(v) > tol * norms)
             if outside.size == 0:
                 return added
             i = int(outside[0])
-            self.q = np.vstack([self.q, v[i] / np.linalg.norm(v[i])])
+            self.q = np.vstack([self.q, v[i] / np.sqrt(v[i].dot(v[i]))])
             added.append(i)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a real 2-d ``v``."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def _matrix_rows(stack) -> np.ndarray:

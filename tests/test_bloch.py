@@ -238,6 +238,80 @@ def test_bloch_output_is_the_rotation_table_applied_by_einsum(npoints, hard_puls
             assert np.abs(got - want).max() <= 2.3e-16
 
 
+def one_shot_bloch(u, v, dt, omega, eps, theta, xyz0, hard_pulse):
+    """The Bloch output as formed before it went per chunk: the adjoint's
+    rows over every point at once, each row summed as einsum sums it."""
+    x, y, z = np.asarray(xyz0, dtype=np.float64).T
+    alpha, beta = kernels.spinor_propagate(
+        v, u, dt, omega, eps, None if theta is None else -theta,
+        np.ones(len(omega), dtype=np.complex128), np.zeros(len(omega), dtype=np.complex128),
+        hard_pulse,
+    )
+    out = np.empty((len(omega), 3))
+    for i, (r0, r1, r2) in enumerate(kernels._adjoint_rows(alpha, beta)):
+        np.add(r0 * x + r2 * z, r1 * y, out=out[:, i])
+    return out + 0.0
+
+
+@pytest.mark.parametrize("hard_pulse", [False, True])
+@pytest.mark.parametrize(
+    "npoints", [kernels._CHUNK - 1, kernels._CHUNK, kernels._CHUNK + 1, 2 * kernels._CHUNK + 1, "split"]
+)
+def test_bloch_output_per_chunk_is_bitwise_the_one_shot_rows(monkeypatch, npoints, hard_pulse):
+    # chunk edges, and a pass that splits over threads, for one vector at
+    # every point (a broadcast view, as uniform_bloch gives) and per point
+    rng = np.random.default_rng(31 + hard_pulse)
+    if npoints == "split":
+        monkeypatch.setattr(kernels, "_cpus", lambda: 4)
+        u, v, dt, omega, eps, theta, *_ = split_pass(rng, hard_pulse, True)
+        npoints = len(omega)
+    else:
+        u, v, dt, omega, eps, theta, *_ = random_pass(rng, 5, npoints, True, hard_pulse)
+    start = np.array([0.6, 0.0, -0.8])
+    per_point = rng.normal(size=(npoints, 3))
+    per_point /= np.linalg.norm(per_point, axis=1, keepdims=True)
+    for xyz0 in (np.broadcast_to(start, (npoints, 3)), np.tile(start, (npoints, 1)), per_point):
+        got = kernels.bloch_propagate(u, v, dt, omega, eps, theta, xyz0, hard_pulse)
+        want = one_shot_bloch(u, v, dt, omega, eps, theta, xyz0, hard_pulse)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("with_theta", [False, True])
+@pytest.mark.parametrize("route", ["tiled", "polynomial"])
+def test_a_scalar_start_is_bitwise_the_per_point_ones_and_zeros(route, with_theta):
+    rng = np.random.default_rng(41 + with_theta)
+    # 800 points at one rf scale give the polynomial route 8 points a step
+    npoints = 800 if route == "polynomial" else 300
+    u, v, dt, omega, eps, theta, *_ = random_pass(rng, 100, npoints, with_theta and route == "tiled", True)
+    if route == "polynomial":
+        eps = np.full(npoints, 0.9)
+    arrays = np.ones(npoints, dtype=np.complex128), np.zeros(npoints, dtype=np.complex128)
+    for hard_pulse in (True, False):
+        got = kernels.spinor_propagate(u, v, dt, omega, eps, theta, 1.0, 0.0, hard_pulse)
+        want = kernels.spinor_propagate(u, v, dt, omega, eps, theta, *arrays, hard_pulse)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_a_hard_pass_gives_its_tiles_one_float_scratch_row(monkeypatch):
+    # the hard branch of the tile loop reads its first scratch row alone (the
+    # gathered cosine); the exact element takes four
+    rows = {}
+    original = kernels._tile_part
+
+    def record(*args):
+        chunks, (floats, _) = args[-2:]
+        rows[args[5] is not None] = len(floats) - 2  # za is set for a hard pulse
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_tile_part", record)
+    args = list(random_pass(np.random.default_rng(6), 5, 300, False, True))
+    args[4] = np.repeat([0.9, 1.1, 1.0], 100)  # three rf scales: the tile loop
+    for hard_pulse in (True, False):
+        kernels.spinor_propagate(*args[:-1], hard_pulse)
+    assert rows == {True: 1, False: 4}
+
+
 def reference_spinor_steps(u, v, dt, omega, eps, theta, alpha0, beta0, hard_pulse, real=np.float64):
     """The spinor step loop with each model's Cayley-Klein update written out
     in full, one step at a time, as the kernel computed it before it composed
@@ -880,6 +954,40 @@ def test_fidelity_perfect_and_orthogonal():
     assert np.allclose(fmap.values, 1.0, atol=1e-12)
     fmap2 = fidelity_map(zero, grid, TargetSpec.constant_bloch((1, 0, 0)))
     assert np.allclose(fmap2.values, 0.5, atol=1e-12)
+
+
+def test_uniform_bloch_values_are_read_only_and_propagate_as_a_tiled_state():
+    grid = DispersionGrid.from_ranges(omega=(-800, 800, 9), epsilon=(0.9, 1.1, 5))
+    vec = np.array([0.6, 0.0, 0.8])
+    state = EnsembleState.uniform_bloch(grid, vec)
+    vec[0] = 0.0  # the state holds its own copy
+    assert state.values.shape == (grid.size, 3) and not state.values.flags.writeable
+    with pytest.raises(ValueError):
+        state.values[0, 0] = 1.0
+    tiled = EnsembleState(grid, "bloch", np.tile([0.6, 0.0, 0.8], (grid.size, 1)))
+    assert tiled.values.flags.writeable
+    pulse = rand_pulse(np.random.default_rng(8), 6)
+    target = TargetSpec.constant_bloch((0.0, 1.0, 0.0))
+    for model in ("exact", "hard_pulse"):
+        got = propagate(pulse, grid, state, model=model).values
+        want = propagate(pulse, grid, tiled, model=model).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = fidelity_map(pulse, grid, target, state, model=model).values
+        want = fidelity_map(pulse, grid, target, tiled, model=model).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_writable_array_given_to_a_bloch_state_is_copied():
+    grid = DispersionGrid.from_ranges(omega=(-1, 1, 4))
+    given = np.tile([0.0, 0.0, 1.0], (grid.size, 1))
+    state = EnsembleState(grid, "bloch", given)
+    assert not np.shares_memory(state.values, given)
+    given[0] = (1.0, 0.0, 0.0)
+    assert np.array_equal(state.values, np.tile([0.0, 0.0, 1.0], (grid.size, 1)))
+    # a read-only float array is kept as given
+    frozen = np.tile([0.0, 1.0, 0.0], (grid.size, 1))
+    frozen.flags.writeable = False
+    assert EnsembleState(grid, "bloch", frozen).values is frozen
 
 
 def test_fidelity_range_validation():

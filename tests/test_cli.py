@@ -198,6 +198,7 @@ def test_pulse_file_dt_and_a_max_must_be_json_numbers(tmp_path, grid_file, capsy
     [
         '[["1e3", 2.0]]', "[[1.0, true]]", "[[false, 2.0]]", "[[1.0, null]]",
         '[["1e3", true], [false, "2"]]', "[[1.0, 0.0], [[2.0], 0.0]]", "[1.0, 0.0]", '"1e3"',
+        "[[1, 2], [3]]", "[[1.0, 2.0, 3.0]]", '{"u": 1.0, "v": 2.0}',
     ],
 )
 def test_pulse_file_samples_must_be_json_numbers(tmp_path, grid_file, capsys, samples):

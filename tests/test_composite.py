@@ -40,7 +40,9 @@ from enspulse.composite import (
     _inv_segments,
     _omega_leaf,
     _realize,
+    _repeated,
     _rf_leaf,
+    _rf_samples,
 )
 from enspulse.bloch import ControlSequence
 from enspulse.errors import InfeasibleError
@@ -465,6 +467,16 @@ def test_realized_rf_word_and_its_negative_cancel(word, a):
     seq = ControlSequence(1e-3, np.array(samples))
     for eps in (0.6, 1.0, 1.7):
         assert np.linalg.norm(net_rotation(seq, omega=0.0, epsilon=eps) - np.eye(3)) <= 1e-12
+
+
+@given(st.lists(st.tuples(bracket_words(("x", "y")), AMOUNTS), min_size=1, max_size=3), st.integers(1, 5))
+def test_rf_blocks_tile_bitwise_as_their_pieces_repeat(words, subdivisions):
+    # each word's block stacked once and tiled is the pieces repeated, then stacked
+    leaf = _rf_leaf(RF_CHANNELS, 1e-3)
+    blocks = [_realize(word, a, leaf, _inv_rf) for word, a in words]
+    got = _rf_samples(blocks, subdivisions)
+    want = np.array(_repeated(blocks, subdivisions))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(bracket_words(("drift", "rx", "ry")), AMOUNTS)

@@ -6,6 +6,8 @@ rule and of the formatter's fallback, each number's text is the bytes of
 
 import os
 import stat
+import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -133,8 +135,45 @@ def test_a_failed_write_leaves_its_target_and_no_temporary_file(tmp_path):
     target = tmp_path / "map.csv"
     target.write_text("kept\n")
     # a lone surrogate cannot be encoded: the write fails after the
-    # temporary file exists
-    with pytest.raises(UnicodeEncodeError):
-        fileio.atomic_write_text(str(target), "partial\udc80")
-    assert os.listdir(tmp_path) == ["map.csv"]
-    assert target.read_text() == "kept\n"
+    # temporary file exists, in the first slice or after a slice was written
+    for head in (0, fileio._WRITE + 5):
+        with pytest.raises(UnicodeEncodeError):
+            fileio.atomic_write_text(str(target), "x" * head + "partial\udc80")
+        assert os.listdir(tmp_path) == ["map.csv"]
+        assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, fileio._WRITE - 1, fileio._WRITE, fileio._WRITE + 1, 3 * fileio._WRITE + 5]
+)
+def test_a_text_written_in_slices_reads_back_whole(tmp_path, length):
+    # a two-byte character on each side of every slice edge the text reaches
+    text = np.resize(np.frombuffer(b"0123456789,\n", dtype=np.uint8), length).tobytes().decode()
+    for edge in range(fileio._WRITE, length, fileio._WRITE):
+        text = text[: edge - 1] + "\u00e9\u00e8" + text[edge + 1 :]
+    assert len(text) == length
+    path = tmp_path / "text.csv"
+    fileio.atomic_write_text(str(path), text)
+    assert path.read_text() == text
+    assert os.listdir(tmp_path) == ["text.csv"]
+
+
+def test_a_table_is_built_and_written_holding_its_text_about_once(tmp_path):
+    # the text grows as one str and is written in slices: no bytes of the
+    # whole text and no second copy of it beside the str
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("under a tracer the interpreter copies a str at each append")
+    rng = np.random.default_rng(2)
+    axes = [np.linspace(-2000.0, 2000.0, 180), np.linspace(0.8, 1.2, 170)]
+    columns = list(rng.normal(size=(3, 180 * 170)))
+    path = str(tmp_path / "state.csv")
+    fileio._write_csv(path, ["omega", "epsilon", "x", "y", "z"], axes, columns)  # tables built
+    tracemalloc.start()
+    try:
+        fileio._write_csv(path, ["omega", "epsilon", "x", "y", "z"], axes, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert 2.5e6 < size < 3.5e6
+    assert peak < 1.5 * size + 1e6

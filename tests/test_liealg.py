@@ -18,6 +18,8 @@ from enspulse.liealg import (
     PolyVectorField,
     SampledElement,
     _bracket_sampled,
+    _row_norms,
+    _Span,
     ad_power,
     approximable,
     bracket,
@@ -323,6 +325,23 @@ def test_closure_heisenberg_vector_fields_nilpotent():
     assert report.nilpotency.verdict == "nilpotent"
     assert report.nilpotency.step == 2
     assert len(report.basis) == 3
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)), elements=st.floats(-1e150, 1e150)))
+def test_span_norms_are_numpys_norms_bit_for_bit(v):
+    assert np.array_equal(_row_norms(v).view(np.int64), np.linalg.norm(v, axis=1).view(np.int64))
+    assert np.sqrt(v[0].dot(v[0])).view(np.int64) == np.linalg.norm(v[0]).view(np.int64)
+
+
+def test_a_span_widens_to_longer_rows_with_zero_columns():
+    span = _Span()
+    assert span.add(np.eye(2)) == [0, 1]
+    # a row over a coordinate added since: the basis is zero there
+    coords, outside = span.coords([[1.0, 2.0, 3.0]])
+    assert span.q.shape == (2, 3) and np.array_equal(span.q[:, 2], [0.0, 0.0])
+    assert np.array_equal(coords, [[1.0, 2.0]]) and np.array_equal(outside, [3.0])
+    assert span.add([[0.0, 0.0, 2.0], [1.0, 1.0, 1.0]]) == [0]
+    assert np.array_equal(span.q, np.eye(3))
 
 
 def test_closure_sampled_phase_pair_span():
