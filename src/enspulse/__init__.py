@@ -18,8 +18,8 @@ _EXPORTS = {
     for module, names in {
         "bloch": (
             "ControlSequence", "DispersionGrid", "EnsembleState", "FidelityMap", "SU2Element",
-            "TargetSpec", "ensemble_distance", "fidelity_map", "net_rotation", "net_su2",
-            "phase_frame_check", "propagate", "step_propagator",
+            "TargetSpec", "fidelity_map", "net_rotation", "net_su2", "phase_frame_check",
+            "propagate",
         ),
         "errors": (
             "CompletionError", "DegenerateExtractionError", "EnspulseError", "InfeasibleError",
@@ -27,13 +27,12 @@ _EXPORTS = {
         ),
         "liealg": (
             "ClosureReport", "DispersionMonomial", "DispersionPolyElement", "GeneratorMatrix",
-            "PolyVectorField", "SampledElement", "approximable", "bracket", "bracket_poly",
+            "PolyVectorField", "SampledElement", "approximable", "bracket_poly",
             "lie_closure", "reachable_functions", "vf_bracket",
         ),
         "slr": (
             "HardPulseStep", "SpinorPolynomials", "TargetProfile", "complete_polynomial",
-            "design_broadband", "design_pattern", "forward_recursion", "inverse_recursion",
-            "target_to_polys",
+            "design_broadband", "design_pattern", "forward_recursion", "target_to_polys",
         ),
     }.items()
     for name in names

@@ -43,17 +43,12 @@ __all__ = [
     "EnsembleState",
     "TargetSpec",
     "FidelityMap",
-    "DistanceReport",
-    "step_propagator",
-    "step_rotation",
     "propagate",
     "net_su2",
     "net_rotation",
-    "ensemble_distance",
     "fidelity_map",
     "fidelity_of_states",
     "phase_frame_check",
-    "su2_to_so3",
 ]
 
 AXIS_ORDER = ("omega", "epsilon", "theta", "J")
@@ -118,10 +113,6 @@ class ControlSequence:
 
     def scaled(self, factor: float) -> "ControlSequence":
         return ControlSequence(self.dt, self.samples * factor, self.a_max)
-
-    def phase_shifted(self, theta: float) -> "ControlSequence":
-        shifted = kernels.phase_frame(self.u, self.v, theta)
-        return ControlSequence(self.dt, np.column_stack(shifted), self.a_max)
 
 
 @dataclass(frozen=True)
@@ -201,16 +192,6 @@ class SU2Element:
         return np.array([self.alpha, self.beta])
 
 
-def su2_to_so3(m: np.ndarray) -> np.ndarray:
-    """Adjoint image R_ij = tr(s_i U s_j U^H)/2 of SU(2) matrices (..., 2, 2).
-
-    The closed form reads the first column (alpha, beta) of each matrix, so
-    the input must have determinant 1.
-    """
-    m = np.asarray(m)
-    return kernels.adjoint(m[..., 0, 0], m[..., 1, 0])
-
-
 @dataclass
 class EnsembleState:
     """Per-grid-point state: Bloch vectors, spinors or unitary matrices."""
@@ -232,7 +213,9 @@ class EnsembleState:
             # can change neither the state nor the array it gave
             if v.dtype != np.float64 or v.flags.writeable:
                 v = v.astype(float)
-            dev = np.abs(np.linalg.norm(v, axis=1) - 1.0).max()
+            # a broadcast view repeats one row: check that row alone
+            rows = v[:1] if v.strides[0] == 0 else v
+            dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
         elif self.kind == "spinor":
             if v.shape != (n, 2):
                 raise ValueError(f"spinor values must be ({n}, 2)")
@@ -299,8 +282,7 @@ class TargetSpec:
             if self.table.shape[0] != grid.size:
                 raise ValueError("target table does not match the grid")
             return self.table
-        reps = (grid.size,) + (1,) * self.constant.ndim
-        return np.tile(self.constant, reps)
+        return np.broadcast_to(self.constant, (grid.size,) + self.constant.shape)
 
 
 @dataclass
@@ -321,34 +303,9 @@ class FidelityMap:
         return float(self.values.min())
 
 
-@dataclass
-class DistanceReport:
-    l2: float
-    sup: float
-
-
 # ---------------------------------------------------------------------------
 # propagators
 # ---------------------------------------------------------------------------
-
-
-def step_propagator(omega: float, epsilon: float, u: float, v: float, dt: float):
-    """One exact step: returns the SU(2) element and the SO(3) rotation.
-
-    The SU(2) part exponentiates the spinor plant; the SO(3) part is the
-    Bloch plant's step, the adjoint image of an SU(2) step.  See the module
-    docstring for why the two pair the controls differently.
-    """
-    for val in (omega, epsilon, u, v, dt):
-        if not np.isfinite(val):
-            raise ValueError("step parameters must be finite")
-    step = ControlSequence(dt, np.array([[u, v]], dtype=float))
-    return net_su2(step, omega, epsilon), net_rotation(step, omega, epsilon)
-
-
-def step_rotation(omega, epsilon, u, v, dt) -> np.ndarray:
-    """Closed-form exponential of the SO(3) step generator."""
-    return net_rotation(ControlSequence(dt, np.array([[u, v]], dtype=float)), omega, epsilon)
 
 
 def _pulse_arrays(pulse: ControlSequence):
@@ -435,33 +392,8 @@ def net_rotation(
 
 
 # ---------------------------------------------------------------------------
-# distances and fidelities
+# fidelities
 # ---------------------------------------------------------------------------
-
-
-def _pointwise_distance(kind: str, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    if kind == "bloch":
-        return np.linalg.norm(values - targets, axis=1)
-    if kind == "spinor":
-        overlap = np.abs(np.sum(np.conj(targets) * values, axis=1))
-        return np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0))
-    if kind == "unitary":
-        d = values.shape[1]
-        tr = np.abs(np.einsum("nij,nij->n", np.conj(targets), values))
-        return np.sqrt(np.maximum(2.0 * d - 2.0 * tr, 0.0))
-    raise ValueError(f"unknown state kind {kind!r}")
-
-
-def ensemble_distance(final: EnsembleState, target: TargetSpec) -> DistanceReport:
-    """Grid-normalized L2 distance to the target, plus the supremum.
-
-    Spinor and unitary distances are global-phase invariant.
-    """
-    if target.kind != final.kind:
-        raise ValueError("state and target kinds differ")
-    targets = target.values_on(final.grid)
-    d = _pointwise_distance(final.kind, final.values, targets)
-    return DistanceReport(l2=float(np.sqrt(np.mean(d**2))), sup=float(d.max()))
 
 
 def _pointwise_fidelity(kind: str, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -490,13 +422,13 @@ def fidelity_map(
             initial = EnsembleState.uniform_spinor(grid, 1.0, 0.0)
         else:
             initial = EnsembleState.uniform_unitary(grid, np.eye(2))
-    final = propagate(pulse, grid, initial, model=model)
-    targets = target.values_on(grid)
-    return FidelityMap(grid, _pointwise_fidelity(final.kind, final.values, targets))
+    return fidelity_of_states(propagate(pulse, grid, initial, model=model), target)
 
 
 def fidelity_of_states(final: EnsembleState, target: TargetSpec) -> FidelityMap:
     """Fidelity map for an already-computed ensemble state."""
+    if target.kind != final.kind:
+        raise ValueError("state and target kinds differ")
     targets = target.values_on(final.grid)
     return FidelityMap(final.grid, _pointwise_fidelity(final.kind, final.values, targets))
 

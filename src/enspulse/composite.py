@@ -9,9 +9,8 @@ backend.  A backend is a pair of functions: ``leaf(label, amount)``
 returns the pieces whose net propagator is ``exp(amount * G_label)``, and
 ``inverse(pieces)`` returns the exact inverse of a piece list.
 
-* rf leaves — one piecewise-constant control sample per segment (one or two
-  rf-scale parameters, or phase-shifted copies of a small-flip block);
-  inverse :func:`_inv_rf`;
+* rf leaves — one piecewise-constant control sample per segment (one
+  rf-scale parameter); inverse :func:`_inv_rf`;
 * strong-rf segment leaves — free drift periods plus instantaneous
   rotations (offset compensation with unbounded rf); inverse
   :func:`_inv_segments`;
@@ -35,7 +34,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import kernels
 from .bloch import ControlSequence
 from .errors import InfeasibleError
 from .liealg import (
@@ -60,14 +58,10 @@ __all__ = [
     "commutator_block",
     "fit_coefficients",
     "compile_robust_rotation",
-    "compile_euler_angles",
-    "compile_two_param",
     "compile_omega_robust",
     "compile_j_robust_zz",
     "coupling_grid",
     "reduce_coupling_tensor",
-    "compensate_epsilon_small_flip",
-    "simulate_strong_rf",
     "simulate_two_qubit",
     "rotation_fidelity",
     "gate_fidelity",
@@ -76,8 +70,6 @@ __all__ = [
 
 SO3 = so3_generators()
 DEFAULT_DT = 1e-3  # segment duration for compiled rf sequences (s)
-SMALL_FLIP_BAND = 0.25  # half-width of the small-flip linearity band, in units of 1/dt
-SMALL_FLIP_LINEARITY_TOL = 0.05  # allowed nonlinearity, relative to half the block flip
 DEFAULT_TOL = 5e-2  # max fit residual (rad) a compiler accepts unless told otherwise
 
 
@@ -247,18 +239,23 @@ RF_ELEMENTS = {
     "x": DispersionPolyElement.single({"eps": 1}, SO3["x"]),
     "y": DispersionPolyElement.single({"eps": 1}, SO3["y"]),
 }
+# two independent rf scales: the family analyze-lie's rf-two-scale preset reports on
+TWO_PARAM_ELEMENTS = {
+    "x1": DispersionPolyElement.single({"eps1": 1}, SO3["x"]),
+    "y2": DispersionPolyElement.single({"eps2": 1}, SO3["y"]),
+}
 
 
 def _inv_rf(samples: list[np.ndarray]) -> list[np.ndarray]:
     return [-s for s in reversed(samples)]
 
 
-def _rf_leaf(channels: Mapping[str, int], dt: float):
+def _rf_leaf(dt: float):
     """rf leaf: one (u, v) sample of length dt on the label's channel."""
 
     def leaf(label: str, amount: float) -> list[np.ndarray]:
         sample = np.zeros(2)
-        sample[channels[label]] = amount / dt
+        sample[RF_CHANNELS[label]] = amount / dt
         return [sample]
 
     return leaf
@@ -271,7 +268,7 @@ def commutator_block(a: str, b: str, t: float, dt: float = DEFAULT_DT) -> Contro
     if t == 0.0:
         return ControlSequence(dt, np.zeros((0, 2)))
     word = BracketWord.ad(BracketWord.leaf(a), BracketWord.leaf(b))
-    samples = _realize(word, t, _rf_leaf(RF_CHANNELS, dt), _inv_rf)
+    samples = _realize(word, t, _rf_leaf(dt), _inv_rf)
     return ControlSequence(dt, np.array(samples))
 
 
@@ -384,176 +381,12 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
         RF_ELEMENTS, spec.axis, SO3[spec.axis], [{"eps": e} for e in spec.basis],
         lambda e: word_for_power(spec.axis, partner, e["eps"]),
         spec.angles, {"eps": spec.grid}, spec.tol, spec.subdivisions,
-        _rf_leaf(RF_CHANNELS, dt), _inv_rf, f"target not approximable on basis {spec.basis}",
+        _rf_leaf(dt), _inv_rf, f"target not approximable on basis {spec.basis}",
     )
     samples = _rf_samples(blocks, spec.subdivisions)
     return _compiled(
         ControlSequence(dt, samples), terms, fit,
         basis=list(spec.basis), commutator_budget=budget, segments=len(samples),
-    )
-
-
-def compile_euler_angles(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    grid: np.ndarray,
-    basis: tuple[int, ...] = (1, 3),
-    tol: float = DEFAULT_TOL,
-    subdivisions: int = 1,
-    dt: float = DEFAULT_DT,
-) -> list[CompiledSequence]:
-    """Three compiled factors for exp(a Ox) exp(b Oy) exp(g Ox).
-
-    Returned in factor order (alpha, beta, gamma); time order of the
-    concatenated pulse is gamma first.
-    """
-    factors = []
-    for axis, target in (("x", alpha), ("y", beta), ("x", gamma)):
-        factors.append(
-            compile_robust_rotation(
-                RobustRotationSpec(axis, target, grid, basis, tol, subdivisions), dt
-            )
-        )
-    return factors
-
-
-def compensate_epsilon_small_flip(
-    block: ControlSequence,
-    target_angle: float,
-    grid: np.ndarray,
-    basis: tuple[int, ...] = (1, 3),
-    subdivisions: int = 1,
-) -> ControlSequence:
-    """Concatenate phase-shifted copies of a small-flip block so the net
-    rotation angle follows an odd-power fit of eps over the grid.
-
-    The compensated rotation is about the block's own rotation axis; phase
-    pi realizes negative amounts, a quarter-turn phase realizes the partner
-    direction for the bracket words, and scaling the block's controls
-    realizes fractional amounts.  The block must respond linearly in eps
-    (small-flip regime), and the fit must meet :data:`DEFAULT_TOL`.
-    """
-    # small-flip linearity check on the block's hard-pulse response over the
-    # band at eps 1 and at the grid's ends, from one kernel pass
-    gridarr = np.asarray(grid, dtype=float)
-    band = SMALL_FLIP_BAND / block.dt
-    omega = np.linspace(-band, band, 33)  # omega[16] is exactly 0
-    scales = np.array([1.0, gridarr.min(), gridarr.max()])
-    npoints = scales.size * omega.size
-    _, beta = kernels.spinor_propagate(
-        block.u, block.v, block.dt, np.tile(omega, scales.size), np.repeat(scales, omega.size),
-        None, np.ones(npoints), np.zeros(npoints), True,
-    )
-    q1, qs = beta[: omega.size], beta[omega.size :].reshape(2, -1)
-    block_flip = float(2 * np.arcsin(min(1.0, abs(q1[16]))))
-    if block_flip * np.abs(gridarr).max() > np.pi:
-        raise InfeasibleError(
-            f"block flip {block_flip:.2f} rad leaves the hard-pulse range over the grid"
-        )
-    dev = float(np.abs(qs - scales[1:, None] * q1).max())
-    if dev > SMALL_FLIP_LINEARITY_TOL * max(0.5 * block_flip, 1e-12):
-        raise InfeasibleError(
-            f"block response deviates from linear in eps by {dev:.3e}; not a small-flip block"
-        )
-
-    def leaf(label: str, amount: float) -> list[np.ndarray]:
-        phase = 0.0 if label == "x" else np.pi / 2
-        if amount < 0:
-            phase, amount = phase + np.pi, -amount
-        reps = int(np.floor(amount / block_flip))
-        frac = amount - reps * block_flip
-        out = []
-        shifted = block.phase_shifted(phase)
-        for _ in range(reps):
-            out.extend(shifted.samples)
-        if frac > 1e-15 * max(abs(amount), 1.0):
-            out.extend(shifted.scaled(frac / block_flip).samples)
-        return out
-
-    _, blocks, _, _ = _compile(
-        RF_ELEMENTS, "x", SO3["x"], [{"eps": e} for e in basis],
-        lambda e: word_for_power("x", "y", e["eps"]), target_angle, {"eps": gridarr},
-        DEFAULT_TOL, subdivisions, leaf, _inv_rf,
-        f"small-flip target not approximable on basis {basis}",
-    )
-    return ControlSequence(block.dt, np.array(_repeated(blocks, subdivisions)))
-
-
-# ---------------------------------------------------------------------------
-# two-parameter rf compensation
-# ---------------------------------------------------------------------------
-
-TWO_PARAM_ELEMENTS = {
-    "x1": DispersionPolyElement.single({"eps1": 1}, SO3["x"]),
-    "y2": DispersionPolyElement.single({"eps2": 1}, SO3["y"]),
-}
-# each leaf drives its axis's channel of the plant: v drives eps1*Ox, u eps2*Oy
-TWO_PARAM_CHANNELS = {label: RF_CHANNELS[label[0]] for label in TWO_PARAM_ELEMENTS}
-
-
-def two_param_word(k: int, l: int, axis: str = "z") -> BracketWord:
-    """Word carrying eps1^(2k+1) eps2^(2l+1) on Oz (axis 'z') or
-    eps1^(2k) eps2^(2l+1) on Oy (axis 'y').
-
-    The y2 pairs act on the Oz word [x1, y2]; on Oy, where they would
-    vanish, a last x1 bracket then turns the word back to Oy.  On Oy, k = 0
-    is the leaf y2 alone, so l must be 0 there.
-    """
-    if axis not in ("z", "y"):
-        raise ValueError("axis must be 'z' or 'y'")
-    if k < 0 or l < 0 or (axis == "y" and k == 0 < l):
-        raise ValueError("orders must be nonnegative, and k = 0 on axis y needs l = 0")
-    x1 = BracketWord.leaf("x1")
-    y2 = BracketWord.leaf("y2")
-    if axis == "y" and k == 0:
-        return y2
-    word = BracketWord.ad(x1, y2)
-    for _ in range(2 * k if axis == "z" else 0):
-        word = BracketWord.ad(x1, word)
-    for _ in range(l):
-        word = BracketWord.ad(y2, BracketWord.ad(y2, word))
-    if axis == "y":
-        word = BracketWord.ad(x1, word)
-        for _ in range(k - 1):
-            word = BracketWord.ad(x1, BracketWord.ad(x1, word))
-    return word
-
-
-def compile_two_param(
-    target_angle: float,
-    eps1_grid: np.ndarray,
-    eps2_grid: np.ndarray,
-    orders: Sequence[tuple[int, int]] = ((0, 0), (1, 0), (0, 1), (1, 1)),
-    axis: str = "z",
-    tol: float = DEFAULT_TOL,
-    subdivisions: int = 1,
-    dt: float = DEFAULT_DT,
-) -> CompiledSequence:
-    """Flatten a rotation against two independent rf-scale parameters.
-
-    Bracket words raise eps1 to odd powers (times odd eps2 powers on the z
-    axis, even-times-odd on y); the 2-d coefficient fit runs on the product
-    grid.
-    """
-    e1 = np.asarray(eps1_grid, dtype=float)
-    e2 = np.asarray(eps2_grid, dtype=float)
-    if np.any(e1 == 0) or np.any(e2 == 0):
-        raise ValueError("parameter ranges must exclude zero")
-    g1, g2 = np.meshgrid(e1, e2, indexing="ij")
-    # eps1 carries 2k + 1 on z and 2k on y, eps2 carries 2l + 1: halving
-    # each power recovers the word's orders
-    fit, blocks, terms, _ = _compile(
-        TWO_PARAM_ELEMENTS, axis, SO3[axis],
-        [{"eps1": 2 * k + int(axis == "z"), "eps2": 2 * l + 1} for k, l in orders],
-        lambda e: two_param_word(e["eps1"] // 2, e["eps2"] // 2, axis),
-        target_angle, {"eps1": g1.ravel(), "eps2": g2.ravel()}, tol, subdivisions,
-        _rf_leaf(TWO_PARAM_CHANNELS, dt), _inv_rf, "two-parameter target not approximable",
-    )
-    samples = _rf_samples(blocks, subdivisions)
-    return _compiled(
-        ControlSequence(dt, samples), terms, fit,
-        orders=[list(o) for o in orders], segments=len(samples),
     )
 
 
@@ -652,20 +485,6 @@ def compile_omega_robust(
         segments, terms, fit,
         powers=list(powers), segments=len(segments), single_quadrature=single_quadrature,
     )
-
-
-def simulate_strong_rf(segments: list[Segment], omega: float) -> np.ndarray:
-    """Exact SO(3) product of drift and instantaneous-rotation segments."""
-    gens = np.zeros((len(segments), 3, 3))
-    for g, seg in zip(gens, segments):
-        if seg.kind == "drift":
-            g[:] = omega * seg.duration * SO3["z"].entries.real
-        elif seg.kind == "rot":
-            g[:] = seg.angle * SO3[seg.axis].entries.real
-        else:
-            raise ValueError(f"segment kind {seg.kind!r} is not a strong-rf segment")
-    # the time-ordered product, last segment leftmost
-    return reduce(np.matmul, expm_skew(gens)[::-1], np.eye(3))
 
 
 # ---------------------------------------------------------------------------

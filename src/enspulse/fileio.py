@@ -57,12 +57,10 @@ __all__ = [
     "PULSE_SCHEMA_VERSION",
     "save_pulse",
     "load_pulse",
-    "save_grid",
     "load_grid",
     "save_segments",
     "save_report",
     "emit_fidelity_csv",
-    "parse_fidelity_csv",
     "emit_state_csv",
     "emit_profile_csv",
     "atomic_write_text",
@@ -477,13 +475,6 @@ def load_pulse(path: str) -> ControlSequence:
 # ---------------------------------------------------------------------------
 
 
-def save_grid(path: str, grid: DispersionGrid):
-    axes = {}
-    for name, vals in grid.axes.items():
-        axes[name] = {"min": float(vals[0]), "max": float(vals[-1]), "n": int(len(vals))}
-    atomic_write_text(path, render_json({"axes": axes}) + "\n")
-
-
 def load_grid(path: str) -> DispersionGrid:
     doc = _load_json(path)
     axes_doc = doc.get("axes") if isinstance(doc, dict) else None
@@ -575,23 +566,6 @@ def emit_fidelity_csv(fmap: FidelityMap, path: str):
     """Rows in lexicographic axis order, newline-terminated."""
     names, axes = list(fmap.grid.names), list(fmap.grid.axes.values())
     _write_csv(path, names + ["fidelity"], axes, [fmap.values])
-
-
-def parse_fidelity_csv(path: str) -> FidelityMap:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[-1] != "fidelity":
-        raise SchemaError(f"{path}: last column must be 'fidelity'")
-    names = header[:-1]
-    cols = np.array([[float(v) for v in row] for row in rows])
-    axes = {}
-    for j, name in enumerate(names):
-        axes[name] = np.unique(cols[:, j])
-    grid = DispersionGrid(axes)
-    if grid.size != len(rows):
-        raise SchemaError(f"{path}: rows do not form a full grid")
-    return FidelityMap(grid, cols[:, -1])
 
 
 def emit_state_csv(state: EnsembleState, path: str):

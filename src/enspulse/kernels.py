@@ -89,8 +89,7 @@ Single-spin plant, piecewise-constant controls ``(u_k, v_k)`` held for ``dt``:
 * SO(3) generator per step: ``omega*Oz + eps*u*Oy + eps*v*Ox`` where
   ``Ox, Oy, Oz`` are the rotation generators with ``Oz @ ex = ey``.
 * rf phase dispersion ``theta`` advances the polar angle of the control
-  field vector, i.e. ``u' = u*cos(t) + v*sin(t)``, ``v' = -u*sin(t) + v*cos(t)``
-  (:func:`phase_frame`).
+  field vector, i.e. ``u' = u*cos(t) + v*sin(t)``, ``v' = -u*sin(t) + v*cos(t)``.
 * ``hard_pulse=True`` splits each step into the free z-precession over ``dt``
   followed by the rf rotation with flip ``eps*sqrt(u^2+v^2)*dt``.
 
@@ -113,7 +112,6 @@ __all__ = [
     "hard_step",
     "step_pair",
     "rf_vector",
-    "phase_frame",
     "spinor_propagate",
     "rotation_propagate",
     "bloch_propagate",
@@ -193,14 +191,6 @@ def step_pair(half_flip, phase):
     """:func:`hard_step` of one rf rotation by ``2 * half_flip`` about the axis
     at ``phase``, in Python scalars: ``(cos h, -i e^(i phase) sin h)``."""
     return math.cos(half_flip), -1j * cmath.rect(math.sin(half_flip), phase)
-
-
-def phase_frame(u, v, theta):
-    """Controls seen at rf phase offset ``theta`` (unchanged for None)."""
-    if theta is None:
-        return u, v
-    ct, st = rf_vector(1.0, theta)  # cos(theta), sin(theta)
-    return u * ct + v * st, -u * st + v * ct
 
 
 def rf_vector(half_flip, phase):

@@ -40,7 +40,6 @@ __all__ = [
     "ClosureReport",
     "Nilpotency",
     "FitResult",
-    "bracket",
     "bracket_poly",
     "ad_power",
     "vf_bracket",
@@ -133,16 +132,6 @@ def _as_matrix(a) -> np.ndarray:
     if isinstance(a, GeneratorMatrix):
         return a.entries
     return np.asarray(a, dtype=np.complex128)
-
-
-def bracket(a, b) -> GeneratorMatrix:
-    """Matrix commutator [a, b] = ab - ba."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    la = a.label if isinstance(a, GeneratorMatrix) else "A"
-    lb = b.label if isinstance(b, GeneratorMatrix) else "B"
-    return GeneratorMatrix(f"[{la},{lb}]", ma @ mb - mb @ ma)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "PatternDesign",
     "forward_recursion",
     "forward_recursion_trace",
-    "inverse_recursion",
     "inverse_recursion_full",
     "inverse_recursion_trace",
     "complete_polynomial",
@@ -314,12 +313,6 @@ def inverse_recursion_full(poly: SpinorPolynomials):
         "final_dev": float(final_dev),
     }
     return steps, diag
-
-
-def inverse_recursion(poly: SpinorPolynomials) -> list[HardPulseStep]:
-    """Extract the hard-pulse steps generating the polynomial pair."""
-    steps, _ = inverse_recursion_full(poly)
-    return steps
 
 
 def inverse_recursion_trace(poly: SpinorPolynomials):

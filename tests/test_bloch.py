@@ -1,8 +1,7 @@
-"""Ensemble propagation, distance/fidelity and frame-law tests.
+"""Ensemble propagation, fidelity and frame-law tests.
 
-Independent oracles used here: a truncated-series matrix exponential, a
-direct ordered 2x2 matrix product, and brute-force summation for grid
-distances.
+Independent oracles used here: a truncated-series matrix exponential and a
+direct ordered 2x2 matrix product.
 """
 
 import sys
@@ -20,15 +19,13 @@ from enspulse.bloch import (
     DispersionGrid,
     EnsembleState,
     TargetSpec,
-    ensemble_distance,
+    _pointwise_fidelity,
     fidelity_map,
+    fidelity_of_states,
     net_rotation,
     net_su2,
     phase_frame_check,
     propagate,
-    step_propagator,
-    step_rotation,
-    su2_to_so3,
 )
 from enspulse.composite import RobustRotationSpec, compile_robust_rotation
 from enspulse.liealg import pauli, so3_generators
@@ -64,6 +61,15 @@ def rand_pulse(rng, n, dt=1e-4, scale=2000.0):
     return ControlSequence(dt, rng.uniform(-scale, scale, size=(n, 2)))
 
 
+def one_step(u, v, dt):
+    return ControlSequence(dt, np.array([[u, v]], dtype=float))
+
+
+def su2_to_so3(m):
+    """Adjoint image of SU(2) matrices (..., 2, 2), read from their first column."""
+    return kernels.adjoint(m[..., 0, 0], m[..., 1, 0])
+
+
 # ---------------------------------------------------------------------------
 # single-step propagator
 # ---------------------------------------------------------------------------
@@ -72,13 +78,13 @@ def rand_pulse(rng, n, dt=1e-4, scale=2000.0):
 def test_step_quarter_turn_maps_z_to_x():
     dt = 1e-3
     u = (np.pi / 2) / dt
-    _, rot = step_propagator(0.0, 1.0, u, 0.0, dt)
+    rot = net_rotation(one_step(u, 0.0, dt), 0.0, 1.0)
     assert np.allclose(rot @ [0, 0, 1], [1, 0, 0], atol=1e-12)
 
 
 def test_step_pure_offset_is_diagonal():
     omega, dt = 1234.5, 1e-4
-    su2, _ = step_propagator(omega, 0.7, 0.0, 0.0, dt)
+    su2 = net_su2(one_step(0.0, 0.0, dt), omega, 0.7)
     assert su2.alpha == pytest.approx(np.exp(-0.5j * omega * dt), abs=1e-14)
     assert su2.beta == 0.0
 
@@ -89,17 +95,11 @@ def test_step_against_series_oracle():
         omega, u, v = rng.uniform(-3000, 3000, 3)
         eps = rng.uniform(0.5, 1.5)
         dt = 10 ** rng.uniform(-5, -3)
-        su2, rot = step_propagator(omega, eps, u, v, dt)
+        step = one_step(u, v, dt)
+        su2, rot = net_su2(step, omega, eps), net_rotation(step, omega, eps)
         assert np.allclose(su2.matrix, su2_step_matrix(omega, eps, u, v, dt), atol=1e-12)
         assert np.allclose(rot, so3_step_matrix(omega, eps, u, v, dt), atol=1e-12)
         assert abs(np.linalg.det(su2.matrix) - 1.0) < 1e-12
-
-
-def test_step_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        step_propagator(np.inf, 1.0, 0.0, 0.0, 1e-4)
-    with pytest.raises(ValueError):
-        step_propagator(0.0, 1.0, 0.0, 0.0, -1e-4)
 
 
 def test_su2_so3_channel_correspondence():
@@ -109,8 +109,8 @@ def test_su2_so3_channel_correspondence():
         omega, u, v = rng.uniform(-2000, 2000, 3)
         eps = rng.uniform(0.6, 1.4)
         dt = 2e-4
-        su2, _ = step_propagator(omega, eps, u, v, dt)
-        _, rot_swapped = step_propagator(omega, eps, v, u, dt)
+        su2 = net_su2(one_step(u, v, dt), omega, eps)
+        rot_swapped = net_rotation(one_step(v, u, dt), omega, eps)
         assert np.allclose(su2_to_so3(su2.matrix), rot_swapped, atol=1e-11)
 
 
@@ -128,10 +128,10 @@ def test_zero_pulse_leaves_z_state():
 
 def test_single_step_matches_step_propagator():
     grid = DispersionGrid(axes={"omega": np.array([0.0]), "epsilon": np.array([1.0])})
-    pulse = ControlSequence(1e-4, np.array([[800.0, -300.0]]))
+    pulse = one_step(800.0, -300.0, 1e-4)
     out = propagate(pulse, grid, EnsembleState.uniform_spinor(grid, 1, 0))
-    su2, _ = step_propagator(0.0, 1.0, 800.0, -300.0, 1e-4)
-    assert np.allclose(out.values[0], [su2.alpha, su2.beta], atol=1e-14)
+    # the step propagator: the series exponential of the one step's generator
+    assert np.allclose(out.values[0], su2_step_matrix(0.0, 1.0, 800.0, -300.0, 1e-4)[:, 0], atol=1e-14)
 
 
 def test_propagation_matches_ordered_product_oracle():
@@ -907,44 +907,8 @@ def test_drift_reversal_conjugation():
 
 
 # ---------------------------------------------------------------------------
-# distances and fidelities
+# fidelities
 # ---------------------------------------------------------------------------
-
-
-def test_distance_zero_for_identical():
-    grid = DispersionGrid.from_ranges(omega=(-10, 10, 3))
-    state = EnsembleState.uniform_bloch(grid, (0, 1, 0))
-    rep = ensemble_distance(state, TargetSpec.constant_bloch((0, 1, 0)))
-    assert rep.l2 == 0.0 and rep.sup == 0.0
-
-
-def test_distance_orthogonal_bloch_pair():
-    grid = DispersionGrid.from_ranges(omega=(-10, 10, 7), epsilon=(0.9, 1.1, 5))
-    state = EnsembleState.uniform_bloch(grid, (1, 0, 0))
-    rep = ensemble_distance(state, TargetSpec.constant_bloch((0, 0, 1)))
-    assert rep.l2 == pytest.approx(np.sqrt(2), abs=1e-12)
-    assert rep.sup == pytest.approx(np.sqrt(2), abs=1e-12)
-
-
-def test_distance_matches_brute_force():
-    rng = np.random.default_rng(10)
-    grid = DispersionGrid.from_ranges(omega=(-5, 5, 4), epsilon=(0.9, 1.1, 3))
-    vals = rng.standard_normal((grid.size, 3))
-    vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-    tgts = rng.standard_normal((grid.size, 3))
-    tgts /= np.linalg.norm(tgts, axis=1, keepdims=True)
-    state = EnsembleState(grid, "bloch", vals)
-    rep = ensemble_distance(state, TargetSpec.per_point("bloch", tgts))
-    acc = sum(np.sum((vals[i] - tgts[i]) ** 2) for i in range(grid.size))
-    assert rep.l2 == pytest.approx(np.sqrt(acc / grid.size), abs=1e-12)
-
-
-def test_spinor_distance_is_phase_invariant():
-    grid = DispersionGrid.from_ranges(omega=(0, 0, 1))
-    state = EnsembleState.uniform_spinor(grid, np.exp(0.7j) / np.sqrt(2), np.exp(0.7j) / np.sqrt(2))
-    rep = ensemble_distance(state, TargetSpec.constant_spinor(1 / np.sqrt(2), 1 / np.sqrt(2)))
-    # the sqrt in the phase-aligned distance amplifies roundoff to ~sqrt(eps)
-    assert rep.sup < 1e-7
 
 
 def test_fidelity_perfect_and_orthogonal():
@@ -975,6 +939,74 @@ def test_uniform_bloch_values_are_read_only_and_propagate_as_a_tiled_state():
         got = fidelity_map(pulse, grid, target, state, model=model).values
         want = fidelity_map(pulse, grid, target, tiled, model=model).values
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_broadcast_start_checks_its_one_row():
+    # the norm of a broadcast vector is checked once, not per point
+    grid = DispersionGrid.from_ranges(omega=(-800, 800, 512), epsilon=(0.9, 1.1, 512))
+    tracemalloc.start()
+    try:
+        state = EnsembleState.uniform_bloch(grid, (0.0, 0.6, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.values.strides[0] == 0 and peak < 1 << 16
+    with pytest.raises(ValueError, match="normalization violated by 1.000e-01"):
+        EnsembleState.uniform_bloch(grid, (0.0, 0.66, 0.88))
+    with pytest.raises(ValueError, match="normalization"):
+        EnsembleState.uniform_bloch(grid, (np.nan, 0.0, 1.0))
+
+
+def uniform_start(kind, grid):
+    if kind == "bloch":
+        return EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0))
+    if kind == "spinor":
+        return EnsembleState.uniform_spinor(grid, 1.0, 0.0)
+    return EnsembleState.uniform_unitary(grid, np.eye(2))
+
+
+TARGETS = {
+    "bloch": TargetSpec.constant_bloch((0.0, 0.6, 0.8)),
+    "spinor": TargetSpec.constant_spinor(0.6, 0.8j),
+    "unitary": TargetSpec.constant_unitary(su2_step_matrix(300.0, 1.0, 900.0, -400.0, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("kind", ["bloch", "spinor", "unitary"])
+@pytest.mark.parametrize("npoints", [1, 7, 4096, 65536])
+def test_a_constant_target_is_a_read_only_broadcast_scoring_as_a_tiled_one(kind, npoints):
+    grid = DispersionGrid.from_ranges(omega=(-1e4, 1e4, npoints))
+    target = TARGETS[kind]
+    got = target.values_on(grid)
+    tiled = np.tile(target.constant, (npoints,) + (1,) * target.constant.ndim)
+    assert not got.flags.writeable and got.strides[0] == 0 and np.array_equal(got, tiled)
+    final = propagate(rand_pulse(np.random.default_rng(npoints), 5), grid, uniform_start(kind, grid)).values
+    want = _pointwise_fidelity(kind, final, tiled)
+    assert np.array_equal(_pointwise_fidelity(kind, final, got).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "state_kind, target",
+    [
+        ("bloch", TARGETS["spinor"]),
+        ("bloch", TARGETS["unitary"]),
+        ("bloch", TargetSpec.constant_unitary(np.eye(3))),
+        ("spinor", TARGETS["bloch"]),
+        ("spinor", TARGETS["unitary"]),
+        ("unitary", TARGETS["bloch"]),
+        ("unitary", TARGETS["spinor"]),
+    ],
+    ids=["bloch-spinor", "bloch-unitary", "bloch-unitary3", "spinor-bloch", "spinor-unitary",
+         "unitary-bloch", "unitary-spinor"],
+)
+def test_a_target_of_another_kind_is_refused_by_name(state_kind, target):
+    grid = DispersionGrid.from_ranges(omega=(-10, 10, 3))
+    start = uniform_start(state_kind, grid)
+    pulse = ControlSequence(1e-4, np.full((2, 2), 500.0))
+    with pytest.raises(ValueError, match="state and target kinds differ"):
+        fidelity_map(pulse, grid, target, start)
+    with pytest.raises(ValueError, match="state and target kinds differ"):
+        fidelity_of_states(start, target)
 
 
 def test_a_writable_array_given_to_a_bloch_state_is_copied():
@@ -1094,9 +1126,6 @@ def test_grid_mismatch_rejected():
     pulse = ControlSequence(1e-4, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="different grid"):
         propagate(pulse, g2, EnsembleState.uniform_bloch(g1, (0, 0, 1)))
-    state = EnsembleState.uniform_bloch(g1, (0, 0, 1))
-    with pytest.raises(ValueError, match="kinds differ"):
-        ensemble_distance(state, TargetSpec.constant_spinor(1, 0))
 
 
 def test_net_rotation_agrees_with_series_product():
@@ -1108,7 +1137,7 @@ def test_net_rotation_agrees_with_series_product():
         acc = so3_step_matrix(omega, eps, pulse.u[k], pulse.v[k], pulse.dt) @ acc
     assert np.allclose(net_rotation(pulse, omega, eps), acc, atol=1e-11)
     assert np.allclose(
-        step_rotation(omega, eps, pulse.u[0], pulse.v[0], pulse.dt),
+        net_rotation(one_step(pulse.u[0], pulse.v[0], pulse.dt), omega, eps),
         so3_step_matrix(omega, eps, pulse.u[0], pulse.v[0], pulse.dt),
         atol=1e-12,
     )

@@ -27,12 +27,27 @@ from enspulse.fileio import (
     emit_state_csv,
     load_grid,
     load_pulse,
-    parse_fidelity_csv,
     render_json,
-    save_grid,
     save_pulse,
 )
 from enspulse.slr import rotation_target
+
+
+def save_grid(path, grid):
+    """Write ``grid`` as a grid file: each axis's min, max and point count."""
+    axes = {name: {"min": float(v[0]), "max": float(v[-1]), "n": len(v)} for name, v in grid.axes.items()}
+    Path(path).write_text(json.dumps({"axes": axes}) + "\n")
+
+
+def parse_fidelity_csv(path):
+    """The fidelity map held by a CSV that ``emit_fidelity_csv`` wrote."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        cols = np.array([[float(v) for v in line.split(",")] for line in fh if line.strip()])
+    assert header[-1] == "fidelity"
+    grid = DispersionGrid({name: np.unique(cols[:, j]) for j, name in enumerate(header[:-1])})
+    assert grid.size == len(cols)
+    return FidelityMap(grid, cols[:, -1])
 
 
 @pytest.fixture()

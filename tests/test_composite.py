@@ -17,23 +17,16 @@ from enspulse.composite import (
     BracketWord,
     RobustRotationSpec,
     commutator_block,
-    compensate_epsilon_small_flip,
-    compile_euler_angles,
     compile_j_robust_zz,
     compile_omega_robust,
     compile_robust_rotation,
-    compile_two_param,
     fit_coefficients,
     gate_fidelity,
     generator_level_rotation_fidelity,
     reduce_coupling_tensor,
     rotation_fidelity,
-    simulate_strong_rf,
     simulate_two_qubit,
-    two_param_word,
     COUPLING_ELEMENTS,
-    RF_CHANNELS,
-    TWO_PARAM_ELEMENTS,
     Segment,
     _coupling_leaf,
     _inv_rf,
@@ -46,7 +39,7 @@ from enspulse.composite import (
 )
 from enspulse.bloch import ControlSequence
 from enspulse.errors import InfeasibleError
-from enspulse.liealg import ad_power, approximable, pauli, so3_generators
+from enspulse.liealg import approximable, expm_skew, pauli, so3_generators
 
 SO3 = so3_generators()
 
@@ -121,21 +114,6 @@ def test_fit_even_target_odd_basis_infeasible():
     grid = np.linspace(-0.2, 0.2, 21)
     fit = fit_coefficients(np.full(grid.shape, np.pi / 2), [{"eps": 1}, {"eps": 3}], {"eps": grid})
     assert not fit.achievable
-
-
-@pytest.mark.parametrize(
-    "axis, orders", [("z", ((0, 0), (1, 0), (0, 1), (1, 1))), ("y", ((0, 0), (1, 0), (1, 1)))]
-)
-def test_two_param_fit_from_word_exponents_equals_hand_built_family(axis, orders):
-    # oracle: the product-grid family written out by hand, one row per order
-    e1 = np.linspace(0.85, 1.15, 7)
-    e2 = np.linspace(0.9, 1.1, 5)
-    g1, g2 = (g.ravel() for g in np.meshgrid(e1, e2, indexing="ij"))
-    rows = [g1 ** (2 * k + (axis == "z")) * g2 ** (2 * l + 1) for k, l in orders]
-    oracle = approximable(np.full(g1.shape, 0.7), np.array(rows), 5e-2)
-    out = compile_two_param(0.7, e1, e2, orders=orders, axis=axis)
-    assert np.array_equal(out.diagnostics["coefficients"], oracle.coefficients)
-    assert out.diagnostics["fit_max"] == oracle.max_residual
 
 
 def test_omega_fit_from_word_exponents_equals_hand_built_family():
@@ -254,127 +232,13 @@ def test_robust_rotation_fidelity_map_beats_plain():
     assert fid_comp > fid_plain
 
 
-def test_euler_factor_compilation():
-    grid = np.linspace(0.9, 1.1, 15)
-    alpha = 0.1 + 0.2 * grid
-    beta = 0.3 * grid
-    gamma = 0.05 * grid**3
-    factors = compile_euler_angles(alpha, beta, gamma, grid, basis=(1, 3))
-    assert len(factors) == 3
-    for fac, (axis, target) in zip(factors, (("x", alpha), ("y", beta), ("x", gamma))):
-        fids = generator_level_rotation_fidelity(fac, target, axis, grid)
-        assert fids.min() >= 0.999
-
-
-# ---------------------------------------------------------------------------
-# two-parameter compensation
-# ---------------------------------------------------------------------------
-
-
-def test_two_param_word_table_matches_ad_power():
-    x1 = TWO_PARAM_ELEMENTS["x1"]
-    y2 = TWO_PARAM_ELEMENTS["y2"]
-    for k in range(5):
-        word = two_param_word(k, 0, axis="z")
-        elem = word.element(TWO_PARAM_ELEMENTS)
-        oracle = ad_power(x1, y2, 2 * k + 1)
-        assert len(elem.monomials) == 1
-        assert elem.monomials[0].exponents == oracle.monomials[0].exponents
-        assert np.allclose(elem.monomials[0].coeff, oracle.monomials[0].coeff, atol=1e-12)
-        expected = (-1.0) ** k * SO3["z"].entries
-        assert np.allclose(oracle.monomials[0].coeff, expected, atol=1e-12)
-    # y axis: ad_x1^(2k-1) ad_y2^(2l) ad_x1 y2 carries eps1^(2k) eps2^(2l+1) on Oy
-    for k in range(1, 4):
-        for l in range(3):
-            elem = two_param_word(k, l, axis="y").element(TWO_PARAM_ELEMENTS)
-            oracle = ad_power(x1, ad_power(y2, ad_power(x1, y2, 1), 2 * l), 2 * k - 1)
-            assert len(elem.monomials) == 1
-            assert elem.monomials[0].exponent_dict() == {"eps1": 2 * k, "eps2": 2 * l + 1}
-            assert elem.monomials[0].exponents == oracle.monomials[0].exponents
-            assert np.allclose(elem.monomials[0].coeff, oracle.monomials[0].coeff, atol=1e-12)
-            expected = (-1.0) ** (k + l) * SO3["y"].entries
-            assert np.allclose(oracle.monomials[0].coeff, expected, atol=1e-12)
-    y_lowest = two_param_word(0, 0, axis="y").element(TWO_PARAM_ELEMENTS)
-    assert y_lowest.monomials[0].exponent_dict() == {"eps2": 1}
-
-
-def test_two_param_generator_level():
-    grid1 = np.linspace(0.9, 1.1, 9)
-    out = compile_two_param(0.7, grid1, grid1)
-    fids = []
-    for e1 in grid1:
-        for e2 in grid1:
-            achieved = expm(out.predicted.evaluate({"eps1": e1, "eps2": e2}).real)
-            fids.append(rotation_fidelity(achieved, expm(0.7 * SO3["z"].entries).real))
-    assert min(fids) >= 0.999
-
-
-def test_two_param_single_point_plain():
-    out = compile_two_param(0.9, np.array([1.0]), np.array([1.0]), orders=((0, 0),))
-    assert out.sequence.nsteps == 4  # one first-order bracket word
-    achieved = expm(out.predicted.evaluate({"eps1": 1.0, "eps2": 1.0}).real)
-    assert rotation_fidelity(achieved, expm(0.9 * SO3["z"].entries).real) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_two_param_y_axis_generator_level():
-    # exp of the predicted element is the rotation by the fitted angle about Oy
-    grid1 = np.linspace(0.9, 1.1, 9)
-    orders = ((0, 0), (1, 0), (1, 1))
-    out = compile_two_param(0.7, grid1, grid1, orders=orders, axis="y")
-    coeffs = np.array(out.diagnostics["coefficients"])
-    fids = []
-    for e1 in grid1:
-        for e2 in grid1:
-            achieved = expm(out.predicted.evaluate({"eps1": e1, "eps2": e2}).real)
-            angle_fit = coeffs @ np.array([e1 ** (2 * k) * e2 ** (2 * l + 1) for k, l in orders])
-            assert np.linalg.norm(achieved - expm(angle_fit * SO3["y"].entries).real) <= 1e-10
-            fids.append(rotation_fidelity(achieved, expm(0.7 * SO3["y"].entries).real))
-    assert min(fids) >= 0.999
-
-
-def rotation_vector(r):
-    """Axis times angle of a rotation near the identity, from its skew part."""
-    return np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2
-
-
-@pytest.mark.parametrize("axis, orders", [("z", ((0, 0),)), ("y", ((1, 0),))])
-def test_two_param_sequence_rotates_about_its_target_axis(axis, orders):
-    # the plant at eps1 = eps2 = 1 is the one-parameter plant, whose v drives
-    # Ox and whose u drives Oy: the leaves must use those channels, or the
-    # sequence realizes the target's mirror image
-    angle = 0.01
-    out = compile_two_param(angle, np.array([1.0]), np.array([1.0]), orders=orders, axis=axis)
-    got = rotation_vector(net_rotation(out.sequence, omega=0.0, epsilon=1.0))
-    want = angle * np.array([axis == "x", axis == "y", axis == "z"], dtype=float)
-    # the commutator realization misses by O(angle^1.5)
-    assert np.linalg.norm(got - want) <= 3 * angle**1.5
-
-
-def test_two_param_y_axis_default_orders_infeasible():
-    # the default orders include (0, 1): eps2^3 on Oy without eps1
-    grid1 = np.linspace(0.9, 1.1, 9)
-    with pytest.raises(InfeasibleError, match="eps1\\^0 eps2\\^3"):
-        compile_two_param(0.7, grid1, grid1, axis="y")
-
-
-def test_two_param_word_has_no_eps1_free_word_above_eps2_on_y():
-    with pytest.raises(ValueError):
-        two_param_word(0, 1, axis="y")
-
-
-def test_two_param_rejects_zero_range():
-    with pytest.raises(ValueError):
-        compile_two_param(0.5, np.array([0.0, 1.0]), np.array([1.0]))
-
-
 @pytest.mark.parametrize(
     "compile_empty",
     [
         lambda: compile_omega_robust(np.full(5, 0.4), np.linspace(-1.0, 1.0, 5), powers=()),
-        lambda: compile_two_param(0.5, np.array([0.9, 1.1]), np.array([1.0]), orders=()),
         lambda: compile_j_robust_zz(0.7, 1.0, 0.1, basis=()),
     ],
-    ids=["omega-powers", "two-param-orders", "zz-basis"],
+    ids=["omega-powers", "zz-basis"],
 )
 def test_empty_powers_are_rejected_by_name(compile_empty):
     with pytest.raises(ValueError, match="parameter powers must be nonempty"):
@@ -462,7 +326,7 @@ def bracket_words(labels, depth=3):
 
 @given(bracket_words(("x", "y")), AMOUNTS)
 def test_realized_rf_word_and_its_negative_cancel(word, a):
-    leaf = _rf_leaf(RF_CHANNELS, 1e-3)
+    leaf = _rf_leaf(1e-3)
     samples = _realize(word, a, leaf, _inv_rf) + _realize(word, -a, leaf, _inv_rf)
     seq = ControlSequence(1e-3, np.array(samples))
     for eps in (0.6, 1.0, 1.7):
@@ -472,7 +336,7 @@ def test_realized_rf_word_and_its_negative_cancel(word, a):
 @given(st.lists(st.tuples(bracket_words(("x", "y")), AMOUNTS), min_size=1, max_size=3), st.integers(1, 5))
 def test_rf_blocks_tile_bitwise_as_their_pieces_repeat(words, subdivisions):
     # each word's block stacked once and tiled is the pieces repeated, then stacked
-    leaf = _rf_leaf(RF_CHANNELS, 1e-3)
+    leaf = _rf_leaf(1e-3)
     blocks = [_realize(word, a, leaf, _inv_rf) for word, a in words]
     got = _rf_samples(blocks, subdivisions)
     want = np.array(_repeated(blocks, subdivisions))
@@ -569,6 +433,16 @@ def test_zz_robust_simulation_converges_to_prediction():
 # ---------------------------------------------------------------------------
 
 PAULI = {a: pauli(a) for a in "xyzi"}
+
+
+def simulate_strong_rf(segments, omega):
+    """Time-ordered SO(3) product of drift and instantaneous-rotation
+    segments, each exponentiated by :func:`~enspulse.liealg.expm_skew`."""
+    out = np.eye(3)
+    for seg in segments:
+        ang, axis = (omega * seg.duration, "z") if seg.kind == "drift" else (seg.angle, seg.axis)
+        out = expm_skew(ang * SO3[axis].entries.real) @ out
+    return out
 
 
 def rodrigues_strong_rf(segments, omega):
@@ -700,59 +574,6 @@ def test_tensor_echo_commutes_with_zz():
 
 
 # ---------------------------------------------------------------------------
-# small-flip rf-scale compensation
-# ---------------------------------------------------------------------------
-
-
-def small_block(flip=0.1, dt=1e-4):
-    return ControlSequence(dt, np.array([[flip / dt, 0.0]]))
-
-
-def test_small_flip_compensation_beats_plain_repetition():
-    # a u-channel block rotates about Oy in this plant; the compensated
-    # rotation is about the block's own axis
-    grid = np.linspace(0.9, 1.1, 11)
-    block = small_block()
-    # plain repetition is already good over a 10% spread, so the bracket
-    # overhead must be ground down with a hefty subdivision count
-    comp = compensate_epsilon_small_flip(block, np.pi / 2, grid, basis=(1, 3), subdivisions=512)
-    target = expm(np.pi / 2 * SO3["y"].entries).real
-    reps = int(round(np.pi / 2 / 0.1))
-    plain = ControlSequence(block.dt, np.tile(block.samples, (reps, 1)) * (np.pi / 2 / (reps * 0.1)))
-    fid_comp = min(rotation_fidelity(net_rotation(comp, epsilon=e), target) for e in grid)
-    fid_plain = min(rotation_fidelity(net_rotation(plain, epsilon=e), target) for e in grid)
-    assert fid_comp > fid_plain
-
-
-def test_small_flip_single_point_plain_repetition():
-    grid = np.array([1.0])
-    block = small_block()
-    comp = compensate_epsilon_small_flip(block, 0.5, grid, basis=(1,))
-    target = expm(0.5 * SO3["y"].entries).real
-    assert rotation_fidelity(net_rotation(comp), target) >= 1 - 1e-9
-
-
-def test_small_flip_linearity_check():
-    grid = np.linspace(0.9, 1.1, 5)
-    ok_block = small_block(0.1)
-    from enspulse.slr import HardPulseStep, forward_recursion
-
-    def steps_of(block):
-        return [HardPulseStep(np.hypot(u, v) * block.dt, np.arctan2(v, u)) for u, v in block.samples]
-
-    base = forward_recursion(steps_of(ok_block))
-    for eps in (0.9, 1.1):
-        scaled = forward_recursion(steps_of(ok_block.scaled(eps)))
-        omega = np.linspace(-2500, 2500, 33)
-        qs = scaled.evaluate(omega, ok_block.dt)[1]
-        q1 = base.evaluate(omega, ok_block.dt)[1]
-        assert np.abs(qs - eps * q1).max() <= 0.05 * 0.1 / 2
-
-    with pytest.raises(InfeasibleError):
-        compensate_epsilon_small_flip(small_block(2.9), np.pi / 2, grid)
-
-
-# ---------------------------------------------------------------------------
 # one reachability verdict for every compiler
 # ---------------------------------------------------------------------------
 
@@ -768,11 +589,6 @@ REACH_GRID = np.linspace(0.9, 1.1, 9)
             id="rf",
         ),
         pytest.param(
-            lambda: compile_two_param(0.7, REACH_GRID, REACH_GRID, orders=((1, 0), (0, 1)), axis="y"),
-            "power eps1\\^0 eps2\\^3 on axis y is not bracket-reachable",
-            id="two-param",
-        ),
-        pytest.param(
             lambda: compile_omega_robust(
                 0.3 * REACH_GRID, REACH_GRID, powers=(2,), axis="y", single_quadrature=True
             ),
@@ -783,11 +599,6 @@ REACH_GRID = np.linspace(0.9, 1.1, 9)
             lambda: compile_j_robust_zz(0.7, 1.0, 0.1, basis=(1, 2)),
             "power J\\^2 on axis zz is not bracket-reachable",
             id="zz",
-        ),
-        pytest.param(
-            lambda: compensate_epsilon_small_flip(small_block(), 0.5, REACH_GRID, basis=(1, 2)),
-            "power eps\\^2 on axis x is not bracket-reachable",
-            id="small-flip",
         ),
     ],
 )
@@ -814,12 +625,10 @@ def robust_rotation_subdivided(m):
     "compile_subdivided",
     [
         robust_rotation_subdivided,
-        lambda m: compensate_epsilon_small_flip(small_block(), 0.5, REACH_GRID, subdivisions=m),
-        lambda m: compile_two_param(0.7, REACH_GRID, REACH_GRID, subdivisions=m),
         lambda m: compile_omega_robust(np.full(REACH_GRID.shape, 0.3), REACH_GRID, subdivisions=m),
         lambda m: compile_j_robust_zz(0.7, 1.0, 0.1, subdivisions=m),
     ],
-    ids=["rf", "small-flip", "two-param", "omega", "zz"],
+    ids=["rf", "omega", "zz"],
 )
 def test_every_compiler_rejects_a_subdivision_count_below_one(compile_subdivided, m):
     with pytest.raises(ValueError, match=f"subdivisions must be >= 1, got {m}"):
@@ -830,22 +639,13 @@ def test_every_compiler_rejects_a_subdivision_count_below_one(compile_subdivided
     "compile_zero",
     [
         lambda: compile_robust_rotation(RobustRotationSpec("x", 0.0, REACH_GRID, (1, 3))),
-        lambda: compensate_epsilon_small_flip(small_block(), 0.0, REACH_GRID),
-        lambda: compile_two_param(0.0, REACH_GRID, REACH_GRID),
         lambda: compile_omega_robust(np.zeros(REACH_GRID.shape), REACH_GRID),
         lambda: compile_j_robust_zz(-0.0, 1.0, 0.1),
     ],
-    ids=["rf", "small-flip", "two-param", "omega", "zz"],
+    ids=["rf", "omega", "zz"],
 )
 def test_every_compiler_rejects_a_zero_target_by_name(compile_zero):
-    # nothing to compile: the words would carry no rotation, and the small-flip
-    # leaf emits no samples at all
+    # nothing to compile: the words would carry no rotation
     with pytest.raises(ValueError, match="target angle is zero at every grid point"):
         compile_zero()
 
-
-def test_small_flip_gates_its_fit():
-    # one odd power cannot hold a constant quarter turn over a 3:1 rf-scale
-    # range; the fit's max residual is far above the default tolerance
-    with pytest.raises(InfeasibleError, match="small-flip target not approximable on basis \\(1,\\)"):
-        compensate_epsilon_small_flip(small_block(), np.pi / 2, np.linspace(0.5, 1.5, 11), basis=(1,))

@@ -22,7 +22,6 @@ from enspulse.liealg import (
     _Span,
     ad_power,
     approximable,
-    bracket,
     bracket_poly,
     evaluate_monomials,
     expm_skew,
@@ -82,32 +81,40 @@ def test_expm_skew_of_one_matrix_and_of_zero():
 
 
 # ---------------------------------------------------------------------------
-# matrix bracket
+# matrix bracket: the generators' commutators, and bracket_poly's algebra on
+# parameter-free elements
 # ---------------------------------------------------------------------------
 
 
+def const(m):
+    """The parameter-free element with coefficient ``m``."""
+    return DispersionPolyElement.single({}, m)
+
+
+def entries(elem):
+    """The coefficient of a parameter-free element; zero for the empty element."""
+    return elem.monomials[0].coeff if elem.monomials else 0.0
+
+
 def test_bracket_so3_cyclic():
-    out = bracket(SO3["x"], SO3["y"])
-    assert np.allclose(out.entries, SO3["z"].entries, atol=1e-15)
+    x, y = SO3["x"].entries, SO3["y"].entries
+    assert np.allclose(x @ y - y @ x, SO3["z"].entries, atol=1e-15)
 
 
 def test_bracket_self_is_zero():
-    out = bracket(SO3["x"], SO3["x"])
-    assert np.allclose(out.entries, 0.0)
+    assert bracket_poly(const(SO3["x"].entries), const(SO3["x"].entries)).is_zero()
 
 
 def test_bracket_dimension_mismatch():
-    with pytest.raises(ValueError):
-        bracket(SO3["x"], np.eye(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bracket_poly(const(SO3["x"].entries), const(np.eye(2)))
 
 
 def test_bracket_coupling_pair_direct_product_oracle():
     gens = two_qubit_coupling_generators()
     b1, b2 = gens["b1"].entries, gens["b2"].entries
     # oracle: explicit 4x4 multiplication
-    expected = b1 @ b2 - b2 @ b1
-    got = bracket(gens["b1"], gens["b2"]).entries
-    assert np.allclose(got, expected, atol=1e-14)
+    got = b1 @ b2 - b2 @ b1
     # proportional to -i sx (x) id with a positive constant
     direction = -1j * np.kron(pauli("x"), pauli("i"))
     ratio = got[np.abs(direction) > 0.5] / direction[np.abs(direction) > 0.5]
@@ -121,17 +128,20 @@ def test_bracket_antisymmetry_random():
     for _ in range(20):
         a = rand_skew_hermitian(rng, 4)
         b = rand_skew_hermitian(rng, 4)
-        assert np.allclose(bracket(a, b).entries, -bracket(b, a).entries, atol=0.0)
+        assert np.allclose(
+            entries(bracket_poly(const(a), const(b))), -entries(bracket_poly(const(b), const(a))), atol=0.0
+        )
 
 
 def test_bracket_jacobi_random():
     rng = np.random.default_rng(8)
     for _ in range(20):
         a, b, c = (rand_skew_hermitian(rng, 3) for _ in range(3))
+        ea, eb, ec = (const(m) for m in (a, b, c))
         jac = (
-            bracket(a, bracket(b, c).entries).entries
-            + bracket(b, bracket(c, a).entries).entries
-            + bracket(c, bracket(a, b).entries).entries
+            entries(bracket_poly(ea, bracket_poly(eb, ec)))
+            + entries(bracket_poly(eb, bracket_poly(ec, ea)))
+            + entries(bracket_poly(ec, bracket_poly(ea, eb)))
         )
         scale = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
         assert np.linalg.norm(jac) <= 1e-12 * scale

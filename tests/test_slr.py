@@ -33,7 +33,6 @@ from enspulse.slr import (
     design_pattern,
     forward_recursion,
     forward_recursion_trace,
-    inverse_recursion,
     inverse_recursion_full,
     inverse_recursion_trace,
     predicted_spinor,
@@ -238,14 +237,14 @@ def test_inverse_single_constant_pair():
         np.array([np.cos(phi / 2)]),
         np.array([-1j * np.exp(1j * theta) * np.sin(phi / 2)]),
     )
-    steps = inverse_recursion(poly)
+    steps = inverse_recursion_full(poly)[0]
     assert steps[0].phi == pytest.approx(phi, abs=1e-12)
     assert steps[0].theta == pytest.approx(theta, abs=1e-12)
 
 
 def test_inverse_identity_polynomials():
     poly = SpinorPolynomials(np.array([1, 0, 0, 0]), np.zeros(4))
-    steps = inverse_recursion(poly)
+    steps = inverse_recursion_full(poly)[0]
     assert len(steps) == 4
     assert all(s.phi == 0.0 for s in steps)
 
@@ -253,7 +252,7 @@ def test_inverse_identity_polynomials():
 def test_roundtrip_sixteen_steps():
     rng = np.random.default_rng(23)
     steps = rand_pulse_steps(rng, 16)
-    rec = inverse_recursion(forward_recursion(steps))
+    rec = inverse_recursion_full(forward_recursion(steps))[0]
     for a, b in zip(steps, rec):
         assert abs(a.phi - b.phi) < 1e-9
         assert abs(a.theta - b.theta) < 1e-9
@@ -317,14 +316,14 @@ def test_inversion_conditioning_cliff():
     steps = rand_steps(rng, 32)  # flips uniform over (0.01, 3.0): hostile
     poly = forward_recursion(steps)
     assert unimodularity_residual(poly, 512) <= 1e-9
-    rec = inverse_recursion(poly)
+    rec = inverse_recursion_full(poly)[0]
     err = max(abs(a.phi - b.phi) for a, b in zip(steps, rec))
     assert err > 1e-3
 
 
 def test_inverse_rejects_non_unimodular():
     with pytest.raises(ValueError):
-        inverse_recursion(SpinorPolynomials(np.array([0.9, 0.0]), np.array([0.0, 0.0])))
+        inverse_recursion_full(SpinorPolynomials(np.array([0.9, 0.0]), np.array([0.0, 0.0])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -401,7 +400,7 @@ def test_inverse_degenerate_pi_flip():
     # a full pi flip zeroes P while Q stays finite
     poly = SpinorPolynomials(np.array([0.0]), np.array([-1j]))
     with pytest.raises(DegenerateExtractionError):
-        inverse_recursion(poly)
+        inverse_recursion_full(poly)
     with pytest.raises(DegenerateExtractionError):
         inverse_recursion_trace(SpinorPolynomials(np.array([0.0, 0.0]), np.array([-1j, 0.0])))
 
@@ -581,7 +580,7 @@ def test_inverse_undoes_forward_recursion(flips):
     # flips of the rand_pulse_steps regime: the cosine half-flip product of
     # the train stays far above roundoff
     steps = [HardPulseStep(phi, theta) for phi, theta in flips]
-    rec = inverse_recursion(forward_recursion(steps))
+    rec = inverse_recursion_full(forward_recursion(steps))[0]
     assert len(rec) == len(steps)
     for a, b in zip(steps, rec):
         assert abs(a.phi - b.phi) < 1e-9

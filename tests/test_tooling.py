@@ -11,7 +11,8 @@ most one such pass, and an SLR design builds its fit grid's chirp plans once
 per direction.  Every float array the file layer writes goes through
 one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
-very objects.  Generators are exponentiated by one numpy function, so scipy
+very objects, and every exported name is reached by the package's own code,
+an acceptance criterion, the README example or the benchmark.  Generators are exponentiated by one numpy function, so scipy
 is imported by one function alone."""
 
 import ast
@@ -20,6 +21,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import threading
@@ -32,7 +34,8 @@ import enspulse
 from enspulse import bloch, cli, composite, fileio, kernels, slr
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -77,8 +80,8 @@ def test_every_exported_name_resolves(module_name):
 PUBLIC_API = {
     "bloch": (
         "ControlSequence", "DispersionGrid", "EnsembleState", "FidelityMap", "SU2Element",
-        "TargetSpec", "ensemble_distance", "fidelity_map", "net_rotation", "net_su2",
-        "phase_frame_check", "propagate", "step_propagator",
+        "TargetSpec", "fidelity_map", "net_rotation", "net_su2", "phase_frame_check",
+        "propagate",
     ),
     "errors": (
         "CompletionError", "DegenerateExtractionError", "EnspulseError", "InfeasibleError",
@@ -86,13 +89,12 @@ PUBLIC_API = {
     ),
     "liealg": (
         "ClosureReport", "DispersionMonomial", "DispersionPolyElement", "GeneratorMatrix",
-        "PolyVectorField", "SampledElement", "approximable", "bracket", "bracket_poly",
+        "PolyVectorField", "SampledElement", "approximable", "bracket_poly",
         "lie_closure", "reachable_functions", "vf_bracket",
     ),
     "slr": (
         "HardPulseStep", "SpinorPolynomials", "TargetProfile", "complete_polynomial",
-        "design_broadband", "design_pattern", "forward_recursion", "inverse_recursion",
-        "target_to_polys",
+        "design_broadband", "design_pattern", "forward_recursion", "target_to_polys",
     ),
 }
 
@@ -122,6 +124,51 @@ def test_an_unknown_package_name_raises_attribute_error():
     assert not hasattr(enspulse, "rotation_target")
     with pytest.raises(ImportError):
         exec("from enspulse import bogus", {})
+
+
+def names_in(node):
+    """Every identifier ``node`` reads or writes, as a name or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def defined_by(stmt):
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_every_exported_name_is_reached():
+    # a name in __all__ is used by the package outside its own definition, by
+    # an acceptance criterion, by README's python example or by the benchmark;
+    # one only unit tests call is dead weight every command compiles
+    package = Path(enspulse.__file__).parent
+    statements = [
+        (path.stem, defined_by(stmt), names_in(stmt))
+        for path in sorted(package.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    readme = (ROOT / "README.md").read_text()
+    outside = [ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
+    outside += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    outside += [
+        ast.parse(path.read_text())
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    reached = set().union(*map(names_in, outside))
+    unreached = [
+        f"{stem}.{name}"
+        for stem in (m.rsplit(".", 1)[-1] for m in MODULES if m != "enspulse")
+        for name in getattr(importlib.import_module(f"enspulse.{stem}"), "__all__", [])
+        if name not in reached
+        and not any(name in refs for where, defs, refs in statements if not (where == stem and name in defs))
+    ]
+    assert unreached == []
 
 
 def numpy_calls(node, names):
@@ -214,7 +261,6 @@ def test_one_kernel_function_chooses_the_polynomial_route():
         "bloch.net_su2",
         "bloch.net_rotation",
         "slr._design_band_error",
-        "composite.compensate_epsilon_small_flip",
         "kernels.rotation_propagate",
     ):
         assert "kernels.spinor_propagate" in reachable(graph, caller), caller
@@ -266,8 +312,6 @@ def test_one_compile_step_gates_fits_and_realizes_for_every_compiler():
         assert callers == ["composite._compile"], gate
     for compiler in (
         "compile_robust_rotation",
-        "compensate_epsilon_small_flip",
-        "compile_two_param",
         "compile_omega_robust",
         "compile_j_robust_zz",
     ):
