@@ -88,10 +88,6 @@ class ControlSequence:
         return self.samples.shape[0]
 
     @property
-    def duration(self) -> float:
-        return self.nsteps * self.dt
-
-    @property
     def u(self) -> np.ndarray:
         return self.samples[:, 0]
 
@@ -187,9 +183,13 @@ class SU2Element:
         a, b = self.alpha, self.beta
         return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
-    @property
-    def spinor(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta])
+
+def _unit_deviation(kind: str, v: np.ndarray) -> float:
+    """Largest distance of a Bloch vector's length or a spinor's squared
+    norm from 1 over the rows of ``v``; NaN where a value is NaN."""
+    if kind == "bloch":
+        return np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()
+    return np.abs(np.sum(np.abs(v) ** 2, axis=-1) - 1.0).max()
 
 
 @dataclass
@@ -214,13 +214,12 @@ class EnsembleState:
             if v.dtype != np.float64 or v.flags.writeable:
                 v = v.astype(float)
             # a broadcast view repeats one row: check that row alone
-            rows = v[:1] if v.strides[0] == 0 else v
-            dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
+            dev = _unit_deviation("bloch", v[:1] if v.strides[0] == 0 else v)
         elif self.kind == "spinor":
             if v.shape != (n, 2):
                 raise ValueError(f"spinor values must be ({n}, 2)")
             v = v.astype(np.complex128)
-            dev = np.abs(np.sum(np.abs(v) ** 2, axis=1) - 1.0).max()
+            dev = _unit_deviation("spinor", v)
         elif self.kind == "unitary":
             if v.ndim != 3 or v.shape[0] != n or v.shape[1] != v.shape[2]:
                 raise ValueError(f"unitary values must be ({n}, d, d)")
@@ -255,11 +254,32 @@ class EnsembleState:
 
 @dataclass
 class TargetSpec:
-    """Either one constant target or a per-grid-point table of targets."""
+    """Either one constant target or a per-grid-point table of targets.
+
+    A target holds values of its kind's shape, ``(3,)`` for a Bloch vector,
+    ``(2,)`` for a spinor and ``(d, d)`` for a unitary, and its Bloch or
+    spinor values are finite unit vectors within ``EnsembleState.NORM_TOL``.
+    """
 
     kind: str  # matches the EnsembleState kinds
     constant: np.ndarray | None = None
     table: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("bloch", "spinor", "unitary"):
+            raise ValueError(f"unknown target kind {self.kind!r}")
+        v = np.asarray(self.constant if self.table is None else self.table)
+        shape = v.shape if self.table is None else v.shape[1:]
+        want = {"bloch": (3,), "spinor": (2,)}.get(self.kind)  # None: (d, d)
+        ok = shape == want if want else len(shape) == 2 and shape[0] == shape[1]
+        if not ok:
+            raise ValueError(f"{self.kind} target values must be {want or '(d, d)'}, got {shape}")
+        if want:
+            dev = _unit_deviation(self.kind, v)
+            if not dev <= EnsembleState.NORM_TOL:  # NaN and inf too
+                raise ValueError(
+                    f"{self.kind} target must be finite unit vectors, a norm is off by {dev:.3e}"
+                )
 
     @classmethod
     def constant_bloch(cls, vec) -> "TargetSpec":
@@ -401,10 +421,8 @@ def _pointwise_fidelity(kind: str, values: np.ndarray, targets: np.ndarray) -> n
         return 0.5 * (1.0 + np.sum(values * targets, axis=1))
     if kind == "spinor":
         return np.abs(np.sum(np.conj(targets) * values, axis=1)) ** 2
-    if kind == "unitary":
-        d = values.shape[1]
-        return np.abs(np.einsum("nij,nij->n", np.conj(targets), values)) / d
-    raise ValueError(f"unknown state kind {kind!r}")
+    d = values.shape[1]  # unitary
+    return np.abs(np.einsum("nij,nij->n", np.conj(targets), values)) / d
 
 
 def fidelity_map(

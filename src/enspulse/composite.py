@@ -5,22 +5,24 @@ powers of the dispersion parameters; least-squares coefficients on those
 powers then flatten (or shape) the parameter dependence of the net
 rotation.  One realizer (:func:`_realize`) and one compile step
 (:func:`_compile`: closure gate, fit gate, realization) serve every
-backend.  A backend is a pair of functions: ``leaf(label, amount)``
-returns the pieces whose net propagator is ``exp(amount * G_label)``, and
-``inverse(pieces)`` returns the exact inverse of a piece list.
+family.  The realizer writes a word as time-ordered signed leaves
+``(label, a)``, each standing for ``exp(a * G_label)``, and inverts a leaf
+list one way whatever the family (:func:`_inverse`): reverse it and negate
+every amount, since a flow's inverse is the same flow run backwards.  A
+family is then one leaf map, applied once to each realized block:
 
-* rf leaves — one piecewise-constant control sample per segment (one
-  rf-scale parameter); inverse :func:`_inv_rf`;
-* strong-rf segment leaves — free drift periods plus instantaneous
-  rotations (offset compensation with unbounded rf); inverse
-  :func:`_inv_segments`;
-* coupling segment leaves — two-qubit ZZ evolution periods plus
-  instantaneous local rotations (coupling-strength compensation); inverse
-  :func:`_inv_segments`.
+* rf — a leaf is one piecewise-constant control sample ``a / dt`` on the
+  label's channel (one rf-scale parameter; :func:`_rf_samples`);
+* strong rf — a leaf is a free drift period or an instantaneous rotation
+  (offset compensation with unbounded rf; :func:`_omega_segments`);
+* coupling — a leaf is a two-qubit ZZ evolution period, turned onto
+  ``b1`` by instantaneous local rotations (coupling-strength compensation;
+  :func:`_coupling_segments`).
 
-One exponent list per backend decides what is gated, fitted
-(:func:`fit_coefficients`), realized (one word per exponent map, from the
-backend's word builder) and predicted: every compiled object records the
+A negative drift or coupling leaf runs its period between one π-flip pair
+(:func:`_period`).  One exponent list per family decides what is gated,
+fitted (:func:`fit_coefficients`), realized (one word per exponent map,
+from the family's word builder) and predicted: every compiled object records the
 predicted generator as a :class:`~enspulse.liealg.DispersionPolyElement`
 on those monomials, so fit error and commutator-approximation error can be
 separated exactly.
@@ -28,7 +30,7 @@ separated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -95,12 +97,6 @@ class BracketWord:
     def ad(cls, left: "BracketWord", right: "BracketWord") -> "BracketWord":
         return cls("ad", left=left, right=right)
 
-    @property
-    def depth(self) -> int:
-        if self.kind == "leaf":
-            return 1
-        return 1 + max(self.left.depth, self.right.depth)
-
     def element(self, leaf_elements: Mapping[str, DispersionPolyElement]) -> DispersionPolyElement:
         if self.kind == "leaf":
             return leaf_elements[self.label]
@@ -161,26 +157,33 @@ def _monomial_scale(elem: DispersionPolyElement, exponents: Mapping[str, int], d
     return scale
 
 
-def _realize(word: BracketWord, amount: float, leaf, inverse) -> list:
-    """Time-ordered pieces whose net propagator is exp(amount * G_word).
+def _inverse(leaves: list) -> list:
+    """The exact inverse of a leaf list: reversed, every amount negated."""
+    return [(label, -a) for label, a in reversed(leaves)]
+
+
+def _realize(word: BracketWord, amount: float) -> list[tuple[str, float]]:
+    """Time-ordered signed leaves ``(label, a)`` whose product of
+    ``exp(a * G_label)`` is exp(amount * G_word) to commutator order.
 
     ``[left, right]`` at amount a is the group commutator of both children
     at sqrt(|a|); a < 0 inverts the whole block.  The undo halves of each
-    commutator are exact sequence inverses (not approximate reversed
-    words), so a nested block's own error cancels and subdivision converges.
+    commutator are exact inverses of the halves they undo (not approximate
+    reversed words), so a nested block's own error cancels and subdivision
+    converges.
     """
     if word.kind == "leaf":
-        return leaf(word.label, amount)
+        return [(word.label, amount)]
     s = float(np.sqrt(abs(amount)))
-    right = _realize(word.right, s, leaf, inverse)
-    left = _realize(word.left, s, leaf, inverse)
-    seq = right + left + inverse(right) + inverse(left)
-    return inverse(seq) if amount < 0.0 else seq
+    right = _realize(word.right, s)
+    left = _realize(word.left, s)
+    seq = right + left + _inverse(right) + _inverse(left)
+    return _inverse(seq) if amount < 0.0 else seq
 
 
 def _compile(
-    elements, axis, direction, exponents, word_of, target, params, tol, subdivisions,
-    leaf, inverse, what, share=1.0,
+    elements, axis, direction, exponents, word_of, target, params, tol, subdivisions, what,
+    share=1.0,
 ):
     """Gate, fit and realize ``target`` as sum_i c_i * monomial_i * direction.
 
@@ -192,9 +195,9 @@ def _compile(
     :class:`InfeasibleError` led by ``what``).  Each word's single-monomial
     element is measured, never assumed, so sign bookkeeping cannot drift;
     its block at ``tau = c / scale / subdivisions``, with ``c`` the
-    coefficient times ``share``, is realized once, to be repeated
-    ``subdivisions`` times (:func:`_repeated`, :func:`_rf_samples`).
-    Returns the fit, each word's block, the predicted
+    coefficient times ``share``, is realized once as signed leaves, for the
+    family's leaf map to repeat ``subdivisions`` times (:func:`_rf_samples`,
+    :func:`_segments`).  Returns the fit, each word's leaf block, the predicted
     ``(exponents, c * direction)`` terms and the commutator budget.
     """
     if subdivisions < 1:
@@ -210,21 +213,10 @@ def _compile(
         word = word_of(e)
         scale = _monomial_scale(word.element(elements), e, direction.entries)
         tau = c / scale / subdivisions
-        blocks.append(_realize(word, tau, leaf, inverse))
+        blocks.append(_realize(word, tau))
         budget += subdivisions * abs(tau) ** 1.5
         terms.append((e, c * direction.entries))
     return fit, blocks, terms, budget
-
-
-def _repeated(blocks: list, subdivisions: int) -> list:
-    """The pieces of each word's block, ``subdivisions`` times over, in time order."""
-    return [piece for block in blocks for piece in block * subdivisions]
-
-
-def _rf_samples(blocks: list, subdivisions: int) -> np.ndarray:
-    """The ``(n, 2)`` samples of :func:`_repeated` for blocks of rf samples,
-    each block stacked once and tiled."""
-    return np.concatenate([np.tile(block, (subdivisions, 1)) for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +238,27 @@ TWO_PARAM_ELEMENTS = {
 }
 
 
-def _inv_rf(samples: list[np.ndarray]) -> list[np.ndarray]:
-    return [-s for s in reversed(samples)]
+def _rf_samples(blocks: list, subdivisions: int) -> np.ndarray:
+    """The ``(n, 2)`` rf samples of leaf blocks, each block built once and
+    tiled ``subdivisions`` times, in time order.  A leaf ``(label, a)`` is
+    the sample ``a / DEFAULT_DT`` on the label's channel, the other idle."""
+    parts = []
+    for block in blocks:
+        samples = np.zeros((len(block), 2))
+        for row, (label, a) in zip(samples, block):
+            row[RF_CHANNELS[label]] = a / DEFAULT_DT
+        parts.append(np.tile(samples, (subdivisions, 1)))
+    return np.concatenate(parts)
 
 
-def _rf_leaf(dt: float):
-    """rf leaf: one (u, v) sample of length dt on the label's channel."""
-
-    def leaf(label: str, amount: float) -> list[np.ndarray]:
-        sample = np.zeros(2)
-        sample[RF_CHANNELS[label]] = amount / dt
-        return [sample]
-
-    return leaf
-
-
-def commutator_block(a: str, b: str, t: float, dt: float = DEFAULT_DT) -> ControlSequence:
+def commutator_block(a: str, b: str, t: float) -> ControlSequence:
     """Four-segment sequence approximating exp(t [G_a, G_b]) to O(t^(3/2))."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
-        return ControlSequence(dt, np.zeros((0, 2)))
+        return ControlSequence(DEFAULT_DT, np.zeros((0, 2)))
     word = BracketWord.ad(BracketWord.leaf(a), BracketWord.leaf(b))
-    samples = _realize(word, t, _rf_leaf(dt), _inv_rf)
-    return ControlSequence(dt, np.array(samples))
+    return ControlSequence(DEFAULT_DT, _rf_samples([_realize(word, t)], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +356,7 @@ class RobustRotationSpec:
 # ---------------------------------------------------------------------------
 
 
-def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) -> CompiledSequence:
+def compile_robust_rotation(spec: RobustRotationSpec) -> CompiledSequence:
     """Realize exp(theta(eps) * O_axis) to fit accuracy over the eps grid.
 
     Each basis power is synthesized by a nested bracket word, subdivided
@@ -381,11 +370,11 @@ def compile_robust_rotation(spec: RobustRotationSpec, dt: float = DEFAULT_DT) ->
         RF_ELEMENTS, spec.axis, SO3[spec.axis], [{"eps": e} for e in spec.basis],
         lambda e: word_for_power(spec.axis, partner, e["eps"]),
         spec.angles, {"eps": spec.grid}, spec.tol, spec.subdivisions,
-        _rf_leaf(dt), _inv_rf, f"target not approximable on basis {spec.basis}",
+        f"target not approximable on basis {spec.basis}",
     )
     samples = _rf_samples(blocks, spec.subdivisions)
     return _compiled(
-        ControlSequence(dt, samples), terms, fit,
+        ControlSequence(DEFAULT_DT, samples), terms, fit,
         basis=list(spec.basis), commutator_budget=budget, segments=len(samples),
     )
 
@@ -401,42 +390,34 @@ OMEGA_ELEMENTS = {
 }
 
 
-def _inv_segment(seg: Segment) -> list[Segment]:
-    if seg.kind == "rot":
-        return [Segment("rot", axis=seg.axis, angle=-seg.angle)]
-    if seg.kind == "local":
-        return [Segment("local", qubit=seg.qubit, axis=seg.axis, angle=-seg.angle)]
-    if seg.kind == "drift":
-        # drift reversal: conjugate by instantaneous pi rotations about x
-        return [
-            Segment("rot", axis="x", angle=-np.pi),
-            Segment("drift", duration=seg.duration),
-            Segment("rot", axis="x", angle=np.pi),
-        ]
-    if seg.kind == "coupling":
-        # a local pi flip of qubit 1 about x negates sz(x)sz
-        return [
-            Segment("local", qubit=1, axis="x", angle=np.pi),
-            Segment("coupling", duration=seg.duration),
-            Segment("local", qubit=1, axis="x", angle=-np.pi),
-        ]
-    raise ValueError(f"segment kind {seg.kind!r} cannot be inverted")
+def _period(kind: str, duration: float, flip: Segment) -> list[Segment]:
+    """A ``kind`` period of ``|duration|``.  A negative one runs between the
+    π rotation ``flip`` and its inverse, which negate the period's generator."""
+    seg = Segment(kind, duration=abs(duration))
+    if duration >= 0.0:
+        return [seg]
+    return [flip, seg, replace(flip, angle=-flip.angle)]
 
 
-def _inv_segments(segments: list[Segment]) -> list[Segment]:
+def _segments(blocks: list, subdivisions: int, leaf_map) -> list[Segment]:
+    """The segments ``leaf_map(label, a)`` writes for each leaf block, each
+    block mapped once and repeated ``subdivisions`` times, in time order."""
     out: list[Segment] = []
-    for seg in reversed(segments):
-        out.extend(_inv_segment(seg))
+    for block in blocks:
+        out += [seg for label, a in block for seg in leaf_map(label, a)] * subdivisions
     return out
 
 
-def _omega_leaf(label: str, amount: float) -> list[Segment]:
-    """Strong-rf leaf: a drift period (reversed if amount < 0) or a rotation."""
+# conjugation by a pi rotation about x negates Oz, so it reverses a drift
+_DRIFT_FLIP = Segment("rot", axis="x", angle=-np.pi)
+
+
+def _omega_segments(label: str, a: float) -> list[Segment]:
+    """Strong-rf leaf map: a drift period for ``a * omega * Oz`` or an
+    instantaneous rotation by ``a``."""
     if label == "drift":
-        if amount >= 0.0:
-            return [Segment("drift", duration=amount)]
-        return _inv_segment(Segment("drift", duration=-amount))
-    return [Segment("rot", axis="x" if label == "rx" else "y", angle=amount)]
+        return _period("drift", a, _DRIFT_FLIP)
+    return [Segment("rot", axis="x" if label == "rx" else "y", angle=a)]
 
 
 def omega_word(axis: str, power: int) -> BracketWord:
@@ -477,10 +458,10 @@ def compile_omega_robust(
     powers = tuple(e["omega"] for e in exponents)
     fit, blocks, terms, _ = _compile(
         table, axis, SO3[axis], exponents, lambda e: omega_word(axis, e["omega"]),
-        target, {"omega": omega_grid}, tol, subdivisions, _omega_leaf, _inv_segments,
+        target, {"omega": omega_grid}, tol, subdivisions,
         f"offset target not approximable on powers {powers}",
     )
-    segments = _repeated(blocks, subdivisions)
+    segments = _segments(blocks, subdivisions, _omega_segments)
     return _compiled(
         segments, terms, fit,
         powers=list(powers), segments=len(segments), single_quadrature=single_quadrature,
@@ -500,15 +481,16 @@ COUPLING_ELEMENTS = {
 # local rotation mapping sz(x)sz onto sy(x)sz, verified in tests:
 # exp(i pi sx/4) sz exp(-i pi sx/4) = sy  ->  local angle -pi/2 about x
 _B1_CONJ_ANGLE = -np.pi / 2
+# a local pi flip of qubit 1 about x negates sz(x)sz
+_COUPLING_FLIP = Segment("local", qubit=1, axis="x", angle=np.pi)
+COUPLING_SAMPLES = 21  # points of the coupling grid the fit and the claim share
 
 
-def _coupling_leaf(label: str, amount: float) -> list[Segment]:
-    """Segments with net unitary exp(amount * J * B_label); couplings >= 0."""
-    segs = [Segment("coupling", duration=2.0 * abs(amount))]
-    if amount < 0.0:
-        segs = _inv_segment(segs[0])
+def _coupling_segments(label: str, a: float) -> list[Segment]:
+    """Coupling leaf map: net unitary exp(a * J * B_label), every coupling
+    duration >= 0."""
+    segs = _period("coupling", 2.0 * a, _COUPLING_FLIP)
     if label == "b1":
-        # conjugation carrying sz(x)sz onto sy(x)sz, verified in tests
         segs = (
             [Segment("local", qubit=1, axis="x", angle=-_B1_CONJ_ANGLE)]
             + segs
@@ -517,14 +499,14 @@ def _coupling_leaf(label: str, amount: float) -> list[Segment]:
     return segs
 
 
-def coupling_grid(j0: float, delta: float, nsamples: int = 21) -> np.ndarray:
-    """Coupling strengths J in j0*[1-delta, 1+delta]: ``nsamples`` points,
-    or the single point j0 when delta is 0."""
+def coupling_grid(j0: float, delta: float) -> np.ndarray:
+    """Coupling strengths J in j0*[1-delta, 1+delta]: ``COUPLING_SAMPLES``
+    points, or the single point j0 when delta is 0."""
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     if delta == 0.0:
         return np.array([j0])
-    return np.linspace(j0 * (1 - delta), j0 * (1 + delta), nsamples)
+    return np.linspace(j0 * (1 - delta), j0 * (1 + delta), COUPLING_SAMPLES)
 
 
 def compile_j_robust_zz(
@@ -532,7 +514,6 @@ def compile_j_robust_zz(
     j0: float,
     delta: float,
     basis: tuple[int, ...] = (1, 3),
-    nsamples: int = 21,
     tol: float = DEFAULT_TOL,
     subdivisions: int = 1,
 ) -> CompiledSequence:
@@ -543,11 +524,10 @@ def compile_j_robust_zz(
     fit, blocks, terms, _ = _compile(
         COUPLING_ELEMENTS, "zz", _B["b2"], [{"J": e} for e in basis],
         lambda e: word_for_power("b2", "b1", e["J"]),
-        theta, {"J": coupling_grid(j0, delta, nsamples)}, tol, subdivisions,
-        _coupling_leaf, _inv_segments, f"coupling target not approximable on basis {basis}",
-        share=0.5,
+        theta, {"J": coupling_grid(j0, delta)}, tol, subdivisions,
+        f"coupling target not approximable on basis {basis}", share=0.5,
     )
-    segments = _repeated(blocks, subdivisions)
+    segments = _segments(blocks, subdivisions, _coupling_segments)
     coupling_time = sum(s.duration for s in segments if s.kind == "coupling")
     return _compiled(
         segments, terms, fit, basis=list(basis), segments=len(segments), coupling_time=coupling_time
@@ -616,9 +596,9 @@ def gate_fidelity(u: np.ndarray, g: np.ndarray) -> float | np.ndarray:
 
 
 def generator_level_rotation_fidelity(
-    compiled: CompiledSequence, target_angles: np.ndarray, axis: str, grid: np.ndarray, param: str = "eps"
+    compiled: CompiledSequence, target_angles: np.ndarray, axis: str, grid: np.ndarray
 ) -> np.ndarray:
-    """Fidelity of exp(predicted generator) against the target per grid point."""
+    """Fidelity of exp(predicted generator) against the target per eps grid point."""
     angles = np.broadcast_to(np.asarray(target_angles, dtype=float), np.shape(grid)).ravel()
-    achieved = expm_skew(compiled.predicted.evaluate({param: np.ravel(grid)}).real)
+    achieved = expm_skew(compiled.predicted.evaluate({"eps": np.ravel(grid)}).real)
     return rotation_fidelity(achieved, expm_skew(angles[:, None, None] * SO3[axis].entries.real))

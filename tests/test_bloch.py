@@ -1009,6 +1009,35 @@ def test_a_target_of_another_kind_is_refused_by_name(state_kind, target):
         fidelity_of_states(start, target)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TargetSpec.per_point("bloch", np.zeros((3, 2))), r"bloch target values must be \(3,\), got \(2,\)"),
+        (lambda: TargetSpec.constant_bloch((0, 0, 2)), "bloch target must be finite unit vectors, a norm is off by 1.000e"),
+        (lambda: TargetSpec("bloch-ish", constant=np.array([0.0, 0.0, 1.0])), "unknown target kind 'bloch-ish'"),
+        (lambda: TargetSpec.constant_bloch((0, 0, 1, 0)), r"bloch target values must be \(3,\), got \(4,\)"),
+        (lambda: TargetSpec.per_point("spinor", np.ones((4, 3)) / np.sqrt(3)), r"spinor target values must be \(2,\)"),
+        (lambda: TargetSpec.constant_unitary(np.ones((2, 3))), r"unitary target values must be \(d, d\), got \(2, 3\)"),
+        (lambda: TargetSpec.per_point("unitary", np.ones((4, 2))), r"unitary target values must be \(d, d\), got \(2,\)"),
+        (lambda: TargetSpec.constant_spinor(np.nan, 0.0), "spinor target must be finite unit vectors"),
+        (lambda: TargetSpec.per_point("bloch", [[0, 0, 1], [0, np.inf, 0]]), "bloch target must be finite unit vectors"),
+        (lambda: TargetSpec.per_point("spinor", [[1, 0], [1, 1e-4]]), "spinor target must be finite unit vectors"),
+    ],
+    ids=["bloch-table-shape", "bloch-not-unit", "unknown-kind", "bloch-constant-shape", "spinor-table-shape",
+         "unitary-constant-shape", "unitary-table-shape", "spinor-nan", "bloch-inf", "spinor-not-unit"],
+)
+def test_a_target_checks_its_kind_shape_and_norm_by_name(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_a_target_within_the_norm_tolerance_is_kept_as_given():
+    near = np.array([0.0, 0.0, 1.0 + 0.5 * EnsembleState.NORM_TOL])
+    assert TargetSpec.constant_bloch(near).constant.tolist() == near.tolist()
+    table = np.tile([0.6, 0.8j], (5, 1))
+    assert TargetSpec.per_point("spinor", table).table is table
+
+
 def test_a_writable_array_given_to_a_bloch_state_is_copied():
     grid = DispersionGrid.from_ranges(omega=(-1, 1, 4))
     given = np.tile([0.0, 0.0, 1.0], (grid.size, 1))

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from enspulse import slr
+from enspulse import composite, slr
 from enspulse.bloch import ControlSequence, DispersionGrid, EnsembleState, FidelityMap
 from enspulse.cli import build_parser, main
 from enspulse.composite import DEFAULT_TOL
@@ -861,6 +861,21 @@ def test_design_zz_end_to_end(tmp_path):
     assert all(seg["duration"] >= 0 for seg in doc["segments"] if seg["kind"] == "coupling")
     diag = json.load(open(str(out) + ".diag.json"))
     assert diag["min_fidelity"] >= 0.999
+
+
+def test_readme_design_zz_writes_11_couplings_and_22_local_rotations(tmp_path):
+    # a negative coupling runs between one flip pair, never a flip pair of
+    # flip pairs; the claim's grid is the fit's grid
+    out = tmp_path / "zz.json"
+    argv = ["design-zz", "--theta", "0.7853981633974483", "--j0", "1.0", "--delta", "0.1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    kinds = [seg["kind"] for seg in json.load(open(out))["segments"]]
+    assert (kinds.count("coupling"), kinds.count("local"), len(kinds)) == (11, 22, 33)
+    diag = json.load(open(str(out) + ".diag.json"))
+    assert diag["segments"] == 33
+    fmap = parse_fidelity_csv(diag["fidelity_map"])
+    assert fmap.grid.axes["J"].tolist() == composite.coupling_grid(1.0, 0.1).tolist()
+    assert fmap.grid.size == composite.COUPLING_SAMPLES
 
 
 def test_design_zz_without_spread_writes_one_point_map(tmp_path):

@@ -27,15 +27,14 @@ from enspulse.composite import (
     rotation_fidelity,
     simulate_two_qubit,
     COUPLING_ELEMENTS,
+    DEFAULT_DT,
+    RF_CHANNELS,
     Segment,
-    _coupling_leaf,
-    _inv_rf,
-    _inv_segments,
-    _omega_leaf,
+    _coupling_segments,
+    _omega_segments,
     _realize,
-    _repeated,
-    _rf_leaf,
     _rf_samples,
+    _segments,
 )
 from enspulse.bloch import ControlSequence
 from enspulse.errors import InfeasibleError
@@ -324,43 +323,91 @@ def bracket_words(labels, depth=3):
     return st.one_of(leaf, st.builds(BracketWord.ad, sub, sub))
 
 
+def cancelled(leaves):
+    """What is left of a leaf list once every adjacent pair (label, a),
+    (label, -a) has cancelled; a zero leaf is the identity."""
+    left = []
+    for label, a in leaves:
+        if a == 0.0:
+            continue
+        if left and left[-1] == (label, -a):
+            left.pop()
+        else:
+            left.append((label, a))
+    return left
+
+
+@pytest.mark.parametrize("labels", [("x", "y"), ("drift", "rx", "ry"), ("b1", "b2")])
+@given(data=st.data(), a=AMOUNTS)
+def test_a_realized_word_and_its_negative_cancel_leaf_by_leaf(labels, data, a):
+    # one inverse rule for every family: the block at -a is the block at a
+    # reversed with every amount negated
+    word = data.draw(bracket_words(labels))
+    leaves = _realize(word, a) + _realize(word, -a)
+    assert all(isinstance(label, str) and label in labels for label, _ in leaves)
+    assert cancelled(leaves) == []
+
+
 @given(bracket_words(("x", "y")), AMOUNTS)
 def test_realized_rf_word_and_its_negative_cancel(word, a):
-    leaf = _rf_leaf(1e-3)
-    samples = _realize(word, a, leaf, _inv_rf) + _realize(word, -a, leaf, _inv_rf)
-    seq = ControlSequence(1e-3, np.array(samples))
+    samples = _rf_samples([_realize(word, a) + _realize(word, -a)], 1)
+    seq = ControlSequence(DEFAULT_DT, samples)
     for eps in (0.6, 1.0, 1.7):
         assert np.linalg.norm(net_rotation(seq, omega=0.0, epsilon=eps) - np.eye(3)) <= 1e-12
 
 
 @given(st.lists(st.tuples(bracket_words(("x", "y")), AMOUNTS), min_size=1, max_size=3), st.integers(1, 5))
 def test_rf_blocks_tile_bitwise_as_their_pieces_repeat(words, subdivisions):
-    # each word's block stacked once and tiled is the pieces repeated, then stacked
-    leaf = _rf_leaf(1e-3)
-    blocks = [_realize(word, a, leaf, _inv_rf) for word, a in words]
+    # each word's block mapped once and tiled is its leaves repeated, each
+    # the sample a / dt on its channel
+    blocks = [_realize(word, a) for word, a in words]
     got = _rf_samples(blocks, subdivisions)
-    want = np.array(_repeated(blocks, subdivisions))
+    leaves = [leaf for block in blocks for leaf in block * subdivisions]
+    want = np.zeros((len(leaves), 2))
+    for row, (label, a) in zip(want, leaves):
+        row[RF_CHANNELS[label]] = a / DEFAULT_DT
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(bracket_words(("drift", "rx", "ry")), AMOUNTS)
 def test_realized_strong_rf_word_and_its_negative_cancel(word, a):
-    segs = _realize(word, a, _omega_leaf, _inv_segments) + _realize(
-        word, -a, _omega_leaf, _inv_segments
-    )
+    segs = _segments([_realize(word, a) + _realize(word, -a)], 1, _omega_segments)
     for w in (-0.7, 0.0, 1.3):
         assert np.linalg.norm(simulate_strong_rf(segs, w) - np.eye(3)) <= 1e-12
 
 
 @given(bracket_words(("b1", "b2")), AMOUNTS)
 def test_realized_coupling_word_and_its_negative_cancel(word, a):
-    segs = _realize(word, a, _coupling_leaf, _inv_segments) + _realize(
-        word, -a, _coupling_leaf, _inv_segments
-    )
+    segs = _segments([_realize(word, a) + _realize(word, -a)], 1, _coupling_segments)
     for j in (0.5, 1.0, 2.0):
         u = simulate_two_qubit(segs, j)
         phase = np.trace(u) / 4
         assert np.linalg.norm(u / phase - np.eye(4)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "leaf_map, label, kind, flip",
+    [
+        (_omega_segments, "drift", "drift", Segment("rot", axis="x", angle=-np.pi)),
+        (_coupling_segments, "b2", "coupling", Segment("local", qubit=1, axis="x", angle=np.pi)),
+    ],
+    ids=["drift", "coupling"],
+)
+def test_a_negative_period_runs_between_one_flip_pair(leaf_map, label, kind, flip):
+    # a flipped period is never flipped again: exactly one pair, one period
+    scale = 2.0 if kind == "coupling" else 1.0
+    unflip = Segment(flip.kind, qubit=flip.qubit, axis=flip.axis, angle=-flip.angle)
+    assert leaf_map(label, -0.3) == [flip, Segment(kind, duration=scale * 0.3), unflip]
+    assert leaf_map(label, 0.3) == [Segment(kind, duration=scale * 0.3)]
+
+
+def test_segment_blocks_are_mapped_once_and_repeated():
+    # the leaves of each block map to segment objects that every repeat shares
+    blocks = [_realize(BracketWord.ad(BracketWord.leaf("b1"), BracketWord.leaf("b2")), -0.2)]
+    segs = _segments(blocks, 3, _coupling_segments)
+    once = _segments(blocks, 1, _coupling_segments)
+    assert segs == once * 3
+    assert all(a is b for a, b in zip(segs, segs[len(once):]))
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +430,11 @@ def test_coupling_bracket_constant():
 def test_b1_conjugation_segments():
     # the b1 leaf realizes exp(s J B1) through local conjugation of coupling
     s, j = 0.2, 1.3
-    segs = _realize(BracketWord.leaf("b1"), s, _coupling_leaf, _inv_segments)
+    segs = _coupling_segments("b1", s)
     achieved = simulate_two_qubit(segs, j)
     b1 = -2j * np.kron(pauli("y"), pauli("z"))
     assert np.linalg.norm(achieved - expm(s * j * b1)) <= 1e-12
-    segs_neg = _realize(BracketWord.leaf("b1"), -s, _coupling_leaf, _inv_segments)
+    segs_neg = _coupling_segments("b1", -s)
     assert np.linalg.norm(simulate_two_qubit(segs_neg, j) - expm(-s * j * b1)) <= 1e-12
     assert all(seg.duration >= 0 for seg in segs + segs_neg)
 

@@ -3,7 +3,8 @@ module exports names through ``__all__``; those names must exist.  The
 kernel takes every angle through one tangent, a pulse file is rendered in a
 few calls, not one per number, and analyze-lie's family presets are the
 compilers' own element tables.  One compile step gates, fits and realizes
-for every bracket compiler.  One kernel function, the public spinor pass,
+for every bracket compiler, and the realizer inverts a leaf list one way
+for every family.  One kernel function, the public spinor pass,
 plans every pass: the tile loop or the pulse's polynomial pair, so the
 tracer's kernel spans see each pass once, and a pass split over threads
 enters those names on the calling thread alone; a design command makes at
@@ -302,20 +303,42 @@ def test_scipy_is_imported_by_the_reachability_residual_alone():
     assert found == [("linear", "reachability_residual")]
 
 
+# each family's leaf map: the one writer that turns signed leaves into its pieces
+LEAF_MAPS = {"_rf_samples", "_segments", "_omega_segments", "_coupling_segments"}
+
+
 def test_one_compile_step_gates_fits_and_realizes_for_every_compiler():
-    # a compiler declares its table, exponents, words, target and leaves; the
-    # closure gate, the fit gate and the realization live in one place
+    # a compiler declares its table, exponents, words and target; the closure
+    # gate, the fit gate and the realization live in one place, which hands
+    # back signed leaves for the compiler's one leaf map
     graph = reference_graph(composite)
     assert not hasattr(composite, "_compile_words") and "composite._compile_words" not in graph
     for gate in ("_require_reachable", "_require_fit", "fit_coefficients"):
         callers = [name for name, refs in graph.items() if f"composite.{gate}" in refs]
         assert callers == ["composite._compile"], gate
-    for compiler in (
-        "compile_robust_rotation",
-        "compile_omega_robust",
-        "compile_j_robust_zz",
+    realizers = sorted(name for name, refs in graph.items() if "composite._realize" in refs)
+    assert realizers == ["composite._compile", "composite._realize", "composite.commutator_block"]
+    assert not {f"composite.{m}" for m in LEAF_MAPS} & graph["composite._compile"]
+    assert not {"leaf", "inverse"} & set(inspect.signature(composite._compile).parameters)
+    for compiler, maps in (
+        ("compile_robust_rotation", {"_rf_samples"}),
+        ("compile_omega_robust", {"_segments", "_omega_segments"}),
+        ("compile_j_robust_zz", {"_segments", "_coupling_segments"}),
     ):
-        assert "composite._compile" in graph[f"composite.{compiler}"], compiler
+        refs = graph[f"composite.{compiler}"]
+        assert "composite._compile" in refs, compiler
+        assert {r.split(".")[1] for r in refs} & LEAF_MAPS == maps, compiler
+
+
+def test_the_realizer_has_one_inverse_rule_and_knows_no_family():
+    # a leaf list is inverted one way, whatever the family: no family
+    # inverse is defined, and the realizer names no leaf map and no segment
+    assert [name for name in vars(composite) if name.startswith("_inv_")] == []
+    tree = ast.parse(Path(composite.__file__).read_text())
+    (realize,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_realize"]
+    names = {node.id for node in ast.walk(realize) if isinstance(node, ast.Name)}
+    assert names & (LEAF_MAPS | {"Segment", "RF_CHANNELS"}) == set()
+    assert [a.arg for a in realize.args.args] == ["word", "amount"]
 
 
 @pytest.mark.parametrize(
