@@ -95,21 +95,6 @@ class ControlSequence:
     def v(self) -> np.ndarray:
         return self.samples[:, 1]
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.hypot(self.u, self.v)
-
-    def concat(self, other: "ControlSequence") -> "ControlSequence":
-        if abs(other.dt - self.dt) > 1e-15 * self.dt:
-            raise ValueError("can only concatenate sequences with equal dt")
-        bound = None
-        if self.a_max is not None and other.a_max is not None:
-            bound = max(self.a_max, other.a_max)
-        return ControlSequence(self.dt, np.vstack([self.samples, other.samples]), bound)
-
-    def scaled(self, factor: float) -> "ControlSequence":
-        return ControlSequence(self.dt, self.samples * factor, self.a_max)
-
 
 @dataclass(frozen=True)
 class DispersionGrid:
@@ -186,9 +171,14 @@ class SU2Element:
 
 def _unit_deviation(kind: str, v: np.ndarray) -> float:
     """Largest distance of a Bloch vector's length or a spinor's squared
-    norm from 1 over the rows of ``v``; NaN where a value is NaN."""
+    norm from 1 over the rows of ``v``, or of a unitary's ``G^H G`` from the
+    identity in the Frobenius norm over its ``(d, d)`` blocks; NaN where a
+    value is NaN."""
     if kind == "bloch":
         return np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()
+    if kind == "unitary":
+        gram = np.einsum("...ji,...jk->...ik", v.conj(), v) - np.eye(v.shape[-1])
+        return np.sqrt(np.abs(np.einsum("...ik,...ik->...", gram, gram.conj())).max())
     return np.abs(np.sum(np.abs(v) ** 2, axis=-1) - 1.0).max()
 
 
@@ -213,22 +203,18 @@ class EnsembleState:
             # can change neither the state nor the array it gave
             if v.dtype != np.float64 or v.flags.writeable:
                 v = v.astype(float)
-            # a broadcast view repeats one row: check that row alone
-            dev = _unit_deviation("bloch", v[:1] if v.strides[0] == 0 else v)
         elif self.kind == "spinor":
             if v.shape != (n, 2):
                 raise ValueError(f"spinor values must be ({n}, 2)")
             v = v.astype(np.complex128)
-            dev = _unit_deviation("spinor", v)
         elif self.kind == "unitary":
             if v.ndim != 3 or v.shape[0] != n or v.shape[1] != v.shape[2]:
                 raise ValueError(f"unitary values must be ({n}, d, d)")
             v = v.astype(np.complex128)
-            gram = np.einsum("nji,njk->nik", v.conj(), v)
-            gram -= np.eye(v.shape[1])
-            dev = np.sqrt(np.abs(np.einsum("nik,nik->n", gram, gram.conj())).max())
         else:
             raise ValueError(f"unknown state kind {self.kind!r}")
+        # a broadcast view, such as uniform_bloch's, repeats one row: check that row alone
+        dev = _unit_deviation(self.kind, v[:1] if v.strides[0] == 0 else v)
         if not dev <= self.NORM_TOL:  # NaN fails too
             raise ValueError(f"state normalization violated by {dev:.3e}")
         self.values = v
@@ -257,8 +243,9 @@ class TargetSpec:
     """Either one constant target or a per-grid-point table of targets.
 
     A target holds values of its kind's shape, ``(3,)`` for a Bloch vector,
-    ``(2,)`` for a spinor and ``(d, d)`` for a unitary, and its Bloch or
-    spinor values are finite unit vectors within ``EnsembleState.NORM_TOL``.
+    ``(2,)`` for a spinor and ``(d, d)`` for a unitary, and its values are
+    finite unit vectors or finite unitary matrices within
+    ``EnsembleState.NORM_TOL``.
     """
 
     kind: str  # matches the EnsembleState kinds
@@ -274,20 +261,14 @@ class TargetSpec:
         ok = shape == want if want else len(shape) == 2 and shape[0] == shape[1]
         if not ok:
             raise ValueError(f"{self.kind} target values must be {want or '(d, d)'}, got {shape}")
-        if want:
-            dev = _unit_deviation(self.kind, v)
-            if not dev <= EnsembleState.NORM_TOL:  # NaN and inf too
-                raise ValueError(
-                    f"{self.kind} target must be finite unit vectors, a norm is off by {dev:.3e}"
-                )
+        dev = _unit_deviation(self.kind, v)
+        if not dev <= EnsembleState.NORM_TOL:  # NaN and inf too
+            what = "unit vectors" if want else "unitary matrices"
+            raise ValueError(f"{self.kind} target must be finite {what}, a norm is off by {dev:.3e}")
 
     @classmethod
     def constant_bloch(cls, vec) -> "TargetSpec":
         return cls("bloch", constant=np.asarray(vec, dtype=float))
-
-    @classmethod
-    def constant_spinor(cls, alpha, beta) -> "TargetSpec":
-        return cls("spinor", constant=np.array([alpha, beta], dtype=np.complex128))
 
     @classmethod
     def constant_unitary(cls, m) -> "TargetSpec":
@@ -429,17 +410,11 @@ def fidelity_map(
     pulse: ControlSequence,
     grid: DispersionGrid,
     target: TargetSpec,
-    initial: EnsembleState | None = None,
+    initial: EnsembleState,
     model: str = "exact",
 ) -> FidelityMap:
-    """Simulate the pulse and score it against the target per grid point."""
-    if initial is None:
-        if target.kind == "bloch":
-            initial = EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0))
-        elif target.kind == "spinor":
-            initial = EnsembleState.uniform_spinor(grid, 1.0, 0.0)
-        else:
-            initial = EnsembleState.uniform_unitary(grid, np.eye(2))
+    """Simulate the pulse from ``initial`` and score it against the target
+    per grid point."""
     return fidelity_of_states(propagate(pulse, grid, initial, model=model), target)
 
 

@@ -356,14 +356,6 @@ class PolyVectorField:
             comps.append(_poly_canon(canon))
         return cls(nvars, tuple(comps))
 
-    def evaluate(self, x: Sequence[float]) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.nvars)
-        for i, comp in enumerate(self.components):
-            for key, val in comp.items():
-                out[i] += val * np.prod(x ** np.array(key))
-        return out
-
     def is_zero(self) -> bool:
         return all(len(c) == 0 for c in self.components)
 

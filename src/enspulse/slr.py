@@ -13,8 +13,8 @@ broadband design's ``band_error`` and fidelity map come from one such pass.
 Every product with the exponential matrix ``exp(1j * outer(omega dt, k))``
 of a sample grid (the fit's Gram row and right-hand side, evaluations of P
 and Q) goes through :func:`_circle_products`: a Bluestein chirp-z over one
-FFT convolution on an arithmetic grid, which is every grid this package
-builds, and Horner's rule on any other.  No m x n matrix is built.  A fit
+FFT convolution.  The grid must be arithmetic, as every grid this package
+builds is; any other is refused.  No m x n matrix is built.  A fit
 builds its grid's two chirp plans (:func:`_chirp_plan`: the sums and the
 evaluations) once and keeps them for as long as its design runs; the
 completion checks its pair on its own FFT grid, and the backward recursion
@@ -27,6 +27,7 @@ constant coefficient real positive), deterministic and energy-front-loaded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,6 @@ __all__ = [
     "steps_to_pulse",
     "predicted_spinor",
     "unimodularity_residual",
-    "spinor_band_error",
     "rotation_target",
 ]
 
@@ -110,7 +110,7 @@ class SpinorPolynomials:
         return self.p.size
 
     def evaluate(self, omega: np.ndarray, dt: float):
-        """P(z), Q(z) at z = exp(-i omega dt)."""
+        """P(z), Q(z) at z = exp(-i omega dt), on an arithmetic grid of omega."""
         theta = np.asarray(omega, dtype=float).ravel() * dt
         pv, qv = _circle_products(theta, np.stack([self.p, self.q]))
         return pv, qv
@@ -126,12 +126,10 @@ def _circle_products(
 
     With ``n`` None, ``x[..., k]`` are coefficients and the result holds the
     evaluations ``a @ c`` at every angle; with ``n`` given, ``x[..., j]`` are
-    samples on the grid and the result holds the n sums ``a.T @ x``.  An
-    arithmetic grid (every grid this package builds) takes a Bluestein
-    chirp-z over one FFT convolution, set up by ``plan`` (the grid's
-    :func:`_chirp_plan` for this direction) or, without it, afresh; any
-    other grid takes Horner's rule or a power loop.  Neither holds more than
-    O(m + n) entries per row of x.
+    samples on the grid and the result holds the n sums ``a.T @ x``.  The
+    grid must be arithmetic: a Bluestein chirp-z over one FFT convolution,
+    set up by ``plan`` (the grid's :func:`_chirp_plan` for this direction)
+    or, without it, afresh, holds O(m + n) entries per row of x.
     """
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=np.complex128)
@@ -139,29 +137,9 @@ def _circle_products(
     if size == 0 or x.shape[-1] == 0:
         return np.zeros(x.shape[:-1] + (size,), dtype=np.complex128)
     plan = plan or _chirp_plan(theta, x.shape[-1] if n is None else n, sums=n is not None)
-    if plan is None:
-        return _horner_products(theta, x, n)
     if n is None:
         return _chirp(x * plan.start, plan)
     return _chirp(x, plan) * plan.start
-
-
-def _horner_products(theta: np.ndarray, x: np.ndarray, n: int | None) -> np.ndarray:
-    """:func:`_circle_products` on any grid: Horner's rule for the
-    evaluations, a running power of ``exp(1j theta)`` for the sums."""
-    z = np.exp(1j * theta)
-    if n is None:
-        y = np.repeat(x[..., -1:], theta.size, axis=-1)
-        for k in range(x.shape[-1] - 2, -1, -1):
-            y *= z
-            y += x[..., k : k + 1]
-        return y
-    out = np.empty(x.shape[:-1] + (n,), dtype=np.complex128)
-    zk = np.ones(theta.size, dtype=np.complex128)
-    for k in range(n):
-        out[..., k] = x @ zk
-        zk *= z
-    return out
 
 
 @dataclass(frozen=True)
@@ -176,10 +154,10 @@ class _ChirpPlan:
     start: np.ndarray
 
 
-def _chirp_plan(theta: np.ndarray, n: int, sums: bool) -> _ChirpPlan | None:
+def _chirp_plan(theta: np.ndarray, n: int, sums: bool) -> _ChirpPlan:
     """The chirp-z plan of ``theta``'s m-point grid with n coefficients: for
-    the n sums over the grid (``sums``) or for the m evaluations.  None when
-    the grid is not arithmetic, which leaves it to Horner's rule."""
+    the n sums over the grid (``sums``) or for the m evaluations.  A grid
+    that is not arithmetic is a ``ValueError``."""
     m = theta.size
     step = (theta[-1] - theta[0]) / max(m - 1, 1)
     # linspace grids and their products by dt sit within about 2.6 ulp of
@@ -187,7 +165,9 @@ def _chirp_plan(theta: np.ndarray, n: int, sums: bool) -> _ChirpPlan | None:
     # most that deviation times n
     dev = np.abs(theta - (theta[0] + step * np.arange(m))).max()
     if not dev <= 4.0 * np.finfo(float).eps * np.abs(theta).max():
-        return None
+        raise ValueError(
+            f"offset grid is not arithmetic (off an evenly spaced grid by {dev:.2e} rad)"
+        )
     p, size = (m, n) if sums else (n, m)
     nfft = 1 << (p + size - 2).bit_length()  # a power of two >= p + size - 1
     t = np.arange(max(p, size), dtype=np.int64)
@@ -402,20 +382,7 @@ class PolyFit:
     polys: SpinorPolynomials
     band_error: float
     fit_residual: float
-    values: tuple | None = None  # (P, Q) on the profile's grid; None if it was resampled
-
-
-def spinor_band_error(
-    poly: SpinorPolynomials, profile: TargetProfile, dt: float
-) -> float:
-    """Max phase-aligned spinor distance between (P, Q) and the profile.
-
-    A common per-offset phase (the only freedom a state has) is aligned
-    away; magnitude errors of both components and their relative phase
-    error are all counted.
-    """
-    pv, qv = poly.evaluate(profile.omega, dt)
-    return _aligned_distance(_overlap(pv, qv, profile.f_alpha, profile.f_beta))
+    values: tuple  # (P, Q) on the profile's grid
 
 
 def _overlap(pv, qv, f_alpha, f_beta) -> np.ndarray:
@@ -425,23 +392,6 @@ def _overlap(pv, qv, f_alpha, f_beta) -> np.ndarray:
 
 def _aligned_distance(overlap: np.ndarray) -> float:
     return float(np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0)).max())
-
-
-def _resample_profile(profile: TargetProfile, min_samples: int) -> TargetProfile:
-    if profile.omega.size >= min_samples:
-        return profile
-    w = np.linspace(profile.omega.min(), profile.omega.max(), min_samples)
-    fa = np.interp(w, profile.omega, profile.f_alpha.real) + 1j * np.interp(
-        w, profile.omega, profile.f_alpha.imag
-    )
-    fb = np.interp(w, profile.omega, profile.f_beta.real) + 1j * np.interp(
-        w, profile.omega, profile.f_beta.imag
-    )
-    norm = np.sqrt(np.abs(fa) ** 2 + np.abs(fb) ** 2)
-    wt = None
-    if profile.weights is not None:
-        wt = np.interp(w, profile.omega, profile.weights)
-    return TargetProfile(w, fa / norm, fb / norm, profile.tag, wt)
 
 
 def _durbin(r: np.ndarray):
@@ -484,8 +434,8 @@ class _GramFit:
     """Weighted least-squares fit of n coefficients on one sample grid.
 
     Every product with the grid's m x n exponential matrix goes through
-    :func:`_circle_products` (a chirp-z on the arithmetic grids this package
-    builds, Horner elsewhere), so no m x n array is ever made.  The grid's
+    :func:`_circle_products`, a chirp-z on the arithmetic grid (any other is
+    refused), so no m x n array is ever made.  The grid's
     chirp plans, one for the sums (its Gram row and right-hand sides) and
     one for the evaluations, and the factored inverse of the weighted Gram
     matrix (:func:`_durbin`) depend on the grid, the weights, n and dt alone:
@@ -548,14 +498,14 @@ def target_to_polys(
     the beta target, so that the pair hits the profile up to a per-offset
     global phase (which is all that states can see).  The reported band
     error is the max phase-aligned spinor distance against the original
-    profile.
+    profile.  The profile's offsets must form an arithmetic grid of at
+    least 8 n samples.
     """
-    prof = _resample_profile(profile, 8 * n)
-    fit = _GramFit(prof.omega, prof.weights, n, dt).fit(prof, margin, absorb_alpha_phase)
-    if prof is not profile:
-        fit.band_error = spinor_band_error(fit.polys, profile, dt)
-        fit.values = None
-    return fit
+    if profile.omega.size < 8 * n:
+        raise ValueError(
+            f"profile has {profile.omega.size} samples, fewer than 8 n = {8 * n} for {n} steps"
+        )
+    return _GramFit(profile.omega, profile.weights, n, dt).fit(profile, margin, absorb_alpha_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +580,8 @@ def design_broadband(
     """
     if not (0.0 < angle < 2.0 * np.pi):
         raise ValueError("angle must lie in (0, 2*pi)")
+    if a_max is not None and not 0 < a_max < np.inf:  # NaN too
+        raise ValueError(f"a_max must be positive and finite, got {a_max}")
 
     profile = broadband_profile(axis, angle, band, n, dt)
     # the profile's grid depends on n, dt and band, not on the angle, so
@@ -642,37 +594,27 @@ def design_broadband(
         steps, inversion = inverse_recursion_full(fit.polys)
         return prof, fit, steps, inversion
 
-    def feasible(block) -> bool:
-        if a_max is None:
-            return True
-        worst = max(s.phi for s in block[2]) / dt
-        return worst <= a_max * (1 + 1e-12)
+    def peak(block) -> float:
+        return max(s.phi for s in block[2]) / dt
 
-    block = block_for(1)
-    m = 1
-    if not feasible(block):
-        lo = 1
-        hi = 2
-        while hi <= MAX_SUBDIVISIONS:
-            block = block_for(hi)
-            if feasible(block):
-                break
-            lo = hi
-            hi *= 2
-        else:
+    def feasible(block) -> bool:
+        return a_max is None or peak(block) <= a_max * (1 + 1e-12)
+
+    # per-step flips shrink about as 1/m, and monotonically with the block
+    # angle: estimate the count from an infeasible block's peak, then step
+    # down to the smallest feasible count above the last infeasible one
+    m, block, infeasible = 1, block_for(1), 0
+    while not feasible(block):
+        # the peak exceeds a_max, so the estimate exceeds m
+        infeasible, estimate = m, m * peak(block) / a_max
+        if estimate > MAX_SUBDIVISIONS:  # inf too
             raise InfeasibleError(
                 f"no feasible subdivision count up to {MAX_SUBDIVISIONS} for a_max={a_max}"
             )
-        # smallest feasible m in (lo, hi], assuming per-step flips shrink
-        # monotonically with the block angle
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            candidate = block_for(mid)
-            if feasible(candidate):
-                hi, block = mid, candidate
-            else:
-                lo = mid
-        m = hi
+        m = math.ceil(estimate)
+        block = block_for(m)
+    while m - 1 > infeasible and feasible(lower := block_for(m - 1)):
+        m, block = m - 1, lower
 
     profile, fit, steps, inversion = block
     block_pulse = steps_to_pulse(steps, dt, a_max)
@@ -691,7 +633,7 @@ def _design_band_error(pulse, axis, angle, band, dt, npoints=129):
 
     The whole written pulse (possibly several concatenated blocks) is
     simulated from (1, 0) by one hard-pulse kernel pass; the beta target
-    carries the half-train delay, as in :func:`spinor_band_error`.
+    carries the half-train delay, as in :func:`rotation_target`.
     """
     omega = np.linspace(-band, band, npoints)
     ones = np.ones(npoints)
@@ -788,6 +730,4 @@ def design_pattern(
     fit = target_to_polys(profile, n, dt, margin=margin, absorb_alpha_phase=False)
     steps, inversion = inverse_recursion_full(fit.polys)
     pulse = steps_to_pulse(steps, dt)
-    # the fit evaluated the pair on the profile's grid unless it resampled it
-    values = fit.polys.evaluate(profile.omega, dt) if fit.values is None else fit.values
-    return PatternDesign(pulse, fit.polys, fit.band_error, profile, inversion, values)
+    return PatternDesign(pulse, fit.polys, fit.band_error, profile, inversion, fit.values)

@@ -878,7 +878,7 @@ def test_composition_property():
     p1, p2 = rand_pulse(rng, 12), rand_pulse(rng, 7)
     grid = DispersionGrid.from_ranges(omega=(-1500, 1500, 4), epsilon=(0.85, 1.15, 3))
     init = EnsembleState.uniform_spinor(grid, 1, 0)
-    joint = propagate(p1.concat(p2), grid, init)
+    joint = propagate(ControlSequence(p1.dt, np.vstack([p1.samples, p2.samples])), grid, init)
     half = propagate(p1, grid, init)
     staged = propagate(p2, grid, half)
     assert np.abs(joint.values - staged.values).max() < 1e-10
@@ -891,7 +891,8 @@ def test_eps_scaling_equivalence_at_zero_offset():
     g_eps = DispersionGrid(axes={"omega": np.array([0.0]), "epsilon": np.array([eps])})
     g_one = DispersionGrid(axes={"omega": np.array([0.0]), "epsilon": np.array([1.0])})
     a = propagate(pulse, g_eps, EnsembleState.uniform_spinor(g_eps, 1, 0))
-    b = propagate(pulse.scaled(eps), g_one, EnsembleState.uniform_spinor(g_one, 1, 0))
+    scaled = ControlSequence(pulse.dt, pulse.samples * eps)
+    b = propagate(scaled, g_one, EnsembleState.uniform_spinor(g_one, 1, 0))
     assert np.abs(a.values - b.values).max() == 0.0
 
 
@@ -914,9 +915,10 @@ def test_drift_reversal_conjugation():
 def test_fidelity_perfect_and_orthogonal():
     grid = DispersionGrid.from_ranges(omega=(-800, 800, 5), epsilon=(0.95, 1.05, 3))
     zero = ControlSequence(1e-4, np.zeros((4, 2)))
-    fmap = fidelity_map(zero, grid, TargetSpec.constant_bloch((0, 0, 1)))
+    start = EnsembleState.uniform_bloch(grid, (0, 0, 1))
+    fmap = fidelity_map(zero, grid, TargetSpec.constant_bloch((0, 0, 1)), start)
     assert np.allclose(fmap.values, 1.0, atol=1e-12)
-    fmap2 = fidelity_map(zero, grid, TargetSpec.constant_bloch((1, 0, 0)))
+    fmap2 = fidelity_map(zero, grid, TargetSpec.constant_bloch((1, 0, 0)), start)
     assert np.allclose(fmap2.values, 0.5, atol=1e-12)
 
 
@@ -967,7 +969,7 @@ def uniform_start(kind, grid):
 
 TARGETS = {
     "bloch": TargetSpec.constant_bloch((0.0, 0.6, 0.8)),
-    "spinor": TargetSpec.constant_spinor(0.6, 0.8j),
+    "spinor": TargetSpec("spinor", constant=np.array([0.6, 0.8j])),
     "unitary": TargetSpec.constant_unitary(su2_step_matrix(300.0, 1.0, 900.0, -400.0, 1e-3)),
 }
 
@@ -1019,12 +1021,18 @@ def test_a_target_of_another_kind_is_refused_by_name(state_kind, target):
         (lambda: TargetSpec.per_point("spinor", np.ones((4, 3)) / np.sqrt(3)), r"spinor target values must be \(2,\)"),
         (lambda: TargetSpec.constant_unitary(np.ones((2, 3))), r"unitary target values must be \(d, d\), got \(2, 3\)"),
         (lambda: TargetSpec.per_point("unitary", np.ones((4, 2))), r"unitary target values must be \(d, d\), got \(2,\)"),
-        (lambda: TargetSpec.constant_spinor(np.nan, 0.0), "spinor target must be finite unit vectors"),
+        (lambda: TargetSpec("spinor", constant=np.array([np.nan, 0.0])), "spinor target must be finite unit vectors"),
         (lambda: TargetSpec.per_point("bloch", [[0, 0, 1], [0, np.inf, 0]]), "bloch target must be finite unit vectors"),
         (lambda: TargetSpec.per_point("spinor", [[1, 0], [1, 1e-4]]), "spinor target must be finite unit vectors"),
+        (lambda: TargetSpec.constant_unitary(2 * np.eye(2)),
+         "unitary target must be finite unitary matrices, a norm is off by 4.243e"),
+        (lambda: TargetSpec.constant_unitary(np.full((2, 2), np.nan)), "unitary target must be finite unitary matrices"),
+        (lambda: TargetSpec.per_point("unitary", [np.eye(2), np.eye(2)[::-1] * 1j, [[0, 1], [1, 1e-4]]]),
+         "unitary target must be finite unitary matrices"),
     ],
     ids=["bloch-table-shape", "bloch-not-unit", "unknown-kind", "bloch-constant-shape", "spinor-table-shape",
-         "unitary-constant-shape", "unitary-table-shape", "spinor-nan", "bloch-inf", "spinor-not-unit"],
+         "unitary-constant-shape", "unitary-table-shape", "spinor-nan", "bloch-inf", "spinor-not-unit",
+         "unitary-twice-identity", "unitary-nan", "unitary-table-not-unitary"],
 )
 def test_a_target_checks_its_kind_shape_and_norm_by_name(make, message):
     with pytest.raises(ValueError, match=message):
@@ -1082,7 +1090,8 @@ def test_propagation_rejects_an_axis_the_single_spin_does_not_have(axes):
     with pytest.raises(ValueError, match="axis 'J' does not act on a single spin"):
         propagate(pulse, grid, EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0)))
     with pytest.raises(ValueError, match="axis 'J'"):
-        fidelity_map(pulse, grid, TargetSpec.constant_bloch((1.0, 0.0, 0.0)))
+        start = EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0))
+        fidelity_map(pulse, grid, TargetSpec.constant_bloch((1.0, 0.0, 0.0)), start)
 
 
 # ---------------------------------------------------------------------------

@@ -536,7 +536,7 @@ def test_broadband_map_is_its_band_error_pass_on_the_even_offsets(axis, angle, n
         design = slr.design_broadband(axis, angle, band, n, dt)
         if bound is not None:
             # a fraction of the unbounded peak: one block to a few
-            a_max = bound * design.pulse.amplitudes.max()
+            a_max = bound * np.hypot(design.pulse.u, design.pulse.v).max()
             design = slr.design_broadband(axis, angle, band, n, dt, a_max=a_max)
     except InfeasibleError:
         assume(False)  # the command exits 3

@@ -79,9 +79,7 @@ def test_subdivision_monotone_improvement():
     errs = []
     for m in (1, 4, 16):
         block = commutator_block("y", "x", t / m)
-        pulse = block
-        for _ in range(m - 1):
-            pulse = pulse.concat(block)
+        pulse = ControlSequence(block.dt, np.vstack([block.samples] * m))
         errs.append(np.linalg.norm(net_rotation(pulse) - target))
     assert errs[0] > errs[1] > errs[2]
 
@@ -218,7 +216,7 @@ def test_robust_rotation_simulation_improves_with_subdivision():
 
 def test_robust_rotation_fidelity_map_beats_plain():
     # state-level comparison through the ensemble fidelity map
-    from enspulse.bloch import DispersionGrid, TargetSpec, fidelity_map
+    from enspulse.bloch import DispersionGrid, EnsembleState, TargetSpec, fidelity_map
 
     grid1d = np.linspace(0.9, 1.1, 11)
     spec = RobustRotationSpec("x", np.pi / 2, grid1d, basis=(1, 3), subdivisions=128)
@@ -226,8 +224,9 @@ def test_robust_rotation_fidelity_map_beats_plain():
     grid = DispersionGrid(axes={"epsilon": grid1d})
     target = TargetSpec.constant_bloch((0.0, -1.0, 0.0))
     plain = ControlSequence(1e-3, np.array([[0.0, np.pi / 2 / 1e-3]]))
-    fid_comp = fidelity_map(out.sequence, grid, target).min
-    fid_plain = fidelity_map(plain, grid, target).min
+    start = EnsembleState.uniform_bloch(grid, (0.0, 0.0, 1.0))
+    fid_comp = fidelity_map(out.sequence, grid, target, start).min
+    fid_plain = fidelity_map(plain, grid, target, start).min
     assert fid_comp > fid_plain
 
 

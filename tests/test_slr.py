@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from enspulse import kernels, slr
 from enspulse.bloch import DispersionGrid, EnsembleState, propagate
-from enspulse.errors import CompletionError, DegenerateExtractionError
+from enspulse.errors import CompletionError, DegenerateExtractionError, InfeasibleError
 from enspulse.liealg import so3_generators
 from enspulse.slr import (
     HardPulseStep,
@@ -44,6 +44,10 @@ from enspulse.slr import (
 
 BAND = 5000.0
 DT = 0.5 / BAND
+
+
+def amplitudes(pulse):
+    return np.hypot(pulse.u, pulse.v)
 
 
 def rand_steps(rng, n, lo=0.01, hi=3.0):
@@ -149,21 +153,22 @@ def test_unimodularity_residual_matches_direct_evaluation(nsamples):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["design", "arc", "dft", "sorted", "unsorted"]),
+    kind=st.sampled_from(["design", "arc", "dft", "drawn"]),
     m=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2000)),
     n=st.integers(1, 300),
     knob=st.floats(0.0, 1.0),
+    start=st.floats(-np.pi, np.pi),
+    span=st.floats(-2.0 * np.pi, 2.0 * np.pi),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(kind="design", m=2000, n=300, knob=0.0, seed=0)
-@example(kind="dft", m=1, n=300, knob=0.5, seed=1)
-@example(kind="arc", m=2, n=1, knob=1.0, seed=2)
-@example(kind="sorted", m=3, n=300, knob=0.0, seed=3)
-def test_circle_products_match_the_dense_exponential_matrix(kind, m, n, knob, seed):
+@example(kind="design", m=2000, n=300, knob=0.0, start=0.0, span=0.0, seed=0)
+@example(kind="dft", m=1, n=300, knob=0.5, start=0.0, span=0.0, seed=1)
+@example(kind="arc", m=2, n=1, knob=1.0, start=0.0, span=0.0, seed=2)
+@example(kind="drawn", m=2000, n=300, knob=0.0, start=-np.pi, span=2.0 * np.pi, seed=3)
+def test_circle_products_match_the_dense_exponential_matrix(kind, m, n, knob, start, span, seed):
     # both products a @ c and a.T @ x of a = exp(1j outer(theta, arange(n)))
-    # agree with the dense matrix within 1e-12 of the input's 1-norm, on
-    # arithmetic grids (chirp-z, and the Horner path on the same grid) and on
-    # any other grid (Horner)
+    # agree with the dense matrix within 1e-12 of the input's 1-norm on every
+    # arithmetic grid: the designers' grids and ones of drawn start and step
     rng = np.random.default_rng(seed)
     if kind == "design":
         dt = 10.0 ** (-6.0 + 3.0 * knob)
@@ -175,29 +180,40 @@ def test_circle_products_match_the_dense_exponential_matrix(kind, m, n, knob, se
     elif kind == "dft":
         theta = np.arange(m) * (2.0 * np.pi / (max(m, 1) + int(3 * m * knob)))
     else:
-        theta = rng.uniform(-np.pi, np.pi, m)
-        if kind == "sorted":
-            theta = np.sort(theta)
-    arithmetic = kind in ("design", "arc", "dft") or m <= 2
+        theta = start + span / max(m - 1, 1) * np.arange(m)
     a = np.exp(1j * np.outer(theta, np.arange(n)))  # the dense oracle
     c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     x = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     want_eval, want_sums = c @ a.T, x @ a
+    got_eval, got_sums = slr._circle_products(theta, c), slr._circle_products(theta, x, n)
+    assert got_eval.shape == (2, m) and got_sums.shape == (2, n)
+    for got, want, inp in ((got_eval, want_eval, c), (got_sums, want_sums, x)):
+        bound = 1e-12 * np.abs(inp).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= bound)
+    one_row = slr._circle_products(theta, c[0])
+    assert np.all(np.abs(one_row - want_eval[0]) <= 1e-12 * np.abs(c[0]).sum())
 
-    def check(products):
-        got_eval, got_sums = products(theta, c, None), products(theta, x, n)
-        assert got_eval.shape == (2, m) and got_sums.shape == (2, n)
-        for got, want, inp in ((got_eval, want_eval, c), (got_sums, want_sums, x)):
-            bound = 1e-12 * np.abs(inp).sum(axis=-1, keepdims=True)
-            assert np.all(np.abs(got - want) <= bound)
-        one_row = products(theta, c[0], None)
-        assert np.all(np.abs(one_row - want_eval[0]) <= 1e-12 * np.abs(c[0]).sum())
 
-    if arithmetic:
-        with mock.patch.object(slr, "_horner_products", side_effect=AssertionError("not chirp")):
-            check(slr._circle_products)
-    check(slr._circle_products)
-    check(slr._horner_products)
+def test_a_grid_off_an_arithmetic_progression_is_refused_by_name():
+    poly = SpinorPolynomials(np.array([0.6, 0.0]), np.array([0.0, 0.8]))
+    with pytest.raises(ValueError, match="offset grid is not arithmetic"):
+        poly.evaluate(np.array([0.0, 100.0, 300.0]), DT)
+    n = 8
+    w = np.sort(np.random.default_rng(5).uniform(-BAND, BAND, 8 * n))
+    prof = TargetProfile(w, np.full(w.size, np.cos(0.5)), np.full(w.size, -1j * np.sin(0.5)))
+    with pytest.raises(ValueError, match="offset grid is not arithmetic"):
+        target_to_polys(prof, n, DT)
+
+
+def test_a_profile_of_fewer_than_8n_samples_is_refused_by_count():
+    n = 16
+    w = np.linspace(-BAND, BAND, 8 * n - 1)
+    prof = TargetProfile(w, np.full(w.size, np.cos(0.5)), np.full(w.size, -1j * np.sin(0.5)))
+    with pytest.raises(ValueError, match="profile has 127 samples, fewer than 8 n = 128 for 16 steps"):
+        target_to_polys(prof, n, DT)
+    with pytest.raises(ValueError, match="fewer than 8 n"):
+        design_pattern(prof, n, DT)
+    assert target_to_polys(prof, n - 1, DT).polys.n == n - 1
 
 
 def dft_fold_residual(poly, nsamples):
@@ -745,11 +761,11 @@ def test_broadband_more_steps_beat_fewer():
 
 def test_broadband_amplitude_bound_and_subdivision():
     free = design_broadband("x", np.pi / 2, BAND, 64, DT)
-    a_max = 0.6 * free.pulse.amplitudes.max()
+    a_max = 0.6 * amplitudes(free.pulse).max()
     d1 = design_broadband("x", np.pi / 2, BAND, 64, DT, a_max=a_max)
     d2 = design_broadband("x", np.pi / 2, BAND, 64, DT, a_max=a_max / 2)
-    assert d1.pulse.amplitudes.max() <= a_max * (1 + 1e-12)
-    assert d2.pulse.amplitudes.max() <= (a_max / 2) * (1 + 1e-12)
+    assert amplitudes(d1.pulse).max() <= a_max * (1 + 1e-12)
+    assert amplitudes(d2.pulse).max() <= (a_max / 2) * (1 + 1e-12)
     assert d2.blocks >= 2 * d1.blocks
     assert d1.pulse.nsteps == d1.blocks * 64
 
@@ -768,13 +784,40 @@ def test_subdivision_search_factors_the_fit_once(monkeypatch):
 
 
 def test_block_train_is_bitwise_the_concat_chain_of_its_block():
-    # the m-block train is tiled in one call, not joined by m - 1 concats
+    # the m-block train is its block's samples stacked m times
     d = design_broadband("x", np.pi / 2, 2000.0, 64, 1e-4, a_max=800.0)
     block = steps_to_pulse(inverse_recursion_full(d.polys)[0], 1e-4, 800.0)
-    chain = block.concat(block).concat(block).concat(block)
     assert d.blocks == 4
-    assert np.array_equal(d.pulse.samples, chain.samples)
-    assert (d.pulse.dt, d.pulse.a_max) == (chain.dt, chain.a_max)
+    assert np.array_equal(d.pulse.samples, np.vstack([block.samples] * 4))
+    assert (d.pulse.dt, d.pulse.a_max) == (block.dt, block.a_max)
+
+
+@pytest.mark.parametrize(
+    "angle, band, n, a_max, tried, blocks",
+    [(0.5, 2000.0, 64, 800.0, [1, 4, 3], 4), (0.5, 2000.0, 256, 800.0, [1, 4, 3], 4),
+     (0.5, 5000.0, 64, 1500.0, [1, 3, 2], 3), (0.5, 2000.0, 64, 300.0, [1, 10, 9], 10),
+     (1.5, 2000.0, 64, 900.0, [1, 4, 10, 9], 10)],
+)
+def test_subdivision_search_starts_from_the_one_block_estimate(monkeypatch, angle, band, n, a_max, tried, blocks):
+    # the one-block peak over a_max estimates the count, and single steps
+    # down find the smallest feasible one; past pi the one block is fitted
+    # as the rotation by 2 pi - angle, which underestimates, so the peak of
+    # the infeasible estimate makes a second one
+    angles = []
+    profile = slr.broadband_profile
+    monkeypatch.setattr(slr, "broadband_profile", lambda *a: angles.append(a[1]) or profile(*a))
+    d = design_broadband("x", angle * np.pi, band, n, 1e-4, a_max=a_max)
+    assert [round(angle * np.pi / a) for a in angles] == tried and d.blocks == blocks
+
+
+@pytest.mark.parametrize("a_max", [1e-3, 1e-310])  # 1e-310: the estimate overflows to inf
+def test_an_estimate_past_the_subdivision_limit_is_refused_after_one_fit(monkeypatch, a_max):
+    fits = []
+    fit = slr._GramFit.fit
+    monkeypatch.setattr(slr._GramFit, "fit", lambda self, *a, **kw: fits.append(1) or fit(self, *a, **kw))
+    with pytest.raises(InfeasibleError, match="no feasible subdivision count up to 65536"):
+        design_broadband("x", np.pi / 2, 2000.0, 64, 1e-4, a_max=a_max)
+    assert len(fits) == 1
 
 
 @pytest.mark.parametrize("a_max, blocks", [(None, 1), (800.0, 4)])
@@ -792,7 +835,7 @@ def test_band_error_is_the_hard_pulse_simulation_of_the_written_pulse(a_max, blo
 
 def test_broadband_angle_limit_is_quiet():
     d = design_broadband("x", 1e-9, BAND, 32, DT)
-    assert d.pulse.amplitudes.max() < 1e-3
+    assert amplitudes(d.pulse).max() < 1e-3
 
 
 def test_broadband_rejects_bad_angle_and_aliasing():
@@ -800,6 +843,12 @@ def test_broadband_rejects_bad_angle_and_aliasing():
         design_broadband("x", 0.0, BAND, 16, DT)
     with pytest.raises(ValueError):
         design_broadband("x", 1.0, BAND, 16, dt=2 * np.pi / BAND)
+
+
+@pytest.mark.parametrize("a_max", [0.0, -800.0, np.nan, np.inf])
+def test_broadband_refuses_an_amplitude_bound_that_is_not_positive_and_finite(a_max):
+    with pytest.raises(ValueError, match="a_max must be positive and finite"):
+        design_broadband("x", np.pi / 2, BAND, 16, DT, a_max=a_max)
 
 
 def test_broadband_y_axis():
@@ -844,13 +893,12 @@ def test_band_selective_inversion():
 def test_pattern_zero_profile():
     prof = band_selective_profile(BAND, (-2500.0, 2500.0), 0.0, 32, DT)
     pat = design_pattern(prof, 32, DT)
-    assert pat.pulse.amplitudes.max() == 0.0
+    assert amplitudes(pat.pulse).max() == 0.0
 
 
-@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("stride", [1, 2])
 def test_pattern_values_are_the_pair_evaluated_on_the_profile(stride):
-    # stride 4 leaves 6n + 1 samples, which the fit resamples to 8n: there the
-    # design evaluates the pair itself
+    # stride 2 leaves 12n + 1 samples, still an arithmetic grid of 8n or more
     n = 32
     base = band_selective_profile(BAND, (-2500.0, 2500.0), 1.5, n, DT)
     prof = TargetProfile(

@@ -12,8 +12,9 @@ most one such pass, and an SLR design builds its fit grid's chirp plans once
 per direction.  Every float array the file layer writes goes through
 one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
-very objects, and every exported name is reached by the package's own code,
-an acceptance criterion, the README example or the benchmark.  Generators are exponentiated by one numpy function, so scipy
+very objects, and every exported name, and every public method and property
+of an exported class, is reached by the package's own code, an acceptance
+criterion, the README example or the benchmark.  Generators are exponentiated by one numpy function, so scipy
 is imported by one function alone."""
 
 import ast
@@ -143,16 +144,12 @@ def defined_by(stmt):
     return set()
 
 
-def test_every_exported_name_is_reached():
-    # a name in __all__ is used by the package outside its own definition, by
-    # an acceptance criterion, by README's python example or by the benchmark;
-    # one only unit tests call is dead weight every command compiles
-    package = Path(enspulse.__file__).parent
-    statements = [
-        (path.stem, defined_by(stmt), names_in(stmt))
-        for path in sorted(package.glob("*.py"))
-        for stmt in ast.parse(path.read_text()).body
-    ]
+PACKAGE = Path(enspulse.__file__).parent
+
+
+def names_outside_the_package():
+    """Every identifier an acceptance criterion, README's python example or
+    the benchmark's own (non-test) files read or write."""
     readme = (ROOT / "README.md").read_text()
     outside = [ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
     outside += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
@@ -161,7 +158,19 @@ def test_every_exported_name_is_reached():
         for path in sorted((ROOT / "perfbench").glob("*.py"))
         if not path.name.startswith("test_")
     ]
-    reached = set().union(*map(names_in, outside))
+    return set().union(*map(names_in, outside))
+
+
+def test_every_exported_name_is_reached():
+    # a name in __all__ is used by the package outside its own definition, by
+    # an acceptance criterion, by README's python example or by the benchmark;
+    # one only unit tests call is dead weight every command compiles
+    statements = [
+        (path.stem, defined_by(stmt), names_in(stmt))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    reached = names_outside_the_package()
     unreached = [
         f"{stem}.{name}"
         for stem in (m.rsplit(".", 1)[-1] for m in MODULES if m != "enspulse")
@@ -170,6 +179,45 @@ def test_every_exported_name_is_reached():
         and not any(name in refs for where, defs, refs in statements if not (where == stem and name in defs))
     ]
     assert unreached == []
+
+
+# item 17 of ROADMAP reworks the unitary ensemble kind and its fidelity; until
+# then its start state and target stay, reached only by unit tests
+MEMBERS_KEPT_FOR_THE_UNITARY_KIND = {"bloch.EnsembleState.uniform_unitary", "bloch.TargetSpec.constant_unitary"}
+
+
+def test_every_public_member_of_an_exported_class_is_reached():
+    # a public method or property of a class in __all__ is reached when its
+    # attribute name is used outside its own definition by the package, an
+    # acceptance criterion, README's python example or the benchmark
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    members = [
+        (f"{stem}.{cls.name}.{member.name}", member)
+        for stem, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in getattr(
+            importlib.import_module(f"enspulse.{stem}"), "__all__", [])
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    ]
+    reached = names_outside_the_package()
+
+    def used_in_package(member):
+        # every name in the package but those inside the member's own body
+        own = {id(node) for node in ast.walk(member)}
+        return any(
+            (node.id if isinstance(node, ast.Name) else node.attr) == member.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in own
+        )
+
+    unreached = [
+        qualified
+        for qualified, member in members
+        if member.name not in reached and not used_in_package(member)
+    ]
+    assert sorted(unreached) == sorted(MEMBERS_KEPT_FOR_THE_UNITARY_KIND)
 
 
 def numpy_calls(node, names):
@@ -419,9 +467,9 @@ def test_a_design_builds_its_fit_grids_chirp_plans_once_per_direction(tmp_path, 
     assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
     assert sorted(sums for sums, _ in built) == [False, True]
     plans = [p for _, p in built]
-    assert all(p is not None for p in plans)
     # the Gram row, two right-hand sides and two evaluations per block count
-    assert len(products) == 1 + 4 * 4 and all(any(p is q for q in plans) for p in products)
+    # tried (1, then the estimate 4, then 3)
+    assert len(products) == 1 + 4 * 3 and all(any(p is q for q in plans) for p in products)
 
 
 @pytest.mark.parametrize("kind", ["spinor", "bloch"])
