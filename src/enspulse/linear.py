@@ -180,6 +180,24 @@ def ensemble_necessary_conditions(
     )
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small real square matrix by scaling and
+    squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003): the degree-18 Taylor
+    polynomial of m / 2**s, with s chosen so that the scaled 1-norm is below
+    1/2, then s squarings.  The Taylor tail is then of order 0.5**19 / 19!,
+    about 1.6e-23.  Overflow is left to the caller, which checks the result
+    for finiteness."""
+    s = max(0, int(np.frexp(np.abs(m).sum(axis=0).max())[1]) + 1)
+    x = m / 2.0**s  # exact: a power of two
+    eye = np.eye(len(m))
+    e = eye
+    for k in range(18, 0, -1):  # Horner: I + x (I + x/2 (I + ... x/18))
+        e = eye + (x @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def reachability_residual(
     samples: Sequence[LinearSystemSample],
     targets: Sequence[np.ndarray],
@@ -188,10 +206,14 @@ def reachability_residual(
 ) -> float:
     """Least-squares distance from the jointly reachable set to the targets.
 
-    Zero-order-hold discretization from the origin; the same control-sample
-    vector drives every member, and the stacked linear map is solved in one
-    least-squares shot.  A residual of zero (within roundoff) certifies the
-    targets jointly reachable at this resolution.
+    Zero-order-hold discretization from the origin: each member's one-step
+    propagator and held-input response are blocks of the exponential of
+    [[A dt, B dt], [0, 0]], taken by :func:`_expm` because that matrix is not
+    normal.  The same control-sample vector drives every member, and the
+    stacked linear map is solved in one least-squares shot.  A residual of
+    zero (within roundoff) certifies the targets jointly reachable at this
+    resolution.  A target whose length is not its sample's state dimension,
+    and a sample whose discretization overflows, are refused by index.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one step")
@@ -199,29 +221,34 @@ def reachability_residual(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if len(targets) != len(samples):
         raise ValueError("one target per sample required")
-    # imported here: scipy.linalg costs more import time than the rest of
-    # the command-line entry point
-    from scipy.linalg import expm
+    targets = [np.asarray(t, dtype=float).ravel() for t in targets]
+    for i, (sys, t) in enumerate(zip(samples, targets)):
+        if t.size != sys.n:
+            raise ValueError(f"target {i} has {t.size} entries for a sample of dimension {sys.n}")
 
     blocks = []
-    for sys in samples:
+    for i, sys in enumerate(samples):
         n, m = sys.b.shape
-        # one-step propagator and held-input response via the block trick
         aug = np.zeros((n + m, n + m))
-        aug[:n, :n] = sys.a * dt
-        aug[:n, n:] = sys.b * dt
-        e = expm(aug)
-        ad = e[:n, :n]
-        bd = e[:n, n:]
-        cols = []
-        acc = bd
-        for _ in range(horizon):
-            cols.append(acc)
-            acc = ad @ acc
+        # overflow and inf - inf show as non-finite entries, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            aug[:n, :n] = sys.a * dt
+            aug[:n, n:] = sys.b * dt
+            e = _expm(aug)
+            ad = e[:n, :n]
+            cols = [e[:n, n:]]
+            for _ in range(horizon - 1):
+                cols.append(ad @ cols[-1])
         # control ordering: u_0 first; later inputs pass through fewer steps
-        blocks.append(np.hstack(cols[::-1]))
+        block = np.hstack(cols[::-1])
+        if not np.isfinite(block).all():
+            raise ValueError(
+                f"sample {i}: its zero-order-hold discretization overflows "
+                f"over {horizon} steps of dt {dt}"
+            )
+        blocks.append(block)
     big = np.vstack(blocks)
-    rhs = np.concatenate([np.asarray(t, dtype=float).ravel() for t in targets])
+    rhs = np.concatenate(targets)
     sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
     return float(np.linalg.norm(big @ sol - rhs))
 

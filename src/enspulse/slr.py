@@ -575,7 +575,8 @@ def design_broadband(
     Unbounded: one block for the full angle.  With ``a_max``, the angle is
     split into the smallest number m of equal sub-angles whose extracted
     per-step amplitudes respect the bound, and the m identical blocks are
-    concatenated.  One kernel pass over the written pulse
+    concatenated; a count above one whose block fails its completion is
+    infeasible.  One kernel pass over the written pulse
     (:func:`_design_band_error`) gives the band error and the fidelity map.
     """
     if not (0.0 < angle < 2.0 * np.pi):
@@ -590,7 +591,12 @@ def design_broadband(
 
     def block_for(m: int):
         prof = profile if m == 1 else broadband_profile(axis, angle / m, band, n, dt)
-        fit = gram.fit(prof, margin=1e-6, absorb_alpha_phase=True)
+        try:
+            fit = gram.fit(prof, margin=1e-6, absorb_alpha_phase=True)
+        except CompletionError:
+            if m == 1:
+                raise
+            return None  # a count whose block does not complete is infeasible
         steps, inversion = inverse_recursion_full(fit.polys)
         return prof, fit, steps, inversion
 
@@ -598,15 +604,16 @@ def design_broadband(
         return max(s.phi for s in block[2]) / dt
 
     def feasible(block) -> bool:
-        return a_max is None or peak(block) <= a_max * (1 + 1e-12)
+        return block is not None and (a_max is None or peak(block) <= a_max * (1 + 1e-12))
 
     # per-step flips shrink about as 1/m, and monotonically with the block
     # angle: estimate the count from an infeasible block's peak, then step
     # down to the smallest feasible count above the last infeasible one
     m, block, infeasible = 1, block_for(1), 0
     while not feasible(block):
-        # the peak exceeds a_max, so the estimate exceeds m
-        infeasible, estimate = m, m * peak(block) / a_max
+        # the peak exceeds a_max, so the estimate exceeds m; a block that
+        # does not complete has no peak, so the next count is tried
+        infeasible, estimate = m, m + 1 if block is None else m * peak(block) / a_max
         if estimate > MAX_SUBDIVISIONS:  # inf too
             raise InfeasibleError(
                 f"no feasible subdivision count up to {MAX_SUBDIVISIONS} for a_max={a_max}"

@@ -519,6 +519,22 @@ def test_design_slr_min_fidelity_simulates_the_written_pulse(tmp_path, a_max):
     assert diag["min_fidelity"] >= (1 - diag["band_error"] ** 2 / 2) ** 2 - 1e-12
 
 
+@pytest.mark.parametrize("fraction", [0.9, 0.5])
+def test_design_slr_searches_past_a_block_count_that_does_not_complete(tmp_path, fraction):
+    # at 1.9 pi these bounds estimate two blocks, whose 0.95 pi block misses
+    # its completion residual; that count is infeasible and larger ones follow
+    def peak(path):
+        pulse = load_pulse(str(path))
+        return float(np.hypot(pulse.u, pulse.v).max())
+
+    argv = ["design-slr", "--angle", repr(1.9 * np.pi), "--band", "2000", "--steps", "64", "--dt", "1e-4"]
+    assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
+    a_max = fraction * peak(tmp_path / "one.json")
+    out = tmp_path / "bounded.json"
+    assert main([*argv, "--a-max", repr(a_max), "--out", str(out)]) == 0
+    assert peak(out) <= a_max * (1 + 1e-12)
+
+
 @settings(max_examples=25)
 @given(
     axis=st.sampled_from(["x", "y"]),
@@ -620,7 +636,7 @@ def test_design_pattern_figures_simulate_the_written_pulse(tmp_path, capsys, ste
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported by the commands that need it, not at start-up
+    # the package runs on numpy alone; scipy is a test oracle
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, enspulse.cli; sys.exit('scipy' in sys.modules)"
@@ -637,15 +653,21 @@ def test_cli_import_leaves_scipy_unloaded():
         ["design-pattern", "--band", "5000", "--select=-2500,2500", "--flip", "1.5707963267948966", "--steps", "64"],
         ["design-composite", "--angle", "1.5707963267948966", "--eps-range", "0.9,1.1", "--basis", "1,3,5"],
         ["design-zz", "--theta", "0.7853981633974483", "--j0", "1.0", "--delta", "0.1"],
+        ["analyze-linear", "--samples", "{tmp}/samples.json", "--reachability-targets", "{tmp}/targets.json"],
     ],
 )
 def test_slr_designs_leave_scipy_unloaded(tmp_path, argv):
-    # the slr fit solves its Toeplitz system and the bracket compilers'
-    # claims exponentiate their generators without scipy.linalg, whose import
-    # would cost a fresh process about a quarter of a second
+    # the slr fit solves its Toeplitz system, the bracket compilers' claims
+    # exponentiate their generators and the reachability residual takes its
+    # zero-order hold without scipy.linalg, whose import would cost a fresh
+    # process about a quarter of a second
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    full = argv + ["--out", str(tmp_path / "pulse.json")]
+    (tmp_path / "samples.json").write_text(
+        json.dumps({"samples": [{"A": [[0.0, 1.0], [-s, 0.0]], "b": [0.0, 1.0]} for s in (1.0, 2.0)]})
+    )
+    (tmp_path / "targets.json").write_text(json.dumps({"targets": [[1.0, 0.0], [0.0, 1.0]]}))
+    full = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "pulse.json")]
     code = f"import sys, enspulse.cli; assert enspulse.cli.main({full!r}) == 0; sys.exit('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120
@@ -972,6 +994,8 @@ def test_analyze_linear(tmp_path):
         {"targets": [None, None]},
         {"targets": [[float("nan")], [1.0]]},
         [[1.0]],
+        {"targets": [[1.0, 2.0], []]},
+        {"targets": [[1.0, 2.0], [1.0, 2.0, 3.0]]},
     ],
 )
 def test_analyze_linear_rejects_malformed_targets(tmp_path, targets_doc):
@@ -989,6 +1013,23 @@ def test_analyze_linear_rejects_malformed_targets(tmp_path, targets_doc):
     assert main([*argv, "--reachability-targets", str(tpath)]) == 2
     tpath.write_text(json.dumps({"targets": [[1.0], [1.0]]}))
     assert main([*argv, "--reachability-targets", str(tpath)]) == 0
+
+
+@pytest.mark.parametrize("a, code", [(400.0, 2), (-400.0, 0)])
+def test_analyze_linear_refuses_a_sample_whose_discretization_overflows(tmp_path, capfd, a, code):
+    # e^{400 * 3} overflows before the least-squares solve, which LAPACK
+    # would report on stderr; e^{-400 * 3} underflows and is fine
+    spath = tmp_path / "samples.json"
+    spath.write_text(json.dumps({"samples": [{"A": [[1.0]], "b": [1.0]}, {"A": [[a]], "b": [1.0]}]}))
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps({"targets": [[1.0], [1.0]]}))
+    out = tmp_path / "report.json"
+    argv = ["analyze-linear", "--samples", str(spath), "--reachability-targets", str(tpath),
+            "--step", "3", "--horizon", "8", "--out", str(out)]
+    assert main(argv) == code
+    err = capfd.readouterr().err
+    assert ("sample 1: its zero-order-hold discretization overflows" in err) == (code == 2)
+    assert "DLASCL" not in err and out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("entry", [3.0, [[1.0]], "A", None], ids=["number", "list", "string", "null"])

@@ -1,14 +1,19 @@
 """Linear-ensemble necessary conditions and nonholonomic-integrator tests.
 
 Oracles: eigenvalue-product characteristic polynomials, closed-form scalar
-least squares, and exact piecewise integration of the planar integrator.
+least squares, exact piecewise integration of the planar integrator, and
+scipy's ``expm`` for the zero-order-hold exponential.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from enspulse.linear import (
     LinearSystemSample,
+    _expm,
     characteristic_coefficients,
     companion_transform,
     controllability_matrix,
@@ -208,6 +213,57 @@ def test_residual_rejects_a_step_that_is_not_positive_and_finite(dt):
     samples = [LinearSystemSample(s, np.zeros((1, 1)), np.array([s])) for s in (0.9, 1.1)]
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         reachability_residual(samples, [np.array([1.0])] * 2, horizon=4, dt=dt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 2),
+    log_dt=st.floats(-3.0, np.log10(3.0)),
+    log_scale=st.floats(-1.0, 1.0),
+    jordan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_order_hold_exponential_matches_scipy(n, m, log_dt, log_scale, jordan, seed):
+    # the augmented matrix [[A dt, B dt], [0, 0]] is not normal; a Jordan
+    # block drift is the least normal A of all
+    rng = np.random.default_rng(seed)
+    if jordan:
+        a = rng.standard_normal() * np.eye(n) + np.eye(n, k=1)
+    else:
+        a = rng.standard_normal((n, n))
+    a *= 10.0**log_scale
+    dt = 10.0**log_dt
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = a * dt
+    aug[:n, n:] = rng.standard_normal((n, m)) * dt
+    want = expm(aug)
+    assert np.abs(_expm(aug) - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lengths", [(4, 2), (2, 3), (3, 0)])
+def test_residual_refuses_a_target_of_another_length_by_index(lengths):
+    # two 3-state samples; the stacked lengths of (4, 2) used to pass
+    rng = np.random.default_rng(37)
+    samples = [rand_controllable(rng, 3) for _ in range(2)]
+    targets = [np.ones(k) for k in lengths]
+    bad = 0 if lengths[0] != 3 else 1
+    with pytest.raises(ValueError, match=f"target {bad} has {lengths[bad]} entries for a sample of dimension 3"):
+        reachability_residual(samples, targets, horizon=4, dt=0.1)
+
+
+def test_residual_refuses_a_discretization_that_overflows_by_index():
+    # e^{400 * 3} overflows; e^{-400 * 3} underflows to zero and is fine.
+    # With a scalar drift every state lies on the line of b, so the residual
+    # is the distance from (1, 1) to the line of (1, 2), 1/sqrt(5)
+    ones, b = np.ones(2), np.array([1.0, 2.0])
+    free = LinearSystemSample(1.0, np.eye(2), ones)
+    grows = LinearSystemSample(400.0, 400.0 * np.eye(2), b)
+    with pytest.raises(ValueError, match="sample 1: its zero-order-hold discretization overflows"):
+        reachability_residual([free, grows], [ones, ones], horizon=8, dt=3.0)
+    decays = LinearSystemSample(-400.0, -400.0 * np.eye(2), b)
+    res = reachability_residual([free, decays], [ones, ones], horizon=8, dt=3.0)
+    assert res == pytest.approx(1 / np.sqrt(5), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

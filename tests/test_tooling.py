@@ -14,8 +14,8 @@ one formatter, whose tables an import leaves unbuilt.
 The package's re-exported names, loaded on first use, are their submodules'
 very objects, and every exported name, and every public method and property
 of an exported class, is reached by the package's own code, an acceptance
-criterion, the README example or the benchmark.  Generators are exponentiated by one numpy function, so scipy
-is imported by one function alone."""
+criterion, the README example or the benchmark.  The package imports the
+standard library and numpy alone, and numpy is its one runtime dependency."""
 
 import ast
 import importlib
@@ -318,37 +318,34 @@ def test_one_kernel_function_chooses_the_polynomial_route():
     assert "kernels.bloch_propagate" in graph["bloch.propagate"]
 
 
-def scipy_imports(path):
-    """``(module, function)`` of every import of scipy in the file at ``path``;
-    the function is None for a module-level import."""
-    found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                found.append((path.stem, func))
-            visit(child, func)
-
-    visit(ast.parse(path.read_text()), None)
-    return found
+def top_level_imports(path):
+    """The top-level name of every absolute import in the file at ``path``;
+    a relative import is the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
 
 
-def test_scipy_is_imported_by_the_reachability_residual_alone():
-    # skew-Hermitian generators go through liealg.expm_skew; only the
-    # reachability residual's augmented block matrix, which is not normal,
-    # needs scipy's general expm
+def test_the_package_imports_the_stdlib_and_numpy_alone():
+    # skew-Hermitian generators go through liealg.expm_skew and the
+    # reachability residual's zero-order hold through linear._expm, so the
+    # package runs on numpy; scipy stays a test oracle
     package = Path(enspulse.__file__).parent
-    found = [hit for path in sorted(package.glob("*.py")) for hit in scipy_imports(path)]
-    assert found == [("linear", "reachability_residual")]
+    allowed = set(sys.stdlib_module_names) | {"numpy", "enspulse"}
+    foreign = {
+        (path.stem, name)
+        for path in sorted(package.rglob("*.py"))
+        for name in top_level_imports(path) - allowed
+    }
+    assert foreign == set()
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]
+    assert "scipy" in {re.match(r"[\w.-]+", d).group() for d in project["optional-dependencies"]["test"]}
 
 
 # each family's leaf map: the one writer that turns signed leaves into its pieces
